@@ -8,6 +8,7 @@ pure function of (config text, seed) and repeated invocations produce
 byte-identical files.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -31,6 +32,22 @@ def _fmt(value):
     return "%.17g" % value
 
 
+def _write_atomic(path, text):
+    """Write text to path via a sibling temp file and a rename; the temp
+    file is removed if anything fails."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 def write_trace_csv(rows, path):
     """Atomically write trace rows; floats keep full round-trip precision."""
     path = Path(path)
@@ -40,17 +57,7 @@ def write_trace_csv(rows, path):
             str(r.n), _fmt(r.f_x), _fmt(r.f_avg), _fmt(r.gap_best),
             _fmt(r.gap_avg), _fmt(r.bound), _fmt(r.backward_step),
             str(r.nnz), _fmt(r.elapsed_s))))
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    _write_atomic(path, "\n".join(lines) + "\n")
     return path
 
 
@@ -79,9 +86,22 @@ def _reference_cache_path(out_dir, key):
     return Path(out_dir) / "_refcache" / ("%s.json" % key)
 
 
+def _reference_cache_key(cfg, problem):
+    """cfg.problem_key, which fixes synthetic data; data files enter the
+    [problem] text only by path, so their contents are hashed in too."""
+    if cfg.data_a is None:
+        return cfg.problem_key
+    digest = hashlib.sha256()
+    for arr in (problem.A, problem.b):
+        digest.update(repr(arr.shape).encode())
+        digest.update(arr.tobytes())
+    return "%s_%s" % (cfg.problem_key, digest.hexdigest()[:16])
+
+
 def cached_reference(cfg, problem, out_dir):
-    """Reference optimum, cached on disk keyed by the problem definition."""
-    cache = _reference_cache_path(out_dir, cfg.problem_key)
+    """Reference optimum, cached on disk keyed by the problem definition
+    and, for data files, by their contents."""
+    cache = _reference_cache_path(out_dir, _reference_cache_key(cfg, problem))
     if cache.exists():
         data = json.loads(cache.read_text())
         return ReferenceSolution(np.asarray(data["x_star"], dtype=float),
@@ -92,10 +112,7 @@ def cached_reference(cfg, problem, out_dir):
     payload = {"x_star": [float(v) for v in ref.x_star], "f_star": ref.f_star,
                "certified_gap": ref.certified_gap, "converged": ref.converged,
                "method": ref.method}
-    fd, tmp = tempfile.mkstemp(dir=cache.parent, suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
-        json.dump(payload, fh)
-    os.replace(tmp, cache)
+    _write_atomic(cache, json.dumps(payload))
     return ref
 
 
@@ -254,8 +271,5 @@ def compare(cfg, presets, out_dir=None, unsafe=False, stride=None):
         lines.append("%s,%s,%d,%s" % (r["preset"], _fmt(r["final_gap_best"]),
                                       r["final_nnz"],
                                       _fmt(r["median_backward_step"])))
-    fd, tmp = tempfile.mkstemp(dir=out, suffix=".tmp")
-    with os.fdopen(fd, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, csv_path)
+    _write_atomic(csv_path, "\n".join(lines) + "\n")
     return CompareResult(rows, csv_path)

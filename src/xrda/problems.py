@@ -85,7 +85,13 @@ class CompositeProblem:
         kind = self.mirror.dual_norm
         if self.loss == "linear":
             return dual_norm(self.c, kind)
-        return max(dual_norm(row, kind) for row in self.A)
+        # per-row maxima by reductions that allocate no m x d temporary
+        A = self.A
+        if kind == "l2":
+            return float(np.sqrt(np.einsum("ij,ij->i", A, A).max()))
+        if kind == "linf":
+            return float(max(A.max(), -A.min()))
+        raise ValueError("unknown norm tag %r" % (kind,))
 
     def loss_value(self, x):
         x = as_vector(x, dim=self.d)

@@ -22,12 +22,12 @@ Lower bounds in use:
   nullspace of A'; validity is up to the residual of that projection
   (reported via the converged flag, not hidden).
 
-Primal solves: lad becomes a linear program (HiGHS) with an explicitly
-solved dual; logistic uses L-BFGS-B (positive-part split for l1) plus an
-accelerated proximal-gradient polish until the certificate closes;
-linear objectives are analytic; everything else falls back to an
-independent averaged proximal-subgradient loop at a generous budget,
-flagged if the tolerance is not certified.
+Primal solves: lad solves the dual linear program (HiGHS) and reads x*
+from its constraint multipliers; logistic uses L-BFGS-B (positive-part
+split for l1) plus an accelerated proximal-gradient polish until the
+certificate closes; linear objectives are analytic; everything else
+falls back to an independent averaged proximal-subgradient loop at a
+generous budget, flagged if the tolerance is not certified.
 """
 
 import numpy as np
@@ -129,36 +129,10 @@ def _finish(problem, x_star, lower, method, tol):
 
 
 def _solve_lad_lp(problem, tol):
-    """Primal and explicit dual linear programs for lad with l1/box/zero."""
+    """One dual LP for lad with l1/box/zero; x* is read from its multipliers,
+    so a wrong one can only widen the gap _finish certifies."""
     A, b, m, d = problem.A, problem.b, problem.m, problem.d
     reg = problem.reg
-    eye = np.eye(d)
-    # primal: minimize (1/m) 1't (+ lam 1'w) over residual bounds
-    if reg.kind == "l1":
-        cost = np.concatenate([np.zeros(d), np.full(m, 1.0 / m), np.full(d, reg.lam)])
-        A_ub = np.block([
-            [A, -np.eye(m), np.zeros((m, d))],
-            [-A, -np.eye(m), np.zeros((m, d))],
-            [eye, np.zeros((d, m)), -eye],
-            [-eye, np.zeros((d, m)), -eye],
-        ])
-        b_ub = np.concatenate([b, -b, np.zeros(2 * d)])
-        bounds = [(None, None)] * d + [(0, None)] * m + [(0, None)] * d
-    else:
-        cost = np.concatenate([np.zeros(d), np.full(m, 1.0 / m)])
-        A_ub = np.block([[A, -np.eye(m)], [-A, -np.eye(m)]])
-        b_ub = np.concatenate([b, -b])
-        if reg.kind == "box":
-            lo, hi = reg.bounds(d)
-            bounds = [(lo[j], hi[j]) for j in range(d)] + [(0, None)] * m
-        else:
-            bounds = [(None, None)] * d + [(0, None)] * m
-    prim = linprog(cost, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs",
-                   options=_LP_OPTS)
-    if not prim.success:
-        raise RuntimeError("primal reference LP failed: %s" % prim.message)
-    x_star = prim.x[:d]
-
     # dual: maximize -b'u (- support corrections) over ||u||_inf <= 1/m
     if reg.kind == "l1":
         dual = linprog(b, A_ub=np.vstack([A.T, -A.T]),
@@ -167,6 +141,8 @@ def _solve_lad_lp(problem, tol):
                        options=_LP_OPTS)
         if not dual.success:
             raise RuntimeError("dual reference LP failed: %s" % dual.message)
+        mu = dual.ineqlin.marginals
+        x_star = mu[:d] - mu[d:]
         u = np.clip(dual.x, -1.0 / m, 1.0 / m)
         atu = float(np.max(np.abs(A.T @ u)))
         if atu > reg.lam:
@@ -176,14 +152,16 @@ def _solve_lad_lp(problem, tol):
         # maximize -b'u - sum_j max((-A'u)_j lo_j, (-A'u)_j hi_j)
         lo, hi = reg.bounds(d)
         cost2 = np.concatenate([b, np.ones(d)])
-        A_ub2 = np.block([[-(lo[:, None] * A.T), -eye],
-                          [-(hi[:, None] * A.T), -eye]])
+        A_ub2 = np.block([[-(lo[:, None] * A.T), -np.eye(d)],
+                          [-(hi[:, None] * A.T), -np.eye(d)]])
         b_ub2 = np.zeros(2 * d)
         dual = linprog(cost2, A_ub=A_ub2, b_ub=b_ub2,
                        bounds=[(-1.0 / m, 1.0 / m)] * m + [(None, None)] * d,
                        method="highs", options=_LP_OPTS)
         if not dual.success:
             raise RuntimeError("dual reference LP failed: %s" % dual.message)
+        weights = -dual.ineqlin.marginals
+        x_star = np.clip(lo * weights[:d] + hi * weights[d:], lo, hi)
         u = np.clip(dual.x[:m], -1.0 / m, 1.0 / m)
         v = -(A.T @ u)
         lower = -pairing(u, b) - float(np.sum(np.maximum(v * lo, v * hi)))
@@ -193,6 +171,7 @@ def _solve_lad_lp(problem, tol):
                        options=_LP_OPTS)
         if not dual.success:
             raise RuntimeError("dual reference LP failed: %s" % dual.message)
+        x_star = dual.eqlin.marginals
         u = np.clip(dual.x, -1.0 / m, 1.0 / m)
         lower = -pairing(u, b)
     return _finish(problem, x_star, lower, "lad_lp", tol)

@@ -143,7 +143,8 @@ def init(problem, schedule, x1=None):
 
 
 def _schedule_values(state, unsafe):
-    """Evaluate and (unless unsafe) validate this step's schedule values."""
+    """Evaluate and (unless unsafe) validate this step's schedule values,
+    and gamma_{n+1} = (1 - mu_n) gamma_n + s_n."""
     sched = state.schedule
     n = state.n
     s_n = sched.s(n)
@@ -170,12 +171,13 @@ def _schedule_values(state, unsafe):
             raise ScheduleError(
                 "t_%d = %.17g outside [0, gamma_%d] = [0, %.17g]" % (n, t_n, n, gamma_n))
     mu = t_n / gamma_n if gamma_n > 0 else 0.0
-    return s_n, alpha_n, alpha_next, t_n, mu
+    gamma_next = (1.0 - mu) * gamma_n + s_n
+    return s_n, alpha_n, alpha_next, t_n, mu, gamma_next
 
 
 def step(state, problem, mode="exact", rng=None, unsafe=False):
     """Advance the state by one iteration; mutates and returns it."""
-    s_n, alpha_n, alpha_next, t_n, mu = _schedule_values(state, unsafe)
+    s_n, alpha_n, alpha_next, t_n, mu, gamma_next = _schedule_values(state, unsafe)
     if mode == "exact":
         g = problem.subgradient(state.x)
     elif mode == "stochastic":
@@ -189,7 +191,6 @@ def step(state, problem, mode="exact", rng=None, unsafe=False):
     xt_prime = (1.0 - mu) * state.x_tilde_half + mu * state.x_tilde
     ratio = alpha_n / alpha_next
     xt_half = ratio * xt_prime + (1.0 - ratio) * state.x_tilde_1 - (s_n / alpha_next) * g
-    gamma_next = (1.0 - mu) * state.gamma + s_n
     x_next = mirror_prox(problem.reg, mirror, mirror.grad_inverse(xt_half),
                          gamma_next / alpha_next)
     xt_next = mirror.grad(x_next)
@@ -246,23 +247,11 @@ def argmin_form_step(state, problem):
         raise NotImplementedError(
             "accumulated form supports the euclidean mirror with one of %s"
             % (_ARGMIN_FORM_REGS,))
-    s_n, _, alpha_next, t_n, mu = _schedule_values(state, unsafe=False)
+    s_n, _, alpha_next, t_n, _, gamma_next = _schedule_values(state, unsafe=False)
     g = problem.subgradient(state.x)
     dual = state.dual_accum + s_n * g + t_n * state.h
-    gamma_next = (1.0 - mu) * state.gamma + s_n
     base = mirror.grad_inverse(state.x_tilde_1 - dual / alpha_next)
     return mirror_prox(reg, mirror, base, gamma_next / alpha_next)
-
-
-def _preview_backward_step(state):
-    """gamma_{n+1}/alpha_{n+1} as the next step would use it."""
-    sched = state.schedule
-    n = state.n
-    s_n = sched.s(n)
-    gamma_n = state.gamma
-    t_n = sched.t(n, gamma_n)
-    mu = t_n / gamma_n if gamma_n > 0 else 0.0
-    return ((1.0 - mu) * gamma_n + s_n) / sched.alpha(n + 1)
 
 
 def trace_row(state, problem, reference=None, d_star=None, t0=None, unsafe=False):
@@ -282,8 +271,10 @@ def trace_row(state, problem, reference=None, d_star=None, t0=None, unsafe=False
         bound = nan
     nnz = int(np.count_nonzero(np.abs(state.x) > NNZ_THRESHOLD))
     elapsed = time.perf_counter() - t0 if t0 is not None else 0.0
+    # gamma_{n+1}/alpha_{n+1} as the next step will use it
+    _, _, alpha_next, _, _, gamma_next = _schedule_values(state, unsafe=True)
     return TraceRow(state.n, f_x, f_avg, gap_best, gap_avg, bound,
-                    _preview_backward_step(state), nnz, elapsed)
+                    gamma_next / alpha_next, nnz, elapsed)
 
 
 def run(problem, schedule, n_iters, mode="exact", seed=None, stride=100,

@@ -5,9 +5,11 @@ import pytest
 
 import xrda.harness as harness
 from xrda.cli import main
-from xrda.config import parse_config
+from xrda.config import build_problem_from_config, parse_config
 from xrda.harness import (check_bound, compare, read_trace_csv,
                           run_experiment, write_trace_csv)
+from xrda.problems import synthetic_sparse_data, write_dense_matrix
+from xrda.reference import reference_optimum
 from xrda.solver import TraceRow
 
 BASE_CFG = """\
@@ -318,3 +320,51 @@ def test_cli_unsafe_traces_fail_bound_check(tmp_path, capsys):
     trace = out / "exp_seed0.csv"
     assert main(["check-bound", str(trace), "--strict"]) == 3
     assert "refusing" in capsys.readouterr().out
+
+
+def test_failed_writes_leave_no_temp_files(tmp_path, monkeypatch):
+    cfg = parse_config(BASE_CFG, name="exp")
+    real_replace = harness.os.replace
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    def leftovers():
+        return sorted(p.name for p in tmp_path.rglob("*.tmp"))
+
+    # cold cache: the reference cache write is the first to fail
+    monkeypatch.setattr(harness.os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        compare(cfg, ["leap_frog"], out_dir=tmp_path)
+    assert leftovers() == []
+    assert (tmp_path / "_refcache").is_dir()
+
+    # warm cache: now the comparison CSV write fails
+    monkeypatch.setattr(harness.os, "replace", real_replace)
+    run_experiment(cfg, out_dir=tmp_path)
+    monkeypatch.setattr(harness.os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        compare(cfg, ["leap_frog"], out_dir=tmp_path)
+    assert leftovers() == []
+    assert not (tmp_path / "exp_compare.csv").exists()
+
+
+def test_reference_cache_follows_data_file_contents(tmp_path):
+    A, b, _ = synthetic_sparse_data("lad", 6, 12, 2, 0.1, 3)
+    write_dense_matrix(tmp_path / "A.txt", A)
+    write_dense_matrix(tmp_path / "b.txt", b)
+    text = BASE_CFG.replace(
+        "d = 6\nm = 12\nk = 2\nnoise = 0.1\ndata_seed = 3\n",
+        "data_a = A.txt\ndata_b = b.txt\n")
+    cfg = parse_config(text, base_dir=tmp_path, name="files")
+    out = tmp_path / "out"
+    run_experiment(cfg, out_dir=out)
+
+    write_dense_matrix(tmp_path / "A.txt", 2.0 * A)
+    run_experiment(cfg, out_dir=out)
+    problem = build_problem_from_config(cfg)
+    cached = harness.cached_reference(cfg, problem, out)
+    fresh = reference_optimum(problem, tol=cfg.reference_tol)
+    assert cached.f_star == fresh.f_star
+    assert problem.objective(cached.x_star) == cached.f_star
+    assert len(list((out / "_refcache").glob("*.json"))) == 2

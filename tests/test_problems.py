@@ -229,3 +229,12 @@ def test_dimension_mismatch_rejected():
     p = lad_identity()
     with pytest.raises(ValueError):
         p.loss_value(np.zeros(3))
+
+
+@pytest.mark.parametrize("mirror", [EU, EN], ids=["euclidean", "entropy"])
+def test_lipschitz_bound_matches_row_loop(mirror, rng):
+    for m, d in ((1, 1), (7, 3), (50, 200), (400, 20)):
+        A = rng.standard_normal((m, d)) * rng.uniform(0.1, 10.0, size=(m, 1))
+        p = build_problem("lad", ZeroRegularizer(), mirror, A=A, b=np.zeros(m))
+        expected = max(dual_norm(row, mirror.dual_norm) for row in A)
+        assert p.M == pytest.approx(expected, rel=1e-15, abs=0.0)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import refine_minimize_1d
+import xrda.reference as reference
 from xrda.geometry import EuclideanMirror, NegativeEntropyMirror
 from xrda.problems import build_problem
 from xrda.reference import (lower_bound_certificate, prox_subgradient_iterates,
@@ -194,3 +195,36 @@ def test_prox_subgradient_custom_start_and_entropy():
     for x in iters:
         assert np.all(x > 0.0)
         assert np.sum(x) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("reg", [L1Penalty(0.3), BoxIndicator(-1.0, 1.0),
+                                 ZeroRegularizer()], ids=["l1", "box", "zero"])
+def test_lad_reference_solves_one_lp(reg, monkeypatch):
+    calls = []
+    real = reference.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(reference, "linprog", counting)
+    p = random_problem("lad", reg, seed=21, m=20, d=5)
+    ref = reference_optimum(p, tol=1e-8)
+    assert ref.converged
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("reg", [BoxIndicator(-1.0, 1.0), ZeroRegularizer()],
+                         ids=["box", "zero"])
+def test_lad_lp_degenerate_shape_certified(reg, seed):
+    # more columns than rows: the optimum is not unique and the dual is
+    # degenerate, so x* must still come out of the multipliers certified
+    p = random_problem("lad", reg, seed=seed, m=50, d=100)
+    ref = reference_optimum(p, tol=1e-8)
+    assert ref.method == "lad_lp"
+    assert ref.converged
+    assert 0.0 <= ref.certified_gap <= 1e-8
+    assert p.objective(ref.x_star) == ref.f_star
+    if reg.kind == "box":
+        assert np.all(ref.x_star >= -1.0) and np.all(ref.x_star <= 1.0)
