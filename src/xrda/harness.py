@@ -98,15 +98,30 @@ def _reference_cache_key(cfg, problem):
     return "%s_%s" % (cfg.problem_key, digest.hexdigest()[:16])
 
 
+def _load_reference(cache, problem):
+    """The cached ReferenceSolution, or None if the entry is missing,
+    unreadable or invalid: x_star not a finite d-vector, a negative or NaN
+    certified_gap, or f_star off f(x_star) by over 1e-12 * max(1, |f|)."""
+    try:
+        data = json.loads(cache.read_text())
+        ref = ReferenceSolution(np.asarray(data["x_star"], dtype=float),
+                                float(data["f_star"]), float(data["certified_gap"]),
+                                data["converged"], data["method"])
+        f = problem.objective(ref.x_star)  # ValueError unless a finite d-vector
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+    if ref.certified_gap >= 0 and abs(ref.f_star - f) <= 1e-12 * max(1.0, abs(f)):
+        return ref
+    return None
+
+
 def cached_reference(cfg, problem, out_dir):
     """Reference optimum, cached on disk keyed by the problem definition
-    and, for data files, by their contents."""
+    and, for data files, by their contents; an invalid entry is replaced."""
     cache = _reference_cache_path(out_dir, _reference_cache_key(cfg, problem))
-    if cache.exists():
-        data = json.loads(cache.read_text())
-        return ReferenceSolution(np.asarray(data["x_star"], dtype=float),
-                                 data["f_star"], data["certified_gap"],
-                                 data["converged"], data["method"])
+    ref = _load_reference(cache, problem)
+    if ref is not None:
+        return ref
     ref = reference_optimum(problem, tol=cfg.reference_tol)
     cache.parent.mkdir(parents=True, exist_ok=True)
     payload = {"x_star": [float(v) for v in ref.x_star], "f_star": ref.f_star,

@@ -9,6 +9,10 @@ Three loss families are supported:
   overflow nor lose precision.
 * ``linear``: F(x) = <c, x>; no data rows.
 
+Each loss depends on x only through the residual r = A x (<c, x> for
+linear): ``residual`` makes the one pass over A, and ``loss_at``,
+``row_weights`` and ``subgradient_at`` hold the only copy of each formula.
+
 Stochastic oracles draw a minibatch of rows uniformly without
 replacement and return the subgradient of the minibatch-average loss,
 which is an unbiased estimate of a full subgradient.
@@ -93,28 +97,37 @@ class CompositeProblem:
             return float(max(A.max(), -A.min()))
         raise ValueError("unknown norm tag %r" % (kind,))
 
-    def loss_value(self, x):
-        x = as_vector(x, dim=self.d)
+    def residual(self, x):
+        """A x, or <c, x> for the linear loss: F depends on x only through it."""
         if self.loss == "linear":
             return pairing(self.c, x)
-        r = self.A @ x
+        return self.A @ x
+
+    def row_weights(self, r, b):
+        if self.loss == "lad":
+            return np.sign(r - b)
+        return -b * expit(-b * r)
+
+    def loss_at(self, r):
+        if self.loss == "linear":
+            return r
         if self.loss == "lad":
             return float(np.sum(np.abs(r - self.b))) / self.m
         return float(np.sum(np.logaddexp(0.0, -self.b * r))) / self.m
 
-    def subgradient(self, x):
-        x = as_vector(x, dim=self.d)
+    def subgradient_at(self, r):
         if self.loss == "linear":
             return self.c.copy()
-        return self._rows_subgradient(x, self.A, self.b)
+        return (self.A.T @ self.row_weights(r, self.b)) / self.m
+
+    def loss_value(self, x):
+        return self.loss_at(self.residual(as_vector(x, dim=self.d)))
+
+    def subgradient(self, x):
+        return self.subgradient_at(self.residual(as_vector(x, dim=self.d)))
 
     def _rows_subgradient(self, x, A, b):
-        r = A @ x
-        if self.loss == "lad":
-            w = np.sign(r - b)
-        else:
-            w = -b * expit(-b * r)
-        return (A.T @ w) / A.shape[0]
+        return (A.T @ self.row_weights(A @ x, b)) / A.shape[0]
 
     def objective(self, x):
         return self.loss_value(x) + self.reg.value(x)

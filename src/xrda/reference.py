@@ -22,6 +22,10 @@ Lower bounds in use:
   nullspace of A'; validity is up to the residual of that projection
   (reported via the converged flag, not hidden).
 
+No loss formula is written here: values, row weights and gradients come
+from the problem's residual oracle (``CompositeProblem.residual`` and
+the methods that take its result).
+
 Primal solves: lad solves the dual linear program (HiGHS) and reads x*
 from its constraint multipliers; logistic uses L-BFGS-B (positive-part
 split for l1) plus an accelerated proximal-gradient polish until the
@@ -32,7 +36,7 @@ generous budget, flagged if the tolerance is not certified.
 
 import numpy as np
 from scipy.optimize import linprog, minimize
-from scipy.special import expit, xlogy
+from scipy.special import xlogy
 
 from .geometry import as_vector, dual_norm, pairing
 from .regularizers import canonical_argmin, mirror_prox
@@ -44,6 +48,8 @@ _LP_OPTS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
 }
+
+_LBFGS_OPTS = {"maxiter": 2000, "ftol": 1e-16, "gtol": 1e-12}
 
 
 class ReferenceSolution:
@@ -89,18 +95,15 @@ def lower_bound_certificate(problem, x):
     x = as_vector(x, dim=problem.d)
     reg = problem.reg
     if reg.kind in ("box", "simplex", "l2ball"):
-        g = problem.subgradient(x)
-        return problem.loss_value(x) + _support_min(reg, g, problem.d) - pairing(g, x)
+        r = problem.residual(x)
+        g = problem.subgradient_at(r)
+        return problem.loss_at(r) + _support_min(reg, g, problem.d) - pairing(g, x)
     if problem.loss == "linear":
         if reg.kind == "l1":
             return 0.0 if dual_norm(problem.c, "linf") <= reg.lam else float("-inf")
         return 0.0 if np.all(problem.c == 0.0) else float("-inf")
     A, b, m = problem.A, problem.b, problem.m
-    if problem.loss == "lad":
-        u = np.sign(A @ x - b) / m
-    else:
-        r = A @ x
-        u = -(b * expit(-b * r)) / m
+    u = problem.row_weights(problem.residual(x), b) / m
     if reg.kind == "zero":
         u = _nullspace_project(A, u)
         if problem.loss == "lad":
@@ -178,15 +181,14 @@ def _solve_lad_lp(problem, tol):
 
 
 def _logistic_value_grad(problem, x):
-    A, b, m = problem.A, problem.b, problem.m
-    r = A @ x
-    val = float(np.sum(np.logaddexp(0.0, -b * r))) / m
-    u = -(b * expit(-b * r)) / m
-    return val, A.T @ u
+    r = problem.residual(x)
+    w = problem.row_weights(r, problem.b)
+    # A'(w / m), not (A'w) / m: the other rounding moves x* and its certificate
+    return problem.loss_at(r), problem.A.T @ (w / problem.m)
 
 
 def _solve_logistic(problem, tol):
-    A, m, d = problem.A, problem.m, problem.d
+    d = problem.d
     reg = problem.reg
     lam = getattr(reg, "lam", 0.0)
     if reg.kind == "l1":
@@ -198,20 +200,15 @@ def _solve_logistic(problem, tol):
             return val, np.concatenate([grad + lam, -grad + lam])
 
         res = minimize(split_obj, np.zeros(2 * d), jac=True, method="L-BFGS-B",
-                       bounds=[(0, None)] * 2 * d,
-                       options={"maxiter": 2000, "ftol": 1e-16, "gtol": 1e-12})
+                       bounds=[(0, None)] * 2 * d, options=_LBFGS_OPTS)
         x = res.x[:d] - res.x[d:]
-    elif reg.kind == "box":
-        lo, hi = reg.bounds(d)
-        res = minimize(lambda z: _logistic_value_grad(problem, z), np.clip(np.zeros(d), lo, hi),
-                       jac=True, method="L-BFGS-B", bounds=list(zip(lo, hi)),
-                       options={"maxiter": 2000, "ftol": 1e-16, "gtol": 1e-12})
-        x = res.x
     else:
-        res = minimize(lambda z: _logistic_value_grad(problem, z), np.zeros(d),
-                       jac=True, method="L-BFGS-B",
-                       options={"maxiter": 2000, "ftol": 1e-16, "gtol": 1e-12})
-        x = res.x
+        x0, bounds = np.zeros(d), None
+        if reg.kind == "box":
+            lo, hi = reg.bounds(d)
+            x0, bounds = np.clip(x0, lo, hi), list(zip(lo, hi))
+        x = minimize(lambda z: _logistic_value_grad(problem, z), x0, jac=True,
+                     method="L-BFGS-B", bounds=bounds, options=_LBFGS_OPTS).x
 
     lower = lower_bound_certificate(problem, x)
     if problem.objective(x) - lower > tol and reg.kind in ("l1", "box"):

@@ -55,6 +55,8 @@ class SolverState:
     hold sums over iterates 1..n: ``s_sum`` = sum s_i, ``weighted_sum``
     = sum s_i x_i, ``bound_acc`` = sum s_i^2 / alpha_i, ``dual_accum`` =
     sum s_i g_i + t_i h_i (this last one over steps taken, i.e. 1..n-1).
+    ``residual`` (``CompositeProblem.residual``) and ``f_x`` are those of
+    ``x``; an exact step takes its subgradient from that residual.
     """
 
     schedule: object
@@ -70,6 +72,8 @@ class SolverState:
     bound_acc: float
     dual_accum: np.ndarray
     h: np.ndarray
+    residual: object
+    f_x: float
     best_f: float
     best_x: np.ndarray
     last_s: float
@@ -121,7 +125,8 @@ def init(problem, schedule, x1=None):
     if not alpha1 > 0:
         raise ScheduleError("alpha_1 must be positive, got %g" % alpha1)
     xt1 = mirror.grad(x1)
-    f1 = problem.objective(x1)
+    r1 = problem.residual(x1)
+    f1 = problem.loss_at(r1) + reg.value(x1)
     return SolverState(
         schedule=schedule,
         n=1,
@@ -136,6 +141,8 @@ def init(problem, schedule, x1=None):
         bound_acc=s1 * s1 / alpha1,
         dual_accum=np.zeros(d),
         h=np.zeros(d),
+        residual=r1,
+        f_x=f1,
         best_f=f1,
         best_x=x1.copy(),
         last_s=s1,
@@ -179,7 +186,7 @@ def step(state, problem, mode="exact", rng=None, unsafe=False):
     """Advance the state by one iteration; mutates and returns it."""
     s_n, alpha_n, alpha_next, t_n, mu, gamma_next = _schedule_values(state, unsafe)
     if mode == "exact":
-        g = problem.subgradient(state.x)
+        g = problem.subgradient_at(state.residual)
     elif mode == "stochastic":
         if rng is None:
             raise ValueError("stochastic mode needs a numpy Generator")
@@ -209,9 +216,10 @@ def step(state, problem, mode="exact", rng=None, unsafe=False):
     state.weighted_sum += s_next * x_next
     state.bound_acc += s_next * s_next / alpha_next
 
-    f = problem.objective(x_next)
-    if f < state.best_f:
-        state.best_f = f
+    state.residual = problem.residual(x_next)
+    state.f_x = problem.loss_at(state.residual) + problem.reg.value(x_next)
+    if state.f_x < state.best_f:
+        state.best_f = state.f_x
         state.best_x = x_next.copy()
     return state
 
@@ -257,7 +265,6 @@ def argmin_form_step(state, problem):
 def trace_row(state, problem, reference=None, d_star=None, t0=None, unsafe=False):
     """Snapshot the state into a TraceRow; gaps and bound are nan without a
     reference, and the bound is also nan for unsafe runs."""
-    f_x = problem.objective(state.x)
     f_avg = problem.objective(averaged_iterate(state))
     nan = float("nan")
     if reference is not None:
@@ -273,7 +280,7 @@ def trace_row(state, problem, reference=None, d_star=None, t0=None, unsafe=False
     elapsed = time.perf_counter() - t0 if t0 is not None else 0.0
     # gamma_{n+1}/alpha_{n+1} as the next step will use it
     _, _, alpha_next, _, _, gamma_next = _schedule_values(state, unsafe=True)
-    return TraceRow(state.n, f_x, f_avg, gap_best, gap_avg, bound,
+    return TraceRow(state.n, state.f_x, f_avg, gap_best, gap_avg, bound,
                     gamma_next / alpha_next, nnz, elapsed)
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -368,3 +369,37 @@ def test_reference_cache_follows_data_file_contents(tmp_path):
     assert cached.f_star == fresh.f_star
     assert problem.objective(cached.x_star) == cached.f_star
     assert len(list((out / "_refcache").glob("*.json"))) == 2
+
+
+def _edit_payload(key, value):
+    def edit(text):
+        data = json.loads(text)
+        if value is None:
+            del data[key]
+        else:
+            data[key] = value(data[key])
+        return json.dumps(data)
+    return edit
+
+
+@pytest.mark.parametrize("tamper", [
+    _edit_payload("f_star", lambda f: f + 1.0),
+    lambda text: text[:len(text) // 2],
+    _edit_payload("x_star", lambda x: x[:-1]),
+    _edit_payload("x_star", lambda x: [float("nan")] + x[1:]),
+    _edit_payload("certified_gap", lambda g: -1.0),
+    _edit_payload("certified_gap", lambda g: float("nan")),
+    _edit_payload("method", None),
+], ids=["f_star_raised", "truncated", "short_x_star", "nan_x_star",
+        "negative_gap", "nan_gap", "missing_key"])
+def test_invalid_reference_cache_is_recomputed(tmp_path, tamper):
+    cfg = parse_config(BASE_CFG, name="exp")
+    trace = run_experiment(cfg, out_dir=tmp_path)[0]
+    cold_trace = trace.read_bytes()
+    cache = tmp_path / "_refcache" / ("%s.json" % cfg.problem_key)
+    cold_cache = cache.read_text()
+    cache.write_text(tamper(cold_cache))
+
+    run_experiment(cfg, out_dir=tmp_path)
+    assert trace.read_bytes() == cold_trace
+    assert cache.read_text() == cold_cache

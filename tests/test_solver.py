@@ -389,3 +389,50 @@ def test_entropy_run_stays_in_simplex():
         assert np.all(x > 0.0)
         assert np.sum(x) == pytest.approx(1.0, abs=1e-9)
     assert np.isfinite(res.state.best_f)
+
+
+def count_products(p):
+    """Swap p.A for a view that counts the matrix products taken with it,
+    its transpose or any of its row selections; returns the tally."""
+    tally = []
+
+    class Counting(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                tally.append(method)
+            return getattr(ufunc, method)(*(np.asarray(v) for v in inputs), **kwargs)
+
+    p.A = p.A.view(Counting)
+    return tally
+
+
+@pytest.mark.parametrize("loss", ["lad", "logistic"])
+def test_exact_step_makes_two_passes_over_the_data(loss):
+    A, b, _ = synthetic_sparse_data(loss, d=5, m=12, k=2, noise=0.1, seed=3)
+    p = build_problem(loss, L1Penalty(0.1), EU, A=A, b=b)
+    tally = count_products(p)
+    n = 25
+    run(p, leap_frog(power_steps(1.0, 0.5)), n, stride=2 * n)
+    assert len(tally) == 2 * n + 1
+
+
+def test_stochastic_step_never_takes_a_full_gradient():
+    A, b, _ = synthetic_sparse_data("logistic", d=5, m=12, k=2, noise=0.1, seed=3)
+    p = build_problem("logistic", L1Penalty(0.1), EU, A=A, b=b, batch_size=1)
+    tally = count_products(p)
+    n = 25
+    run(p, leap_frog(power_steps(1.0, 0.5)), n, mode="stochastic", seed=4,
+        stride=2 * n)
+    assert len(tally) == 3 * n + 1
+
+
+def test_exact_step_after_stochastic_steps_matches_accumulated_form():
+    A, b, _ = synthetic_sparse_data("lad", d=5, m=12, k=2, noise=0.1, seed=13)
+    p = build_problem("lad", L1Penalty(0.1), EU, A=A, b=b, batch_size=3)
+    st = init(p, leap_frog(power_steps(1.0, 0.5)))
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        st = step(st, p, mode="stochastic", rng=rng)
+    predicted = argmin_form_step(st, p)
+    st = step(st, p)
+    assert float(np.max(np.abs(st.x - predicted))) <= 1e-9
