@@ -35,6 +35,7 @@ stride = 200
 
 
 def cli(*args):
+    """Run one CLI command and echo it; a non-zero exit ends the demo with it."""
     cmd = [sys.executable, "-m", "xrda"] + list(args)
     print("$ python3 -m xrda " + " ".join(args))
     proc = subprocess.run(cmd, capture_output=True, text=True)
@@ -42,27 +43,35 @@ def cli(*args):
     if proc.returncode != 0:
         sys.stdout.write(proc.stderr)
     print("(exit %d)\n" % proc.returncode)
+    if proc.returncode != 0:
+        sys.exit(proc.returncode)
     return proc
 
 
-work = Path(tempfile.mkdtemp(prefix="xrda_demo_"))
-cfg = work / "lad_sparse.cfg"
-cfg.write_text(CONFIG)
-print("config at %s\n" % cfg)
+def main():
+    with tempfile.TemporaryDirectory(prefix="xrda_demo_") as tmp:
+        work = Path(tmp)
+        cfg = work / "lad_sparse.cfg"
+        cfg.write_text(CONFIG)
+        print("config at %s\n" % cfg)
 
-cli("--config", str(cfg), "--out", str(work), "run")
+        cli("--config", str(cfg), "--out", str(work), "run")
 
-trace = work / "lad_sparse_seed0.csv"
-print("first trace lines:")
-for line in trace.read_text().splitlines()[:4]:
-    print("   ", line)
-print()
+        trace = work / "lad_sparse_seed0.csv"
+        print("first trace lines:")
+        for line in trace.read_text().splitlines()[:4]:
+            print("   ", line)
+        print()
 
-# strict mode: every row must satisfy gap <= bound + slack
-cli("--config", str(cfg), "check-bound", "--strict", str(trace))
+        # strict mode: every row must satisfy gap <= bound + slack
+        cli("--config", str(cfg), "check-bound", "--strict", str(trace))
 
-# same problem under different schedules, one table
-cli("--config", str(cfg), "--out", str(work), "compare",
-    "--presets", "forward_backward,rda,leap_frog")
+        # same problem under different schedules, one table
+        cli("--config", str(cfg), "--out", str(work), "compare",
+            "--presets", "forward_backward,rda,leap_frog")
 
-print("all artifacts under", work)
+        print("artifacts were written under", work, "(removed on exit)")
+
+
+if __name__ == "__main__":
+    main()

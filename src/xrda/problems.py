@@ -13,6 +13,14 @@ Each loss depends on x only through the residual r = A x (<c, x> for
 linear): ``residual`` makes the one pass over A, and ``loss_at``,
 ``row_weights`` and ``subgradient_at`` hold the only copy of each formula.
 
+A is stored column-major (Fortran order), so the columns of x's support
+are contiguous.  When x has at most d/4 nonzeros, as the l1 iterates
+mostly do, ``residual`` sums ``A[:, cols] @ x[cols]`` over chunks of at
+most 32 support columns and reads only those columns; a denser x takes
+one full product.  An F-ordered A is used without a copy; a C-ordered
+one, such as ``np.loadtxt``'s in data-file mode, is copied once.
+``synthetic_sparse_data`` fills its F-ordered A directly.
+
 Stochastic oracles draw a minibatch of rows uniformly without
 replacement and return the subgradient of the minibatch-average loss,
 which is an unbiased estimate of a full subgradient.
@@ -25,6 +33,11 @@ from .geometry import as_vector, dual_norm, pairing
 from .regularizers import ensure_supported
 
 LOSS_KINDS = ("lad", "logistic", "linear")
+
+# m=4000, d=2000, 1 BLAS thread: 500 support columns 3.0 ms, 1000 5.8 ms, A @ x 5.7 ms
+_SUPPORT_FRACTION = 0.25
+_RESIDUAL_CHUNK = 32   # bounds the gathered copy of A's columns at m x 32
+_ROW_BLOCK = 64        # rows per draw in synthetic_sparse_data: 1 MB at d=2000
 
 
 class GradientSample:
@@ -64,7 +77,7 @@ class CompositeProblem:
         else:
             if A is None or b is None:
                 raise ValueError("%s loss needs a data matrix A and targets b" % loss)
-            A = np.asarray(A, dtype=float)
+            A = np.asarray(A, dtype=float, order="F")
             if A.ndim != 2:
                 raise ValueError("data matrix must be 2-d, got shape %s" % (A.shape,))
             b = as_vector(b, dim=A.shape[0])
@@ -101,7 +114,15 @@ class CompositeProblem:
         """A x, or <c, x> for the linear loss: F depends on x only through it."""
         if self.loss == "linear":
             return pairing(self.c, x)
-        return self.A @ x
+        support = np.flatnonzero(x)
+        if support.size > _SUPPORT_FRACTION * self.d:
+            return self.A @ x
+        cols = support[:_RESIDUAL_CHUNK]
+        r = self.A[:, cols] @ x[cols]
+        for start in range(_RESIDUAL_CHUNK, support.size, _RESIDUAL_CHUNK):
+            cols = support[start:start + _RESIDUAL_CHUNK]
+            r += self.A[:, cols] @ x[cols]
+        return r
 
     def row_weights(self, r, b):
         if self.loss == "lad":
@@ -154,6 +175,11 @@ def synthetic_sparse_data(loss, d, m, k, noise, seed):
     coordinates with magnitudes in [1, 2] and random signs.  For lad,
     b = A x_planted + noise * eps; for logistic, b = sign of the noisy
     response (zeros mapped to +1).
+
+    A is F-ordered and filled in row blocks, which draw the same stream
+    as one (m, d) draw; the response is taken over C-ordered row blocks,
+    so A and b are bitwise those of the row-major recipe, without a
+    second m x d copy.
     """
     if loss not in ("lad", "logistic"):
         raise ValueError("synthetic recipe supports lad or logistic, got %r" % (loss,))
@@ -162,12 +188,16 @@ def synthetic_sparse_data(loss, d, m, k, noise, seed):
     if m < 1 or noise < 0:
         raise ValueError("need m >= 1 and noise >= 0")
     rng = np.random.default_rng(seed)
-    A = rng.standard_normal((m, d))
+    A = np.empty((m, d), order="F")
+    for i in range(0, m, _ROW_BLOCK):
+        A[i:i + _ROW_BLOCK] = rng.standard_normal((min(_ROW_BLOCK, m - i), d))
     x_planted = np.zeros(d)
     support = rng.choice(d, size=k, replace=False)
     signs = rng.choice([-1.0, 1.0], size=k)
     x_planted[support] = signs * (1.0 + rng.random(k))
-    response = A @ x_planted + noise * rng.standard_normal(m)
+    rows = [np.ascontiguousarray(A[i:i + _ROW_BLOCK]) @ x_planted
+            for i in range(0, m, _ROW_BLOCK)]
+    response = np.concatenate(rows) + noise * rng.standard_normal(m)
     if loss == "lad":
         b = response
     else:

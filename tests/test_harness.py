@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -403,3 +404,23 @@ def test_invalid_reference_cache_is_recomputed(tmp_path, tamper):
     run_experiment(cfg, out_dir=tmp_path)
     assert trace.read_bytes() == cold_trace
     assert cache.read_text() == cold_cache
+
+
+def test_data_file_cache_key_hashes_row_major_bytes(tmp_path):
+    """The key streams A in row blocks: it equals the sha256 of the whole
+    C-ordered bytes, so keys written before A was stored F-ordered still hit."""
+    A, b, _ = synthetic_sparse_data("lad", 3, 600, 2, 0.1, 3)
+    write_dense_matrix(tmp_path / "A.txt", A)
+    write_dense_matrix(tmp_path / "b.txt", b)
+    text = BASE_CFG.replace(
+        "d = 6\nm = 12\nk = 2\nnoise = 0.1\ndata_seed = 3\n",
+        "data_a = A.txt\ndata_b = b.txt\n")
+    cfg = parse_config(text, base_dir=tmp_path, name="files")
+    problem = build_problem_from_config(cfg)
+    assert problem.A.flags.f_contiguous
+    digest = hashlib.sha256()
+    for arr in (problem.A, problem.b):
+        digest.update(repr(arr.shape).encode())
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    expected = "%s_%s" % (cfg.problem_key, digest.hexdigest()[:16])
+    assert harness._reference_cache_key(cfg, problem) == expected

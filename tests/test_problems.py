@@ -238,3 +238,48 @@ def test_lipschitz_bound_matches_row_loop(mirror, rng):
         p = build_problem("lad", ZeroRegularizer(), mirror, A=A, b=np.zeros(m))
         expected = max(dual_norm(row, mirror.dual_norm) for row in A)
         assert p.M == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("nnz", [0, 1, 31, 32, 33, 100, 101, 400])
+def test_residual_reads_only_the_support_while_it_is_sparse(nnz):
+    """At d=400 the residual equals the row-major product for every support
+    size, and reads only the support columns while nnz <= d/4."""
+    d, m = 400, 60
+    rng = np.random.default_rng(nnz)
+    A_c = rng.standard_normal((m, d))
+    support = rng.choice(d, size=nnz, replace=False)
+    x = np.zeros(d)
+    x[support] = rng.standard_normal(nnz)
+    p = build_problem("lad", L1Penalty(0.1), EU, A=A_c, b=np.zeros(m))
+    expected = A_c @ x
+    np.testing.assert_allclose(p.residual(x), expected, rtol=1e-13,
+                               atol=1e-13 * np.abs(expected).max(initial=0.0))
+    if nnz < d:  # poison the other columns; p.A is its own F-ordered copy
+        p.A[:, np.setdiff1d(np.arange(d), support)] = np.nan
+        assert np.all(np.isfinite(p.residual(x))) == (4 * nnz <= d)
+
+
+@pytest.mark.parametrize("loss, d, m", [("lad", 7, 600), ("logistic", 40, 300),
+                                        ("lad", 3, 5)])
+def test_synthetic_data_is_column_major_and_matches_row_major_recipe(loss, d, m):
+    A, b, x = synthetic_sparse_data(loss, d, m, 2, 0.3, 11)
+    rng = np.random.default_rng(11)
+    A_c = rng.standard_normal((m, d))
+    x_c = np.zeros(d)
+    support = rng.choice(d, size=2, replace=False)
+    signs = rng.choice([-1.0, 1.0], size=2)
+    x_c[support] = signs * (1.0 + rng.random(2))
+    response = A_c @ x_c + 0.3 * rng.standard_normal(m)
+    b_c = response if loss == "lad" else np.where(response >= 0.0, 1.0, -1.0)
+    assert A.flags.f_contiguous
+    assert np.array_equal(A, A_c)
+    assert np.array_equal(x, x_c)
+    assert np.array_equal(b, b_c)
+
+
+def test_problem_stores_data_column_major_without_copying_it():
+    A = np.asfortranarray(np.random.default_rng(0).standard_normal((9, 4)))
+    p = build_problem("lad", ZeroRegularizer(), EU, A=A, b=np.zeros(9))
+    assert np.shares_memory(p.A, A)
+    q = build_problem("lad", ZeroRegularizer(), EU, A=np.ascontiguousarray(A), b=np.zeros(9))
+    assert q.A.flags.f_contiguous and np.array_equal(q.A, A)

@@ -228,3 +228,17 @@ def test_lad_lp_degenerate_shape_certified(reg, seed):
     assert p.objective(ref.x_star) == ref.f_star
     if reg.kind == "box":
         assert np.all(ref.x_star >= -1.0) and np.all(ref.x_star <= 1.0)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_spectral_norm_matches_dense_svd_and_repeats_bitwise(order):
+    A = np.asarray(np.random.default_rng(3).standard_normal((120, 45)), order=order)
+    value = reference._spectral_norm(A)
+    assert value == pytest.approx(np.linalg.norm(A, 2), rel=1e-12)
+    assert reference._spectral_norm(A) == value
+
+
+@pytest.mark.parametrize("A", [np.arange(1.0, 6.0)[None, :], np.arange(1.0, 6.0)[:, None],
+                               np.zeros((4, 3))])
+def test_spectral_norm_of_rank_at_most_one(A):
+    assert reference._spectral_norm(A) == pytest.approx(np.linalg.norm(A, 2), rel=1e-15)
