@@ -1,5 +1,6 @@
 import itertools
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -283,3 +284,65 @@ def test_problem_stores_data_column_major_without_copying_it():
     assert np.shares_memory(p.A, A)
     q = build_problem("lad", ZeroRegularizer(), EU, A=np.ascontiguousarray(A), b=np.zeros(9))
     assert q.A.flags.f_contiguous and np.array_equal(q.A, A)
+
+
+RAISE_ALL = dict(over="raise", invalid="raise", divide="raise")
+
+
+@pytest.mark.parametrize("z", [0.0, 1e-300, -1e-300, 1e-8, -1e-8, 1.0, -1.0,
+                               36.7, -36.7, 709.0, -709.0, 745.2, -745.2,
+                               800.0, -800.0, 1e6, -1e6])
+def test_logistic_loss_is_softplus_to_two_ulp(z):
+    """One row with label -1 makes loss_at(r) = log(1 + e^r) exactly."""
+    p = build_problem("logistic", ZeroRegularizer(), EU,
+                      A=np.array([[1.0]]), b=np.array([-1.0]))
+    with np.errstate(**RAISE_ALL):
+        got = p.loss_at(np.array([z]))
+    with mpmath.workprec(200):
+        exact = float(mpmath.log1p(mpmath.exp(mpmath.mpf(z))))
+    assert abs(got - exact) <= 2 * np.spacing(exact)
+
+
+def test_logistic_loss_matches_logaddexp_at_scale():
+    A, b, x = synthetic_sparse_data("logistic", d=20, m=8000, k=4, noise=0.5, seed=7)
+    p = build_problem("logistic", ZeroRegularizer(), EU, A=A, b=b)
+    rng = np.random.default_rng(7)
+    for r in (p.residual(x), p.residual(3.0 * x), 40.0 * rng.standard_normal(8000)):
+        with np.errstate(**RAISE_ALL):
+            got = p.loss_at(r)
+            expected = float(np.sum(np.logaddexp(0.0, -b * r))) / 8000
+        assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+def count_gathered_columns(p):
+    """Record the column count of each product's left operand."""
+    widths = []
+
+    class Counting(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                widths.append(inputs[0].shape[1])
+            return getattr(ufunc, method)(*(np.asarray(v) for v in inputs), **kwargs)
+
+    p.A = p.A.view(Counting)
+    return widths
+
+
+@pytest.mark.parametrize("nnz", [0, 1, 7, 8, 9, 16, 17])
+def test_residual_gathers_blocks_of_at_most_512_kb(nnz):
+    """At m=8192 a 512 KB block holds 8 columns; d/4 = 16 is the cutoff."""
+    d, m = 64, 8192
+    rng = np.random.default_rng(nnz)
+    A_c = rng.standard_normal((m, d))
+    x = np.zeros(d)
+    x[rng.choice(d, size=nnz, replace=False)] = rng.standard_normal(nnz)
+    p = build_problem("lad", L1Penalty(0.1), EU, A=A_c, b=np.zeros(m))
+    widths = count_gathered_columns(p)
+    expected = A_c @ x
+    np.testing.assert_allclose(p.residual(x), expected, rtol=1e-13,
+                               atol=1e-13 * np.abs(expected).max(initial=0.0))
+    if 4 * nnz <= d:
+        assert max(widths) <= 8
+        assert len(widths) == max(1, -(-nnz // 8))
+    else:
+        assert widths == [d]
