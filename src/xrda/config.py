@@ -9,6 +9,7 @@ failing so a config round of fixes needs one pass.
 """
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -167,6 +168,9 @@ class _Reader:
         except ValueError:
             self.error("%s = %r is not a number" % (key, raw))
             return default
+        if not math.isfinite(val):
+            self.error("%s = %r is not a finite number" % (key, raw))
+            return default
         if minimum is not None and val < minimum:
             self.error("%s = %g must be >= %g" % (key, val, minimum))
             return default
@@ -196,11 +200,14 @@ class _Reader:
         if raw is None:
             return None
         try:
-            return [float(tok) for tok in raw.split()]
+            vals = [float(tok) for tok in raw.split()]
         except ValueError:
-            self.error("%s = %r is not a whitespace-separated list of numbers"
+            vals = None
+        if vals is None or not all(map(math.isfinite, vals)):
+            self.error("%s = %r is not a whitespace-separated list of finite numbers"
                        % (key, raw))
             return None
+        return vals
 
     def take_ints(self, key):
         raw = self.take(key)

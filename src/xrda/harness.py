@@ -132,6 +132,20 @@ def cached_reference(cfg, problem, out_dir):
     return ref
 
 
+def _certified_reference(cfg, problem, out_dir, unsafe):
+    """cached_reference, refused when it carries no finite certificate:
+    then nothing bounds its gap to f*, and the problem may have no
+    minimizer (logistic loss on separable data), unless unsafe."""
+    reference = cached_reference(cfg, problem, out_dir)
+    if not unsafe and not math.isfinite(reference.certified_gap):
+        raise RuntimeError(
+            "the reference optimum has no finite certificate (%s, certified_gap = %g); "
+            "the problem may have no minimizer, e.g. logistic loss on separable "
+            "data; rerun with --unsafe to trace it anyway"
+            % (reference.method, reference.certified_gap))
+    return reference
+
+
 def run_experiment(cfg, out_dir=None, unsafe=False, stride=None):
     """Run one trace per seed; returns the list of written paths.
 
@@ -142,7 +156,7 @@ def run_experiment(cfg, out_dir=None, unsafe=False, stride=None):
     out.mkdir(parents=True, exist_ok=True)
     problem = build_problem_from_config(cfg)
     schedule = build_schedule_from_config(cfg)
-    reference = cached_reference(cfg, problem, out)
+    reference = _certified_reference(cfg, problem, out, unsafe)
     paths = []
     for seed in cfg.seeds:
         result = run(problem, schedule, cfg.iterations, mode=cfg.mode, seed=seed,
@@ -255,7 +269,7 @@ def compare(cfg, presets, out_dir=None, unsafe=False, stride=None):
     out = Path(out_dir) if out_dir is not None else Path(cfg.directory)
     out.mkdir(parents=True, exist_ok=True)
     problem = build_problem_from_config(cfg)
-    reference = cached_reference(cfg, problem, out)
+    reference = _certified_reference(cfg, problem, out, unsafe)
     rows = []
     for preset in presets:
         if preset == cfg.preset:

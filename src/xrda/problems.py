@@ -46,6 +46,11 @@ _SUPPORT_FRACTION = 0.25
 # of 200, 561 -> 421 us; m=4000, d=2000, nnz 200, 807 -> 759 us; 256 KB and
 # 1 MB blocks were slower than 512 KB at both sizes
 _RESIDUAL_BLOCK = 1 << 19  # bytes of A's columns gathered per product
+# bytes per block of stochastic iterates' residuals (``block_width``); on the
+# logistic-stoch-b1 benchmark (m=8000), 1 BLAS thread, six 20 s runs each:
+# 2 MB (32 iterates) 3663-4219 iterations/s and peak RSS 95.2-95.4 MB,
+# 1 MB 3150-3695 and 94.2-94.7 MB, one product per step 1185-1276 and 93.5-93.9 MB
+_OBJECTIVE_BLOCK = 1 << 21
 _ROW_BLOCK = 64        # rows per draw in synthetic_sparse_data: 1 MB at d=2000
 
 
@@ -120,12 +125,26 @@ class CompositeProblem:
         raise ValueError("unknown norm tag %r" % (kind,))
 
     def residual(self, x):
-        """A x, or <c, x> for the linear loss: F depends on x only through it."""
+        """A x, or <c, x> for the linear loss: F depends on x only through it.
+
+        Given a (K, d) stack of iterates, returns their K residuals as the
+        rows of one (K, m) array, that is the (m, K) block with contiguous
+        columns, from products that read A once; the support rule then
+        applies to the union of their supports.
+        """
+        stacked = x.ndim == 2
         if self.loss == "linear":
-            return pairing(self.c, x)
-        support = np.flatnonzero(x)
+            return x @ self.c if stacked else pairing(self.c, x)
+        support = np.flatnonzero(np.any(x, axis=0) if stacked else x)
         if support.size > _SUPPORT_FRACTION * self.d:
-            return self.A @ x
+            return x @ self.A.T if stacked else self.A @ x
+        if stacked:  # row blocks of the support columns, written in place
+            r = np.empty((len(x), self.m))
+            xs = x[:, support]
+            rows = max(1, _RESIDUAL_BLOCK // (8 * max(1, support.size)))
+            for i in range(0, self.m, rows):
+                np.matmul(xs, self.A[i:i + rows, support].T, out=r[:, i:i + rows])
+            return r
         chunk = max(1, _RESIDUAL_BLOCK // (8 * self.m))
         cols = support[:chunk]
         r = self.A[:, cols] @ x[cols]
@@ -133,6 +152,11 @@ class CompositeProblem:
             cols = support[start:start + chunk]
             r += self.A[:, cols] @ x[cols]
         return r
+
+    def block_width(self):
+        """How many iterates one residual block holds: K rows of max(m, d)
+        floats fit in ``_OBJECTIVE_BLOCK`` bytes."""
+        return max(1, _OBJECTIVE_BLOCK // (8 * max(self.m, self.d)))
 
     def row_weights(self, r, b):
         if self.loss == "lad":

@@ -27,6 +27,17 @@ satisfy
                  sum_{i<=n} s_i^2 / alpha_i) / sum_{i<=n} s_i,
 
 which ``theoretical_bound`` evaluates from the state's accumulators.
+
+The guarantee is on the best iterate, so every iterate's f is evaluated.
+An exact step needs the residual A x_n for its subgradient, so ``step``
+evaluates each new iterate at once.  A stochastic trajectory never reads
+f or the residual, so ``run`` evaluates its iterates in blocks: it keeps
+up to ``CompositeProblem.block_width()`` of them and takes their
+residuals from one product that reads A once (a BLAS-3 product instead
+of one matrix-vector product per step), then replays f and ``best_f``
+in iterate order.  A block ends at every trace row, at the end of the
+run, and after every step when a callback is given, so ``trace_row``
+and the callback always see a fully evaluated state.
 """
 
 import time
@@ -182,8 +193,14 @@ def _schedule_values(state, unsafe):
     return s_n, alpha_n, alpha_next, t_n, mu, gamma_next
 
 
-def step(state, problem, mode="exact", rng=None, unsafe=False):
-    """Advance the state by one iteration; mutates and returns it."""
+def step(state, problem, mode="exact", rng=None, unsafe=False, _block=None):
+    """Advance the state by one iteration; mutates and returns it.
+
+    The new iterate is evaluated at once, unless ``run`` passes a list as
+    ``_block``: then it is appended there and ``residual``, ``f_x`` and
+    ``best_f`` wait for ``_evaluate``.  Only a stochastic step may wait,
+    as an exact step reads the residual of its iterate.
+    """
     s_n, alpha_n, alpha_next, t_n, mu, gamma_next = _schedule_values(state, unsafe)
     if mode == "exact":
         g = problem.subgradient_at(state.residual)
@@ -216,12 +233,27 @@ def step(state, problem, mode="exact", rng=None, unsafe=False):
     state.weighted_sum += s_next * x_next
     state.bound_acc += s_next * s_next / alpha_next
 
-    state.residual = problem.residual(x_next)
-    state.f_x = problem.loss_at(state.residual) + problem.reg.value(x_next)
-    if state.f_x < state.best_f:
-        state.best_f = state.f_x
-        state.best_x = x_next.copy()
+    if _block is None:
+        _evaluate(state, problem, [x_next])
+    else:
+        _block.append(x_next)
     return state
+
+
+def _evaluate(state, problem, xs):
+    """Objective bookkeeping for the iterates xs, oldest first, the last
+    being ``state.x``: f of each, ``best_f`` / ``best_x`` in iterate order,
+    then the residual and f of the last.  Several iterates share one
+    residual block, which reads A once."""
+    stacked = len(xs) > 1
+    rs = problem.residual(np.array(xs)) if stacked else [problem.residual(xs[0])]
+    for x, r in zip(xs, rs):
+        f = problem.loss_at(r) + problem.reg.value(x)
+        if f < state.best_f:
+            state.best_f = f
+            state.best_x = x.copy()
+    state.residual = r.copy() if stacked else r  # a copy lets the block go
+    state.f_x = f
 
 
 def extract_h(state):
@@ -287,7 +319,13 @@ def trace_row(state, problem, reference=None, d_star=None, t0=None, unsafe=False
 def run(problem, schedule, n_iters, mode="exact", seed=None, stride=100,
         x1=None, reference=None, unsafe=False, callback=None, timing="deterministic"):
     """Run n_iters steps, logging a TraceRow whenever the iterate index n is a
-    multiple of stride.  Exact mode ignores the seed entirely."""
+    multiple of stride.  Exact mode ignores the seed entirely.
+
+    A stochastic run evaluates its iterates in blocks (see the module
+    docstring); each block ends at a trace row, at the end of the run, or
+    when it holds ``problem.block_width()`` iterates.  With a callback
+    every iterate is evaluated before the callback sees it.  Either way
+    the returned state and every TraceRow are fully evaluated."""
     if n_iters < 1:
         raise ValueError("need at least one iteration")
     if stride < 1:
@@ -301,8 +339,13 @@ def run(problem, schedule, n_iters, mode="exact", seed=None, stride=100,
         d_star = problem.mirror.bregman(reference.x_star, state.x1)
     t0 = time.perf_counter() if timing == "wall" else None
     rows = []
-    for _ in range(n_iters):
-        state = step(state, problem, mode=mode, rng=rng, unsafe=unsafe)
+    block = [] if mode == "stochastic" and callback is None else None
+    width = problem.block_width()
+    for i in range(n_iters):
+        state = step(state, problem, mode=mode, rng=rng, unsafe=unsafe, _block=block)
+        if block and (len(block) == width or state.n % stride == 0 or i == n_iters - 1):
+            _evaluate(state, problem, block)
+            block.clear()
         if callback is not None:
             callback(state)
         if state.n % stride == 0:

@@ -298,3 +298,36 @@ def test_build_schedule_presets():
 def test_config_file_missing():
     with pytest.raises(ConfigError, match="cannot read config file"):
         parse_config_file("/nonexistent/exp.cfg")
+
+
+LINEAR = MINIMAL.replace("loss = lad", "loss = linear").replace(
+    "d = 4\nm = 6\nk = 1\nnoise = 0.0\ndata_seed = 0", "cost = 1.0 2.0 3.0 4.0")
+
+# (key, base text, line to replace, line with the key set to {})
+NUMBER_KEYS = [
+    ("lambda", MINIMAL, "regularizer = zero", "regularizer = l1\nlambda = {}"),
+    ("radius", MINIMAL, "regularizer = zero", "regularizer = l2ball\nradius = {}"),
+    ("box_lo", MINIMAL, "regularizer = zero",
+     "regularizer = box\nbox_lo = 0 {} 0 0\nbox_hi = 1 1 1 1"),
+    ("box_hi", MINIMAL, "regularizer = zero",
+     "regularizer = box\nbox_lo = 0 0 0 0\nbox_hi = 1 1 {} 1"),
+    ("cost", LINEAR, "cost = 1.0 2.0 3.0 4.0", "cost = 1.0 {} 3.0 4.0"),
+    ("noise", MINIMAL, "noise = 0.0", "noise = {}"),
+    ("c", MINIMAL, "preset = rda", "preset = rda\nc = {}"),
+    ("mu", MINIMAL, "preset = rda", "preset = averaged_leap_frog\nmu = {}"),
+    ("step_scale", MINIMAL, "preset = rda", "preset = leap_frog\nstep_scale = {}"),
+    ("step_exponent", MINIMAL, "preset = rda",
+     "preset = leap_frog\nstep_exponent = {}"),
+    ("reference_tol", MINIMAL, "iterations = 10",
+     "iterations = 10\nreference_tol = {}"),
+    ("x1", MINIMAL, "iterations = 10", "iterations = 10\nx1 = 0 0 {} 0"),
+]
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("key, base, old, new", NUMBER_KEYS,
+                         ids=[k[0] for k in NUMBER_KEYS])
+def test_non_finite_numbers_are_config_errors(key, base, old, new, value):
+    parse_config(base.replace(old, new.format("0.5")))  # the finite text parses
+    with pytest.raises(ConfigError, match="%s = .* finite" % key):
+        parse_config(base.replace(old, new.format(value)))

@@ -260,6 +260,37 @@ def test_cli_runtime_errors_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("regularizer", [
+    "regularizer = l1\nlambda = inf",
+    "regularizer = box\nbox_lo = -inf 0 0 0 0 0\nbox_hi = 1 1 1 1 1 1"],
+    ids=["lambda", "box_lo"])
+def test_cli_non_finite_numbers_exit_1(tmp_path, capsys, regularizer):
+    text = BASE_CFG.replace("regularizer = l1\nlambda = 0.1", regularizer)
+    cfg = write_cfg(tmp_path, text)
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "run"]) == 1
+    assert "finite number" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+SEPARABLE_CFG = STOCH_CFG.replace("regularizer = l1\nlambda = 0.1",
+                                  "regularizer = zero").replace(
+    "d = 6\nm = 12\nk = 2\nnoise = 0.1\ndata_seed = 3",
+    "d = 20\nm = 40\nk = 3\nnoise = 0\ndata_seed = 1")
+
+
+@pytest.mark.parametrize("command", [["run"], ["compare", "--presets", "leap_frog,rda"]],
+                         ids=["run", "compare"])
+def test_cli_refuses_a_reference_without_certificate(tmp_path, capsys, command):
+    """Separable logistic data has no minimizer: the reference cannot be
+    certified, which is a runtime error unless --unsafe."""
+    cfg = write_cfg(tmp_path, SEPARABLE_CFG)
+    out = tmp_path / "o"
+    assert main(["--config", cfg, "--out", str(out)] + command) == 2
+    assert "no finite certificate" in capsys.readouterr().err
+    assert not list(out.glob("exp_*.csv"))
+    assert main(["--config", cfg, "--out", str(out), "--unsafe"] + command) == 0
+
+
 def test_cli_check_bound_exit_codes(tmp_path, capsys):
     cfg = parse_config(BASE_CFG, name="exp")
     path = run_experiment(cfg, out_dir=tmp_path)[0]

@@ -346,3 +346,33 @@ def test_residual_gathers_blocks_of_at_most_512_kb(nnz):
         assert len(widths) == max(1, -(-nnz // 8))
     else:
         assert widths == [d]
+
+
+@pytest.mark.parametrize("loss", ["lad", "linear"])
+@pytest.mark.parametrize("union", [0, 3, 10, 11, 40])
+def test_residual_of_a_stack_is_one_block_of_rows(loss, union):
+    """A (K, d) stack gives the K residuals as contiguous rows, reading only
+    the union of the supports while it has at most d/4 columns."""
+    d, m, K = 40, 70, 6
+    rng = np.random.default_rng(union)
+    cols = rng.choice(d, size=union, replace=False)
+    X = np.zeros((K, d))
+    for j in range(K):  # each iterate takes part of the union
+        part = cols[rng.random(union) < 0.6]
+        X[j, part] = rng.standard_normal(part.size)
+    X[0, cols] = 1.0
+    if loss == "linear":
+        p = build_problem("linear", ZeroRegularizer(), EU, c=rng.standard_normal(d))
+        np.testing.assert_allclose(p.residual(X), [p.residual(x) for x in X],
+                                   rtol=1e-13, atol=1e-13)
+        return
+    A_c = rng.standard_normal((m, d))
+    p = build_problem("lad", L1Penalty(0.1), EU, A=A_c, b=np.zeros(m))
+    R = p.residual(X)
+    assert R.shape == (K, m) and R.flags.c_contiguous
+    expected = X @ A_c.T
+    np.testing.assert_allclose(R, expected, rtol=1e-13,
+                               atol=1e-13 * np.abs(expected).max(initial=0.0))
+    if union < d:
+        p.A[:, np.setdiff1d(np.arange(d), cols)] = np.nan
+        assert np.all(np.isfinite(p.residual(X))) == (4 * union <= d)

@@ -6,6 +6,7 @@ import pytest
 
 from xrda.geometry import (EuclideanMirror, MirrorDomainError,
                            NegativeEntropyMirror)
+from xrda import problems
 from xrda.problems import build_problem, synthetic_sparse_data
 from xrda.reference import prox_subgradient_iterates, reference_optimum
 from xrda.regularizers import (BoxIndicator, L1Penalty, SimplexIndicator,
@@ -423,7 +424,110 @@ def test_stochastic_step_never_takes_a_full_gradient():
     n = 25
     run(p, leap_frog(power_steps(1.0, 0.5)), n, mode="stochastic", seed=4,
         stride=2 * n)
-    assert len(tally) == 3 * n + 1
+    # two per sampled step, one residual block for all n iterates, one in init
+    assert len(tally) == 2 * n + 2
+
+
+def test_stochastic_blocks_end_at_every_trace_row():
+    A, b, _ = synthetic_sparse_data("logistic", d=5, m=12, k=2, noise=0.1, seed=3)
+    p = build_problem("logistic", L1Penalty(0.1), EU, A=A, b=b, batch_size=1)
+    tally = count_products(p)
+    n, stride = 25, 5
+    res = run(p, leap_frog(power_steps(1.0, 0.5)), n, mode="stochastic", seed=4,
+              stride=stride)
+    rows = n // stride
+    assert [r.n for r in res.rows] == [5, 10, 15, 20, 25]
+    # two per sampled step; per trace row one block ending there and one
+    # for f_avg; the block of n = 26 at the end of the run; one in init
+    assert len(tally) == 2 * n + 2 * rows + 1 + 1
+
+
+def stochastic_setup(loss, lam):
+    A, b, _ = synthetic_sparse_data(loss, d=40, m=300, k=3, noise=0.3, seed=21)
+    p = build_problem(loss, L1Penalty(lam), EU, A=A, b=b, batch_size=2)
+    return p, leap_frog(power_steps(2.0, 0.5))
+
+
+def replay(p, sched, n, seed):
+    """The iterates 1..n+1 of a stochastic run, one step() at a time."""
+    st = init(p, sched)
+    rng = np.random.default_rng(seed)
+    xs = [st.x.copy()]
+    for _ in range(n):
+        st = step(st, p, mode="stochastic", rng=rng)
+        xs.append(st.x.copy())
+    return st, xs
+
+
+@pytest.mark.parametrize("budget", [None, 8 * 300 * 3])
+@pytest.mark.parametrize("loss, lam", [("logistic", 0.01), ("lad", 0.1),
+                                       ("logistic", 0.3)])
+def test_stochastic_run_evaluates_every_iterate_in_blocks(loss, lam, budget,
+                                                          monkeypatch):
+    """Blocks of iterates give each f to rtol 1e-13 of its own objective and
+    leave the trajectory bitwise that of step-by-step stochastic steps."""
+    if budget is not None:  # three iterates per block
+        monkeypatch.setattr(problems, "_OBJECTIVE_BLOCK", budget)
+    p, sched = stochastic_setup(loss, lam)
+    n, seed = 97, 8
+    res = run(p, sched, n, mode="stochastic", seed=seed, stride=10)
+    st, xs = replay(p, sched, n, seed)
+    assert np.array_equal(res.state.x, st.x)
+    assert np.array_equal(res.state.weighted_sum, st.weighted_sum)
+    fs = [p.objective(x) for x in xs]
+    assert res.state.best_f == pytest.approx(min(fs), rel=1e-13, abs=0.0)
+    assert np.array_equal(res.state.best_x, xs[int(np.argmin(fs))])
+    assert res.state.f_x == pytest.approx(fs[-1], rel=1e-13, abs=0.0)
+    assert [r.n for r in res.rows] == list(range(10, n + 2, 10))
+    for r in res.rows:
+        assert r.f_x == pytest.approx(fs[r.n - 1], rel=1e-13, abs=0.0)
+
+
+def test_stochastic_run_with_callback_sees_evaluated_states():
+    p, sched = stochastic_setup("logistic", 0.01)
+    seen = []
+
+    def check(st):
+        assert st.f_x == p.objective(st.x)
+        assert np.array_equal(st.residual, p.residual(st.x))
+        seen.append(st.f_x)
+
+    res = run(p, sched, 40, mode="stochastic", seed=3, stride=7, callback=check)
+    assert len(seen) == 40
+    assert res.state.best_f == min(seen + [p.objective(res.state.x1)])
+
+
+def test_exact_step_after_stochastic_run_matches_accumulated_form():
+    p, sched = stochastic_setup("lad", 0.1)
+    st = run(p, sched, 33, mode="stochastic", seed=2, stride=10).state
+    expected = p.residual(st.x)
+    np.testing.assert_allclose(st.residual, expected, rtol=1e-13,
+                               atol=1e-13 * np.abs(expected).max())
+    predicted = argmin_form_step(st, p)
+    st = step(st, p)
+    assert float(np.max(np.abs(st.x - predicted))) <= 1e-9
+    assert st.f_x == p.objective(st.x)
+
+
+@pytest.mark.parametrize("budget", [None, 8 * 300 * 4 + 7, 8 * 300])
+def test_residual_blocks_hold_at_most_the_byte_budget(budget, monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(problems, "_OBJECTIVE_BLOCK", budget)
+    p, sched = stochastic_setup("logistic", 0.01)
+    width = problems._OBJECTIVE_BLOCK // (8 * max(p.m, p.d))
+    widths = []
+    residual = p.residual
+
+    def recording(x):
+        widths.append(x.shape[0] if x.ndim == 2 else 1)
+        return residual(x)
+
+    p.residual = recording
+    n = 160
+    run(p, sched, n, mode="stochastic", seed=1, stride=1000)
+    assert max(widths) <= width
+    assert sum(widths) == n + 1  # each iterate once, x1 in init
+    assert max(widths) == min(width, n)
 
 
 def test_exact_step_after_stochastic_steps_matches_accumulated_form():
