@@ -157,7 +157,7 @@ class _Reader:
         return raw
 
     def take_float(self, key, default=None, required=False, minimum=None,
-                   strict_min=None):
+                   strict_min=None, allow_inf=False):
         raw = self.take(key)
         if raw is None:
             if required:
@@ -168,8 +168,9 @@ class _Reader:
         except ValueError:
             self.error("%s = %r is not a number" % (key, raw))
             return default
-        if not math.isfinite(val):
-            self.error("%s = %r is not a finite number" % (key, raw))
+        if not (math.isfinite(val) or allow_inf and val == math.inf):
+            self.error("%s = %r is not a finite number%s"
+                       % (key, raw, " or inf" if allow_inf else ""))
             return default
         if minimum is not None and val < minimum:
             self.error("%s = %g must be >= %g" % (key, val, minimum))
@@ -337,7 +338,9 @@ def parse_config(text, base_dir=".", name="experiment"):
         else:
             cfg.seeds = seeds
     cfg.batch_size = r.take_int("batch_size", minimum=1)
-    cfg.reference_tol = r.take_float("reference_tol", default=1e-8, strict_min=0.0)
+    # inf asks for no solve: the reference is the canonical start
+    cfg.reference_tol = r.take_float("reference_tol", default=1e-8, strict_min=0.0,
+                                     allow_inf=True)
     cfg.x1 = r.take_floats("x1")
     if cfg.m is not None and cfg.batch_size is not None and cfg.batch_size > cfg.m:
         r.error("batch_size = %d exceeds m = %d" % (cfg.batch_size, cfg.m))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -318,8 +320,6 @@ NUMBER_KEYS = [
     ("step_scale", MINIMAL, "preset = rda", "preset = leap_frog\nstep_scale = {}"),
     ("step_exponent", MINIMAL, "preset = rda",
      "preset = leap_frog\nstep_exponent = {}"),
-    ("reference_tol", MINIMAL, "iterations = 10",
-     "iterations = 10\nreference_tol = {}"),
     ("x1", MINIMAL, "iterations = 10", "iterations = 10\nx1 = 0 0 {} 0"),
 ]
 
@@ -331,3 +331,13 @@ def test_non_finite_numbers_are_config_errors(key, base, old, new, value):
     parse_config(base.replace(old, new.format("0.5")))  # the finite text parses
     with pytest.raises(ConfigError, match="%s = .* finite" % key):
         parse_config(base.replace(old, new.format(value)))
+
+
+@pytest.mark.parametrize("value", ["-inf", "nan"])
+def test_reference_tol_may_be_inf_but_not_nan(value):
+    """reference_tol = inf asks for no reference solve (the canonical
+    start); the other non-finite numbers are config errors."""
+    text = MINIMAL.replace("iterations = 10", "iterations = 10\nreference_tol = {}")
+    assert parse_config(text.format("inf")).reference_tol == math.inf
+    with pytest.raises(ConfigError, match="reference_tol = .* finite number or inf"):
+        parse_config(text.format(value))

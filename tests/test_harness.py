@@ -272,6 +272,18 @@ def test_cli_non_finite_numbers_exit_1(tmp_path, capsys, regularizer):
     assert not (tmp_path / "o").exists()
 
 
+def test_reference_tol_inf_traces_against_the_start(tmp_path, capsys):
+    """reference_tol = inf skips the reference solve: the canonical start
+    is the reference, and its certificate lets `run` go ahead."""
+    text = BASE_CFG.replace("iterations = 300", "iterations = 300\nreference_tol = inf")
+    cfg = parse_config(text, name="exp")
+    ref = harness.cached_reference(cfg, build_problem_from_config(cfg), tmp_path)
+    assert ref.method == "initial_point" and math.isfinite(ref.certified_gap)
+    out = tmp_path / "o"
+    assert main(["--config", write_cfg(tmp_path, text), "--out", str(out), "run"]) == 0
+    assert list(out.glob("exp_*.csv"))
+
+
 SEPARABLE_CFG = STOCH_CFG.replace("regularizer = l1\nlambda = 0.1",
                                   "regularizer = zero").replace(
     "d = 6\nm = 12\nk = 2\nnoise = 0.1\ndata_seed = 3",
