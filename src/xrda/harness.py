@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import build_problem_from_config, build_schedule_from_config
 from .reference import ReferenceSolution, reference_optimum
-from .schedules import constant_steps, power_steps, schedule_preset
+from .schedules import schedule_preset
 from .solver import TraceRow, run
 
 TRACE_FIELDS = ("n", "f_x", "f_avg", "gap_best", "gap_avg", "bound",
@@ -191,6 +191,12 @@ class BoundCheckReport:
 
 def check_bound(trace_paths, strict, slack=1e-9):
     """Verify gap columns against the bound column.
+
+    Both columns are taken at the reference point x^ (the reference's
+    x_star), not at the unknown minimizer: gap_best is best_f - f(x^),
+    gap_avg is f(averaged iterate) - f(x^), and the bound uses
+    D(x^, x_1).  With the reference's certified_gap, gap + certified_gap
+    is an upper bound on best_f - f*.
 
     Strict mode compares every row of every trace; non-strict mode
     (stochastic runs) compares the seed-mean gaps at the final logged n

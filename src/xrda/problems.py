@@ -16,7 +16,8 @@ Three loss families are supported:
 
 Each loss depends on x only through the residual r = A x (<c, x> for
 linear): ``residual`` makes the one pass over A, and ``loss_at``,
-``row_weights`` and ``subgradient_at`` hold the only copy of each formula.
+``row_weights``, ``curvature`` (logistic only) and ``subgradient_at``
+hold the only copy of each formula.
 
 A is stored column-major (Fortran order), so the columns of x's support
 are contiguous.  When x has at most d/4 nonzeros, as the l1 iterates
@@ -161,6 +162,12 @@ class CompositeProblem:
         if self.loss == "lad":
             return np.sign(r - b)
         return -b * expit(-b * r)
+
+    def curvature(self, r):
+        """Second derivative of each logistic row loss at r: p (1 - p) with
+        p = expit(-b r), the factor of the Hessian A' diag(.) A / m; 1 - p
+        is taken as expit(b r), which does not cancel as p nears 1."""
+        return expit(-self.b * r) * expit(self.b * r)
 
     def loss_at(self, r):
         if self.loss == "linear":

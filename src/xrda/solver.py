@@ -41,7 +41,7 @@ and the callback always see a fully evaluated state.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -4,7 +4,7 @@ import pytest
 from conftest import refine_minimize_1d
 import xrda.reference as reference
 from xrda.geometry import EuclideanMirror, NegativeEntropyMirror
-from xrda.problems import build_problem
+from xrda.problems import build_problem, synthetic_sparse_data
 from xrda.reference import (lower_bound_certificate, prox_subgradient_iterates,
                             reference_optimum)
 from xrda.regularizers import (BoxIndicator, L1Penalty, L2BallIndicator,
@@ -230,15 +230,82 @@ def test_lad_lp_degenerate_shape_certified(reg, seed):
         assert np.all(ref.x_star >= -1.0) and np.all(ref.x_star <= 1.0)
 
 
-@pytest.mark.parametrize("order", ["C", "F"])
-def test_spectral_norm_matches_dense_svd_and_repeats_bitwise(order):
-    A = np.asarray(np.random.default_rng(3).standard_normal((120, 45)), order=order)
-    value = reference._spectral_norm(A)
-    assert value == pytest.approx(np.linalg.norm(A, 2), rel=1e-12)
-    assert reference._spectral_norm(A) == value
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_logistic_l1_certifies_to_1e_12(seed):
+    # L-BFGS-B stops at gaps of 1e-9 to 4e-9 here; Newton on its signed
+    # support closes them
+    A, b, _ = synthetic_sparse_data("logistic", d=200, m=400, k=10, noise=0.5,
+                                    seed=seed)
+    p = build_problem("logistic", L1Penalty(0.05), EU, A=A, b=b)
+    ref = reference_optimum(p, tol=1e-12)
+    assert ref.method == "logistic_smooth"
+    assert ref.converged
+    assert ref.certified_gap <= 1e-12
 
 
-@pytest.mark.parametrize("A", [np.arange(1.0, 6.0)[None, :], np.arange(1.0, 6.0)[:, None],
-                               np.zeros((4, 3))])
-def test_spectral_norm_of_rank_at_most_one(A):
-    assert reference._spectral_norm(A) == pytest.approx(np.linalg.norm(A, 2), rel=1e-15)
+@pytest.mark.parametrize("seed", [2, 3])
+def test_logistic_box_certifies_past_lbfgs(seed):
+    # L-BFGS-B stops at about 5e-8 here, with about 180 free coordinates
+    A, b, _ = synthetic_sparse_data("logistic", d=200, m=400, k=10, noise=0.5,
+                                    seed=seed)
+    p = build_problem("logistic", BoxIndicator(-0.5, 0.5), EU, A=A, b=b)
+    ref = reference_optimum(p, tol=1e-8)
+    assert ref.converged
+    assert np.all(np.abs(ref.x_star) <= 0.5)
+
+
+def test_logistic_box_wide_data_gap_is_honest(rng):
+    # more columns than rows; whatever the face, the reported gap must hold
+    p = random_problem("logistic", BoxIndicator(-0.5, 0.5), seed=41, m=50, d=100)
+    ref = reference_optimum(p, tol=1e-12)
+    assert ref.f_star == p.objective(ref.x_star)
+    lb = ref.f_star - ref.certified_gap
+    for _ in range(200):
+        assert lb <= p.objective(rng.uniform(-0.5, 0.5, size=100)) + 1e-12
+
+
+def test_newton_on_a_singular_face_keeps_the_point():
+    # every coordinate of 0 lies inside the box: 100 free coordinates on
+    # 50 rows give a singular face Hessian
+    p = random_problem("logistic", BoxIndicator(-0.5, 0.5), seed=42, m=50, d=100)
+    x = np.zeros(100)
+    lower = lower_bound_certificate(p, x)
+    x_out, lower_out = reference._newton_on_face(p, x, lower, 1e-12)
+    assert x_out is x and lower_out == lower
+
+
+def test_logistic_box_with_a_zero_column_keeps_an_honest_gap(rng):
+    # the zero column's coordinate stays free at 0, so the face Hessian
+    # is exactly singular
+    A = np.random.default_rng(0).standard_normal((40, 6))
+    A[:, 2] = 0.0
+    b = np.random.default_rng(1).choice([-1.0, 1.0], size=40)
+    p = build_problem("logistic", BoxIndicator(-0.5, 0.5), EU, A=A, b=b)
+    ref = reference_optimum(p, tol=1e-14)
+    lb = ref.f_star - ref.certified_gap
+    for _ in range(200):
+        assert lb <= p.objective(rng.uniform(-0.5, 0.5, size=6)) + 1e-12
+
+
+@pytest.mark.parametrize("x0", [3.0, 5.0, 8.0, -4.0])
+def test_newton_never_returns_a_worse_point(x0):
+    # far from the optimum log 2 the curvature is small and a full Newton
+    # step overshoots inside this wide box
+    p = build_problem("logistic", BoxIndicator(-1e3, 1e3), EU, A=np.ones((3, 1)),
+                      b=np.array([1.0, 1.0, -1.0]))
+    x = np.array([x0])
+    lower = lower_bound_certificate(p, x)
+    x_out, lower_out = reference._newton_on_face(p, x, lower, 1e-12)
+    assert p.objective(x_out) <= p.objective(x)
+    assert lower_out >= lower
+
+
+@pytest.mark.parametrize("x0", [0.5, 1.0, 2.0])
+def test_newton_stays_on_the_face(x0):
+    # the optimum is negative, so the step from a positive start on the
+    # positive face crosses zero
+    p = build_problem("logistic", L1Penalty(0.01), EU, A=np.ones((3, 1)),
+                      b=np.array([-1.0, -1.0, 1.0]))
+    x = np.array([x0])
+    x_out, _ = reference._newton_on_face(p, x, lower_bound_certificate(p, x), 1e-12)
+    assert x_out[0] > 0.0
