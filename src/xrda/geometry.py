@@ -73,7 +73,19 @@ def dual_norm(g, kind):
     return norm(g, kind)
 
 
-class EuclideanMirror:
+class _Mirror:
+    """``grad`` and ``grad_inverse`` validate their argument and call the
+    kernels ``_grad`` / ``_grad_inverse``, which the solver's step calls
+    directly on the vectors it made itself."""
+
+    def grad(self, x):
+        return self._grad(as_vector(x))
+
+    def grad_inverse(self, v):
+        return self._grad_inverse(as_vector(v))
+
+
+class EuclideanMirror(_Mirror):
     """phi(x) = ||x||_2^2 / 2 on R^d; the (l2, l2) self-dual geometry."""
 
     kind = "euclidean"
@@ -85,11 +97,10 @@ class EuclideanMirror:
         x = as_vector(x)
         return 0.5 * float(np.dot(x, x))
 
-    def grad(self, x):
-        return as_vector(x).copy()
+    def _grad(self, x):
+        return x.copy()
 
-    def grad_inverse(self, v):
-        return as_vector(v).copy()
+    _grad_inverse = _grad
 
     def bregman(self, x, y):
         x = as_vector(x)
@@ -101,7 +112,7 @@ class EuclideanMirror:
         return "EuclideanMirror()"
 
 
-class NegativeEntropyMirror:
+class NegativeEntropyMirror(_Mirror):
     """phi(x) = sum_i x_i log x_i on the open positive orthant.
 
     The norm pair is (l1, linf) and sigma = 1: on the probability
@@ -125,16 +136,17 @@ class NegativeEntropyMirror:
         self._check_domain(x)
         return float(np.sum(x * np.log(x)))
 
-    def grad(self, x):
-        x = as_vector(x)
+    def _grad(self, x):
         self._check_domain(x)
         return 1.0 + np.log(x)
 
-    def grad_inverse(self, v):
-        v = as_vector(v)
+    def _grad_inverse(self, v):
         with np.errstate(over="ignore"):
             out = np.exp(v - 1.0)
         if not np.all(np.isfinite(out)):
+            # an overflowed dual point from the solver, not an exp overflow
+            if not np.all(np.isfinite(v)):
+                raise ValueError("vector has non-finite entries")
             raise OverflowError(
                 "exp overflow inverting the entropy mirror at max dual entry %g" % np.max(v))
         return out

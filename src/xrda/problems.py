@@ -47,13 +47,15 @@ _SUPPORT_FRACTION = 0.25
 # of 200, 561 -> 421 us; m=4000, d=2000, nnz 200, 807 -> 759 us; 256 KB and
 # 1 MB blocks were slower than 512 KB at both sizes
 _RESIDUAL_BLOCK = 1 << 19  # bytes of A's columns gathered per product
-# bytes per block of stochastic iterates' residuals (``block_width``); on the
-# logistic-stoch-b1 benchmark (m=8000), 1 BLAS thread, six 20 s runs each:
-# 2 MB (32 iterates) 3663-4219 iterations/s and peak RSS 95.2-95.4 MB,
-# 1 MB 3150-3695 and 94.2-94.7 MB, one product per step 1185-1276 and 93.5-93.9 MB
-# (then with a support-restricted block product on sparse unions); with the
-# dense block product alone, ten 55 s runs: 2 MB 3389-3801, 95.1-95.5 MB
-_OBJECTIVE_BLOCK = 1 << 21
+# bytes per block of stochastic iterates' residuals (``block_width``): 64
+# iterates at m=8000.  Xeon, 2 MB L2, 1 BLAS thread, (K, 200) x (200, 8000)
+# product per iterate, hot cache, best of 40: K=32 (2 MB) 61-71 us, K=64 (4 MB)
+# 53-58 us over two runs.  On the logistic-stoch-b1 benchmark, ten 55 s runs
+# each, with the step calling private kernels: 4 MB 4368-5335 iterations/s and
+# peak RSS 97.1-97.6 MB, where 2 MB with per-step validation ran 3823-4795 at
+# 95.0-95.5 MB; earlier six 20 s runs: 1 MB 3150-3695 at 94.2-94.7 MB, one
+# product per step 1185-1276 at 93.5-93.9 MB
+_OBJECTIVE_BLOCK = 1 << 22
 _ROW_BLOCK = 64        # rows per draw in synthetic_sparse_data: 1 MB at d=2000
 
 
@@ -197,11 +199,16 @@ class CompositeProblem:
     def sample_subgradient(self, x, rng):
         """Minibatch subgradient; unbiased over uniformly drawn batches."""
         state = rng.bit_generator.state
-        if self.loss == "linear":
-            return GradientSample(self.c.copy(), np.arange(0), state)
-        idx = rng.choice(self.m, size=self.batch_size, replace=False)
-        g = self._rows_subgradient(x, self.A[idx], self.b[idx])
+        idx, g = self._sample(x, rng)
         return GradientSample(g, idx, state)
+
+    def _sample(self, x, rng):
+        """The drawn rows and their minibatch subgradient at x: the one copy
+        of the sampler, which the solver's step calls directly."""
+        if self.loss == "linear":
+            return np.arange(0), self.c.copy()
+        idx = rng.choice(self.m, size=self.batch_size, replace=False)
+        return idx, self._rows_subgradient(x, self.A[idx], self.b[idx])
 
 
 def build_problem(loss, reg, mirror, A=None, b=None, c=None, batch_size=None):

@@ -227,7 +227,8 @@ def _newton_on_face(problem, x, lower, tol):
     """Newton steps for logistic loss on the face L-BFGS-B identified.
 
     For l1 the face fixes the support of x and its signs, and G adds the
-    linear term lam sign(x); for box it fixes the coordinates at a bound.
+    linear term lam sign(x); for box it fixes the coordinates at a bound,
+    and those whose data column is all zero, which f does not depend on.
     A step is kept only if it stays on the face and lowers f; every
     point's certificate counts, so the gap to the largest lower bound
     falls with every step kept.  Steps stop once the gap reaches tol or
@@ -243,6 +244,7 @@ def _newton_on_face(problem, x, lower, tol):
     else:
         lo, hi = reg.bounds(problem.d)
         free = np.flatnonzero((lo < x) & (x < hi))
+        free = free[problem.A[:, free].any(axis=0)]
         c, lo, hi = 0.0, lo[free], hi[free]
     if free.size > m:
         return x, lower

@@ -20,7 +20,15 @@ from .geometry import as_vector
 MEMBERSHIP_TOL = 1e-9
 
 
-class L1Penalty:
+class _Regularizer:
+    """``value`` validates x and calls the kernel ``_value``, which the
+    solver calls directly on the iterates it made itself."""
+
+    def value(self, x):
+        return self._value(as_vector(x))
+
+
+class L1Penalty(_Regularizer):
     """G(x) = lam * ||x||_1."""
 
     kind = "l1"
@@ -30,14 +38,14 @@ class L1Penalty:
             raise ValueError("l1 weight must be positive, got %r" % (lam,))
         self.lam = float(lam)
 
-    def value(self, x):
-        return self.lam * float(np.sum(np.abs(as_vector(x))))
+    def _value(self, x):
+        return self.lam * float(np.sum(np.abs(x)))
 
     def __repr__(self):
         return "L1Penalty(lam=%g)" % self.lam
 
 
-class BoxIndicator:
+class BoxIndicator(_Regularizer):
     """Indicator of the box {x : lo <= x <= hi}, componentwise.
 
     Bounds may be scalars (broadcast against the iterate) or vectors.
@@ -56,8 +64,7 @@ class BoxIndicator:
         hi = np.broadcast_to(self.hi, (dim,))
         return lo, hi
 
-    def value(self, x):
-        x = as_vector(x)
+    def _value(self, x):
         lo, hi = self.bounds(x.size)
         inside = np.all(x >= lo - MEMBERSHIP_TOL) and np.all(x <= hi + MEMBERSHIP_TOL)
         return 0.0 if inside else float("inf")
@@ -66,13 +73,12 @@ class BoxIndicator:
         return "BoxIndicator(lo=%s, hi=%s)" % (self.lo, self.hi)
 
 
-class SimplexIndicator:
+class SimplexIndicator(_Regularizer):
     """Indicator of the probability simplex {x >= 0, sum x = 1}."""
 
     kind = "simplex"
 
-    def value(self, x):
-        x = as_vector(x)
+    def _value(self, x):
         inside = np.all(x >= -MEMBERSHIP_TOL) and abs(float(np.sum(x)) - 1.0) <= MEMBERSHIP_TOL
         return 0.0 if inside else float("inf")
 
@@ -80,7 +86,7 @@ class SimplexIndicator:
         return "SimplexIndicator()"
 
 
-class L2BallIndicator:
+class L2BallIndicator(_Regularizer):
     """Indicator of the l2 ball of a given radius about the origin."""
 
     kind = "l2ball"
@@ -90,8 +96,7 @@ class L2BallIndicator:
             raise ValueError("ball radius must be positive, got %r" % (radius,))
         self.radius = float(radius)
 
-    def value(self, x):
-        x = as_vector(x)
+    def _value(self, x):
         inside = float(np.sqrt(np.dot(x, x))) <= self.radius + MEMBERSHIP_TOL
         return 0.0 if inside else float("inf")
 
@@ -99,20 +104,16 @@ class L2BallIndicator:
         return "L2BallIndicator(radius=%g)" % self.radius
 
 
-class ZeroRegularizer:
+class ZeroRegularizer(_Regularizer):
     """G identically zero; backward steps reduce to the identity."""
 
     kind = "zero"
 
-    def value(self, x):
-        as_vector(x)
+    def _value(self, x):
         return 0.0
 
     def __repr__(self):
         return "ZeroRegularizer()"
-
-
-REGULARIZER_KINDS = ("l1", "box", "simplex", "l2ball", "zero")
 
 
 def _prox_euclid_l1(reg, y, s):
@@ -179,6 +180,12 @@ def mirror_prox(reg, mirror, y, s):
     y = as_vector(y)
     if s < 0:
         raise ValueError("backward step size must be nonnegative, got %g" % s)
+    return _prox(reg, mirror, y, s)
+
+
+def _prox(reg, mirror, y, s):
+    """``mirror_prox``'s kernel, for a supported pair, a finite 1-d y and
+    s >= 0; the solver's step calls it directly."""
     if mirror.kind == "entropy":
         mirror._check_domain(y, what="prox base point")
     if s == 0.0:

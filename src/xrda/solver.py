@@ -32,21 +32,31 @@ The guarantee is on the best iterate, so every iterate's f is evaluated.
 An exact step needs the residual A x_n for its subgradient, so ``step``
 evaluates each new iterate at once.  A stochastic trajectory never reads
 f or the residual, so ``run`` evaluates its iterates in blocks: it keeps
-up to ``CompositeProblem.block_width()`` of them and takes their
-residuals from one product that reads A once (a BLAS-3 product instead
-of one matrix-vector product per step), then replays f and ``best_f``
-in iterate order.  A block ends at every trace row, at the end of the
-run, and after every step when a callback is given, so ``trace_row``
-and the callback always see a fully evaluated state.
+up to ``CompositeProblem.block_width()`` of them (64 at m = 8000) and
+takes their residuals from one product that reads A once (a BLAS-3
+product instead of one matrix-vector product per step), then replays f
+and ``best_f`` in iterate order.  A block ends at every trace row, at
+the end of the run, and after every step when a callback is given, so
+``trace_row`` and the callback always see a fully evaluated state.
+
+Inputs are validated at the boundary: ``init`` checks the start point,
+``build_problem`` the data, and the public mirror, regularizer and
+sampling functions their arguments.  ``step`` calls the private kernels
+behind them (``_grad``, ``_grad_inverse``, ``_prox``, ``_sample``,
+``_value``) on vectors it made itself, so no check runs per step.  An
+overflowing schedule still fails loudly: a non-finite f of an evaluated
+iterate raises ValueError, in stochastic mode when its block closes, and
+so does a non-finite dual point at the end of ``run``.
 """
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import (ENTROPY_DOMAIN_FLOOR, MirrorDomainError, as_vector)
-from .regularizers import canonical_argmin, ensure_supported, mirror_prox
+from .regularizers import _prox, canonical_argmin, ensure_supported, mirror_prox
 
 NNZ_THRESHOLD = 1e-12
 
@@ -207,7 +217,7 @@ def step(state, problem, mode="exact", rng=None, unsafe=False, _block=None):
     elif mode == "stochastic":
         if rng is None:
             raise ValueError("stochastic mode needs a numpy Generator")
-        g = problem.sample_subgradient(state.x, rng).value
+        g = problem._sample(state.x, rng)[1]
     else:
         raise ValueError("mode must be 'exact' or 'stochastic', got %r" % (mode,))
 
@@ -215,9 +225,9 @@ def step(state, problem, mode="exact", rng=None, unsafe=False, _block=None):
     xt_prime = (1.0 - mu) * state.x_tilde_half + mu * state.x_tilde
     ratio = alpha_n / alpha_next
     xt_half = ratio * xt_prime + (1.0 - ratio) * state.x_tilde_1 - (s_n / alpha_next) * g
-    x_next = mirror_prox(problem.reg, mirror, mirror.grad_inverse(xt_half),
-                         gamma_next / alpha_next)
-    xt_next = mirror.grad(x_next)
+    x_next = _prox(problem.reg, mirror, mirror._grad_inverse(xt_half),
+                   gamma_next / alpha_next)
+    xt_next = mirror._grad(x_next)
 
     state.dual_accum += s_n * g + t_n * state.h
     state.h = (alpha_next / gamma_next) * (xt_half - xt_next)
@@ -244,11 +254,15 @@ def _evaluate(state, problem, xs):
     """Objective bookkeeping for the iterates xs, oldest first, the last
     being ``state.x``: f of each, ``best_f`` / ``best_x`` in iterate order,
     then the residual and f of the last.  Several iterates share one
-    residual block, which reads A once."""
+    residual block, which reads A once.  A non-finite f, say from an
+    overflowing schedule, is a ValueError."""
     stacked = len(xs) > 1
     rs = problem.residual(np.array(xs)) if stacked else [problem.residual(xs[0])]
-    for x, r in zip(xs, rs):
-        f = problem.loss_at(r) + problem.reg.value(x)
+    for i, (x, r) in enumerate(zip(xs, rs)):
+        f = problem.loss_at(r) + problem.reg._value(x)
+        if not math.isfinite(f):
+            raise ValueError("objective is not finite at iterate %d (f = %r)"
+                             % (state.n - len(xs) + 1 + i, f))
         if f < state.best_f:
             state.best_f = f
             state.best_x = x.copy()
@@ -350,4 +364,11 @@ def run(problem, schedule, n_iters, mode="exact", seed=None, stride=100,
             callback(state)
         if state.n % stride == 0:
             rows.append(trace_row(state, problem, reference, d_star, t0, unsafe))
+    # An overflowed dual point stays non-finite (each step scales it by
+    # ratio (1 - mu) >= 0, and 0 * inf is nan), though a backward step such
+    # as the box clip can still return a finite x and f: one check here
+    # catches an overflow at any step.
+    if not np.isfinite(state.x_tilde_half).all():
+        raise ValueError("the dual point has non-finite entries at iterate %d"
+                         % state.n)
     return RunResult(state, rows)

@@ -1,17 +1,20 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+module-level constant is read somewhere in the package.
 
 No linter ships with the test environment, so this walks each module's
-syntax tree instead.  ``__init__.py`` is left out: it imports names to
-re-export them.
+syntax tree instead.  ``__init__.py`` is left out of the import check: it
+imports names to re-export them.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "xrda"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*$")
 
 
 def imported_names(tree):
@@ -45,3 +48,46 @@ def test_package_modules_are_all_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def constants(tree):
+    """(name, line) for every module-level assignment to an UPPER_CASE name."""
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else \
+            [node.target] if isinstance(node, ast.AnnAssign) else []
+        for target in targets:
+            if isinstance(target, ast.Name) and CONSTANT.match(target.id):
+                yield target.id, node.lineno
+
+
+def read_names(tree):
+    """Names the tree reads: loads, attribute lookups and imported names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def unread_constants(sources):
+    """"module: NAME" for each constant that no source in ``sources`` (a
+    {module name: source} dict) reads."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = {n for tree in trees.values() for n in read_names(tree)}
+    return ["%s: %s" % (module, name) for module, tree in sorted(trees.items())
+            for name, _ in constants(tree) if name not in read]
+
+
+def test_the_walk_finds_an_unread_constant():
+    sources = {"a": "import b\nKEPT = 1\nDEAD = (1, 2)\n_PRIVATE = 3\nlower = 4\n"
+                    "print(_PRIVATE)\n",
+               "b": "from a import KEPT\n_ALSO_DEAD: int = 5\n"
+                    "import a\nprint(a.lower, KEPT)\n"}
+    assert unread_constants(sources) == ["a: DEAD", "b: _ALSO_DEAD"]
+
+
+def test_package_constants_are_all_read():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unread_constants(sources) == []

@@ -287,6 +287,17 @@ def test_logistic_box_with_a_zero_column_keeps_an_honest_gap(rng):
         assert lb <= p.objective(rng.uniform(-0.5, 0.5, size=6)) + 1e-12
 
 
+def test_logistic_box_with_a_zero_column_certifies():
+    # f does not depend on the zero column's coordinate, so the Newton face
+    # leaves it out and its Hessian is regular
+    A = np.random.default_rng(0).standard_normal((40, 6))
+    A[:, 2] = 0.0
+    b = np.random.default_rng(1).choice([-1.0, 1.0], size=40)
+    p = build_problem("logistic", BoxIndicator(-0.5, 0.5), EU, A=A, b=b)
+    ref = reference_optimum(p, tol=1e-14)
+    assert ref.converged and ref.certified_gap <= 1e-14
+
+
 @pytest.mark.parametrize("x0", [3.0, 5.0, 8.0, -4.0])
 def test_newton_never_returns_a_worse_point(x0):
     # far from the optimum log 2 the curvature is small and a full Newton
