@@ -116,7 +116,7 @@ def main(argv=None):
     except ScheduleError as exc:
         print("schedule violation: %s" % exc, file=sys.stderr)
         return 2
-    except (RuntimeError, ValueError, OSError) as exc:
+    except (RuntimeError, ValueError, OverflowError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -13,6 +13,8 @@ inside an iteration.  Indicator membership uses an absolute tolerance of
 evaluate to 0, not +inf.
 """
 
+import math
+
 import numpy as np
 
 from .geometry import as_vector
@@ -127,10 +129,14 @@ def _prox_euclid_box(reg, y, s):
 
 
 def _prox_euclid_l2ball(reg, y, s):
-    nrm = float(np.sqrt(np.dot(y, y)))
-    if nrm <= reg.radius:
+    # z = y / 2^k with 2^k near max|y| is exact, so this is bit for bit
+    # y * (radius / sqrt(y.y)) wherever y.y is finite, and right beyond.
+    scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(y))))[1] - 1)
+    z = y / scale
+    nrm = float(np.sqrt(np.dot(z, z)))
+    if nrm * scale <= reg.radius:
         return y.copy()
-    return y * (reg.radius / nrm)
+    return z * (reg.radius / nrm)
 
 
 def _prox_identity(reg, y, s):

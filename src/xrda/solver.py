@@ -27,6 +27,11 @@ satisfy
                  sum_{i<=n} s_i^2 / alpha_i) / sum_{i<=n} s_i,
 
 which ``theoretical_bound`` evaluates from the state's accumulators.
+Only ``_schedule_values`` calls the schedule, and unless ``unsafe`` it
+checks each value once, when it is first evaluated: step n evaluates
+alpha_{n+1}, t_n and s_{n+1}, so a violation at index n+1 stops the run
+at step n, before any bound uses it.  (A trace row's backward-step
+column re-evaluates alpha_{n+1} and t_n, unchecked, as a preview.)
 
 The guarantee is on the best iterate, so every iterate's f is evaluated.
 An exact step needs the residual A x_n for its subgradient, so ``step``
@@ -76,8 +81,9 @@ class SolverState:
     hold sums over iterates 1..n: ``s_sum`` = sum s_i, ``weighted_sum``
     = sum s_i x_i, ``bound_acc`` = sum s_i^2 / alpha_i, ``dual_accum`` =
     sum s_i g_i + t_i h_i (this last one over steps taken, i.e. 1..n-1).
-    ``residual`` (``CompositeProblem.residual``) and ``f_x`` are those of
-    ``x``; an exact step takes its subgradient from that residual.
+    ``last_s`` and ``last_alpha`` are s_n and alpha_n.  ``residual``
+    (``CompositeProblem.residual``) and ``f_x`` are those of ``x``; an
+    exact step takes its subgradient from that residual.
     """
 
     schedule: object
@@ -98,6 +104,7 @@ class SolverState:
     best_f: float
     best_x: np.ndarray
     last_s: float
+    last_alpha: float
 
 
 @dataclass
@@ -139,68 +146,48 @@ def init(problem, schedule, x1=None):
         raise ValueError(
             "start point does not minimize the regularizer: G(x1)=%g exceeds the "
             "canonical minimum %g" % (reg.value(x1), reg.value(canonical)))
-    s1 = schedule.s(1)
-    alpha1 = schedule.alpha(1)
-    if not s1 > 0:
-        raise ScheduleError("s_1 must be positive, got %g" % s1)
-    if not alpha1 > 0:
-        raise ScheduleError("alpha_1 must be positive, got %g" % alpha1)
+    s1, alpha1 = _schedule_values(schedule, 0, 0.0, math.inf, 0.0, unsafe=False)[:2]
     xt1 = mirror.grad(x1)
     r1 = problem.residual(x1)
     f1 = problem.loss_at(r1) + reg.value(x1)
     return SolverState(
-        schedule=schedule,
-        n=1,
-        x=x1.copy(),
-        x_tilde=xt1.copy(),
-        x_tilde_half=xt1.copy(),
-        x_tilde_1=xt1.copy(),
-        x1=x1.copy(),
-        gamma=0.0,
-        s_sum=s1,
-        weighted_sum=s1 * x1,
-        bound_acc=s1 * s1 / alpha1,
-        dual_accum=np.zeros(d),
-        h=np.zeros(d),
-        residual=r1,
-        f_x=f1,
-        best_f=f1,
-        best_x=x1.copy(),
-        last_s=s1,
-    )
+        schedule=schedule, n=1, x=x1.copy(),
+        x_tilde=xt1.copy(), x_tilde_half=xt1.copy(), x_tilde_1=xt1.copy(),
+        x1=x1.copy(), gamma=0.0,
+        s_sum=s1, weighted_sum=s1 * x1, bound_acc=s1 * s1 / alpha1,
+        dual_accum=np.zeros(d), h=np.zeros(d),
+        residual=r1, f_x=f1, best_f=f1, best_x=x1.copy(),
+        last_s=s1, last_alpha=alpha1)
 
 
-def _schedule_values(state, unsafe):
-    """Evaluate and (unless unsafe) validate this step's schedule values,
-    and gamma_{n+1} = (1 - mu_n) gamma_n + s_n."""
-    sched = state.schedule
-    n = state.n
-    s_n = sched.s(n)
-    alpha_n = sched.alpha(n)
-    alpha_next = sched.alpha(n + 1)
-    gamma_n = state.gamma
-    t_n = sched.t(n, gamma_n)
+def _schedule_values(schedule, n, gamma_n, s_n, alpha_n, unsafe):
+    """Evaluate step n's new values s_{n+1}, alpha_{n+1} and t_n, unless
+    unsafe check them (0 < s_{n+1} <= s_n, 0 < alpha_{n+1}, alpha_n <=
+    alpha_{n+1}, 0 <= t_n <= gamma_n), and return them with mu_n and
+    gamma_{n+1} = (1 - mu_n) gamma_n + s_n.  ``init`` reads s_1 and alpha_1
+    at n = 0, with s_0 = inf, alpha_0 = 0 and no t_0."""
+    s_next = schedule.s(n + 1)
+    alpha_next = schedule.alpha(n + 1)
+    t_n = schedule.t(n, gamma_n) if n else 0.0
     if not unsafe:
-        slack = _SCHED_EPS * max(1.0, abs(state.last_s))
-        if not s_n > 0:
-            raise ScheduleError("s_%d = %g is not positive" % (n, s_n))
-        if s_n > state.last_s + slack:
+        if not s_next > 0:
+            raise ScheduleError("s_%d = %g is not positive" % (n + 1, s_next))
+        if s_next > s_n + _SCHED_EPS * max(1.0, abs(s_n)):
             raise ScheduleError(
                 "forward steps must be non-increasing: s_%d = %.17g exceeds s_%d = %.17g"
-                % (n, s_n, n - 1, state.last_s))
-        if not alpha_n > 0:
-            raise ScheduleError("alpha_%d = %g is not positive" % (n, alpha_n))
+                % (n + 1, s_next, n, s_n))
+        if not alpha_next > 0:
+            raise ScheduleError("alpha_%d = %g is not positive" % (n + 1, alpha_next))
         if alpha_next < alpha_n * (1.0 - _SCHED_EPS):
             raise ScheduleError(
                 "alpha must be non-decreasing: alpha_%d = %.17g is below alpha_%d = %.17g"
                 % (n + 1, alpha_next, n, alpha_n))
         tslack = _SCHED_EPS * max(1.0, abs(gamma_n))
-        if t_n < -tslack or t_n > gamma_n + tslack:
+        if not -tslack <= t_n <= gamma_n + tslack:
             raise ScheduleError(
                 "t_%d = %.17g outside [0, gamma_%d] = [0, %.17g]" % (n, t_n, n, gamma_n))
     mu = t_n / gamma_n if gamma_n > 0 else 0.0
-    gamma_next = (1.0 - mu) * gamma_n + s_n
-    return s_n, alpha_n, alpha_next, t_n, mu, gamma_next
+    return s_next, alpha_next, t_n, mu, (1.0 - mu) * gamma_n + s_n
 
 
 def step(state, problem, mode="exact", rng=None, unsafe=False, _block=None):
@@ -211,7 +198,9 @@ def step(state, problem, mode="exact", rng=None, unsafe=False, _block=None):
     ``best_f`` wait for ``_evaluate``.  Only a stochastic step may wait,
     as an exact step reads the residual of its iterate.
     """
-    s_n, alpha_n, alpha_next, t_n, mu, gamma_next = _schedule_values(state, unsafe)
+    s_n, alpha_n = state.last_s, state.last_alpha
+    s_next, alpha_next, t_n, mu, gamma_next = _schedule_values(
+        state.schedule, state.n, state.gamma, s_n, alpha_n, unsafe)
     if mode == "exact":
         g = problem.subgradient_at(state.residual)
     elif mode == "stochastic":
@@ -235,10 +224,9 @@ def step(state, problem, mode="exact", rng=None, unsafe=False, _block=None):
     state.x_tilde = xt_next
     state.x_tilde_half = xt_half
     state.gamma = gamma_next
-    state.last_s = s_n
+    state.last_s = s_next
+    state.last_alpha = alpha_next
     state.n += 1
-
-    s_next = state.schedule.s(state.n)
     state.s_sum += s_next
     state.weighted_sum += s_next * x_next
     state.bound_acc += s_next * s_next / alpha_next
@@ -284,8 +272,7 @@ def theoretical_bound(state, d_star, M, sigma):
     """Guaranteed objective gap at the current n for constants (D*, M, sigma)."""
     if d_star < 0:
         raise ValueError("Bregman distance to the optimum cannot be negative")
-    alpha_n = state.schedule.alpha(state.n)
-    return (alpha_n * d_star + (M * M) / (2.0 * sigma) * state.bound_acc) / state.s_sum
+    return (state.last_alpha * d_star + M * M / (2.0 * sigma) * state.bound_acc) / state.s_sum
 
 
 _ARGMIN_FORM_REGS = ("l1", "zero", "box")
@@ -301,9 +288,10 @@ def argmin_form_step(state, problem):
         raise NotImplementedError(
             "accumulated form supports the euclidean mirror with one of %s"
             % (_ARGMIN_FORM_REGS,))
-    s_n, _, alpha_next, t_n, _, gamma_next = _schedule_values(state, unsafe=False)
+    _, alpha_next, t_n, _, gamma_next = _schedule_values(
+        state.schedule, state.n, state.gamma, state.last_s, state.last_alpha, unsafe=False)
     g = problem.subgradient(state.x)
-    dual = state.dual_accum + s_n * g + t_n * state.h
+    dual = state.dual_accum + state.last_s * g + t_n * state.h
     base = mirror.grad_inverse(state.x_tilde_1 - dual / alpha_next)
     return mirror_prox(reg, mirror, base, gamma_next / alpha_next)
 
@@ -325,7 +313,8 @@ def trace_row(state, problem, reference=None, d_star=None, t0=None, unsafe=False
     nnz = int(np.count_nonzero(np.abs(state.x) > NNZ_THRESHOLD))
     elapsed = time.perf_counter() - t0 if t0 is not None else 0.0
     # gamma_{n+1}/alpha_{n+1} as the next step will use it
-    _, _, alpha_next, _, _, gamma_next = _schedule_values(state, unsafe=True)
+    _, alpha_next, _, _, gamma_next = _schedule_values(
+        state.schedule, state.n, state.gamma, state.last_s, state.last_alpha, unsafe=True)
     return TraceRow(state.n, state.f_x, f_avg, gap_best, gap_avg, bound,
                     gamma_next / alpha_next, nnz, elapsed)
 

@@ -227,3 +227,30 @@ def test_cli_overflowing_schedule_exits_2(tmp_path, loss, regularizer, scale,
     assert proc.returncode == 2, proc.stderr
     assert "finite" in proc.stderr.splitlines()[-1]
     assert not list(out.glob("exp_*.csv"))
+
+
+ENTROPY_CFG = CLI_CFG.replace("mirror = euclidean", "mirror = entropy").replace(
+    "iterations = {iterations}", "iterations = {iterations}\nreference_tol = inf")
+
+
+@pytest.mark.parametrize("loss", ["lad", "logistic"])
+@pytest.mark.parametrize("mode", ["", STOCH_B1], ids=["exact", "stochastic-b1"])
+def test_cli_entropy_overflow_exits_2(tmp_path, loss, mode):
+    # exp overflows inverting the entropy mirror at a finite dual point, an
+    # OverflowError; reference_tol = inf skips the reference solve, which
+    # takes the slow uncertified fallback on the simplex
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(ENTROPY_CFG.format(loss=loss, regularizer="regularizer = simplex",
+                                      scale="1e300", iterations=50, stride=10,
+                                      mode=mode))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    out = tmp_path / "o"
+    proc = subprocess.run([sys.executable, "-m", "xrda", "--config", str(cfg),
+                           "--out", str(out), "run"],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "overflow" in proc.stderr.splitlines()[-1]
+    assert not list(out.glob("exp_*.csv"))

@@ -12,6 +12,7 @@ from xrda.harness import (check_bound, compare, read_trace_csv,
                           run_experiment, write_trace_csv)
 from xrda.problems import synthetic_sparse_data, write_dense_matrix
 from xrda.reference import reference_optimum
+from xrda.schedules import Schedule
 from xrda.solver import TraceRow
 
 BASE_CFG = """\
@@ -467,3 +468,20 @@ def test_data_file_cache_key_hashes_row_major_bytes(tmp_path):
         digest.update(np.ascontiguousarray(arr).tobytes())
     expected = "%s_%s" % (cfg.problem_key, digest.hexdigest()[:16])
     assert harness._reference_cache_key(cfg, problem) == expected
+
+
+def test_cli_schedule_violation_at_the_last_step_exits_2(tmp_path, capsys, monkeypatch):
+    # s_n = n^(-1/2) up to n = 10, then s_11 = 100: the tenth and last step
+    # evaluates s_11, which would otherwise enter the final row's bound
+    jump = Schedule("jump", lambda n: n ** -0.5 if n <= 10 else 100.0,
+                    lambda n: 1.0, lambda n, g: 0.0)
+    monkeypatch.setattr(harness, "build_schedule_from_config", lambda cfg: jump)
+    cfg = write_cfg(tmp_path, BASE_CFG.replace("iterations = 300", "iterations = 10")
+                    .replace("stride = 50", "stride = 1"))
+    out = tmp_path / "o"
+    assert main(["--config", cfg, "--out", str(out), "run"]) == 2
+    assert "schedule violation" in capsys.readouterr().err
+    assert not list(out.glob("exp_*.csv"))
+    assert main(["--config", cfg, "--out", str(out), "--unsafe", "run"]) == 0
+    rows = read_trace_csv(out / "exp_seed0.csv")
+    assert rows[-1].n == 11 and math.isnan(rows[-1].bound)

@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and every
-module-level constant is read somewhere in the package.
+"""Every name a package module imports is used in that module, every
+module-level constant is read somewhere in the package, and only
+``solver._schedule_values`` calls a schedule's ``s``, ``alpha`` or ``t``.
 
 No linter ships with the test environment, so this walks each module's
 syntax tree instead.  ``__init__.py`` is left out of the import check: it
@@ -91,3 +92,40 @@ def test_the_walk_finds_an_unread_constant():
 def test_package_constants_are_all_read():
     sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
     assert unread_constants(sources) == []
+
+
+SCHEDULE_ATTRS = ("s", "alpha", "t")
+EVALUATOR = ("solver.py", "_schedule_values")
+
+
+def schedule_calls(sources):
+    """"module line N: .name()" for each call of an attribute named s, alpha
+    or t in ``sources`` (a {module name: source} dict) outside the one
+    evaluator, so that each schedule value is evaluated and checked in one
+    place."""
+    found = []
+    for module, source in sorted(sources.items()):
+        tree = ast.parse(source)
+        allowed = {id(node) for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef) and (module, fn.name) == EVALUATOR
+                   for node in ast.walk(fn)}
+        found += ["%s line %d: .%s()" % (module, node.lineno, node.func.attr)
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in SCHEDULE_ATTRS and id(node) not in allowed]
+    return found
+
+
+def test_the_walk_finds_a_schedule_call():
+    sources = {"solver.py": "def _schedule_values(sch, n):\n"
+                            "    return sch.s(n), sch.alpha(n), sch.t(n, 0.0)\n\n"
+                            "def step(state):\n    return state.schedule.alpha(state.n)\n",
+               "harness.py": "def _schedule_values(sch):\n    return sch.s(1)\n"
+                             "x = sched.t\ny = sched.sigma(2)\n"}
+    assert schedule_calls(sources) == ["harness.py line 2: .s()",
+                                       "solver.py line 5: .alpha()"]
+
+
+def test_only_the_evaluator_calls_the_schedule():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert schedule_calls(sources) == []

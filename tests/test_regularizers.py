@@ -222,3 +222,24 @@ def test_canonical_argmin_minimizes(rng):
                 L2BallIndicator(1.0), ZeroRegularizer()):
         x = canonical_argmin(reg, 4)
         assert reg.value(x) == 0.0
+
+
+def test_ball_prox_of_a_huge_point_lies_on_the_sphere():
+    # y.y overflows past |y| ~ 1e154; the projection must not
+    ball = L2BallIndicator(2.0)
+    root2 = np.sqrt(2.0)
+    out = mirror_prox(ball, EU, [1e200, 1e200], 1.0)
+    assert np.allclose(out, [root2, root2], rtol=1e-15, atol=0.0)
+    out = mirror_prox(ball, EU, [1.7e308, -1.7e308, 3.0], 1.0)
+    assert np.allclose(out[:2], [root2, -root2], rtol=1e-15, atol=0.0)
+    assert 0.0 <= out[2] < 1e-300
+
+
+def test_ball_prox_is_the_plain_rescaling_bit_for_bit(rng):
+    # the scaled norm changes no bit where the plain y.y is finite
+    ball = L2BallIndicator(1.5)
+    for _ in range(200):
+        y = rng.standard_normal(int(rng.integers(1, 50))) * 10.0 ** rng.uniform(-100, 100)
+        nrm = float(np.sqrt(np.dot(y, y)))
+        want = y if nrm <= ball.radius else y * (ball.radius / nrm)
+        assert mirror_prox(ball, EU, y, 1.0).tobytes() == want.tobytes()

@@ -1,3 +1,4 @@
+import collections
 import math
 from fractions import Fraction
 
@@ -540,3 +541,70 @@ def test_exact_step_after_stochastic_steps_matches_accumulated_form():
     predicted = argmin_form_step(st, p)
     st = step(st, p)
     assert float(np.max(np.abs(st.x - predicted))) <= 1e-9
+
+
+def counting(sched):
+    """The schedule with s, alpha and t wrapped to count their calls."""
+    calls = collections.Counter()
+
+    def wrap(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    wrapped = Schedule(sched.name, wrap("s", sched.s), wrap("alpha", sched.alpha),
+                       wrap("t", sched.t))
+    return wrapped, calls
+
+
+def test_a_run_evaluates_each_schedule_value_once():
+    p = random_lad(seed=43)
+    sched, calls = counting(averaged_leap_frog(0.5, power_steps(1.0, 0.5)))
+    run(p, sched, n_iters=10, stride=100)
+    # init: s_1, alpha_1; step n: s_{n+1}, alpha_{n+1}, t_n
+    assert calls == {"s": 11, "alpha": 11, "t": 10}
+    sched, calls = counting(averaged_leap_frog(0.5, power_steps(1.0, 0.5)))
+    run(p, sched, n_iters=10, stride=1, reference=reference_optimum(p, tol=1e-8))
+    # a trace row's backward-step preview evaluates step n's values again
+    assert calls["s"] <= 21 and calls["alpha"] <= 21 and calls["t"] <= 20
+
+
+def jump_schedule():
+    """s_n = n^(-1/2) up to n = 10, then s_11 = 100: not non-increasing."""
+    return Schedule("jump", lambda n: n ** -0.5 if n <= 10 else 100.0,
+                    lambda n: 1.0, lambda n, g: 0.0)
+
+
+def test_a_jump_in_s_stops_the_step_that_evaluates_it():
+    p = random_lad(seed=47)
+    ref = reference_optimum(p, tol=1e-8)
+    st = init(p, jump_schedule())
+    for _ in range(9):
+        st = step(st, p)
+    s_sum, bound_acc = st.s_sum, st.bound_acc
+    with pytest.raises(ScheduleError, match="s_11 = 100 exceeds s_10"):
+        step(st, p)
+    # checked before it enters the accumulators: the state is as it was
+    assert st.n == 10 and st.s_sum == s_sum and st.bound_acc == bound_acc
+    with pytest.raises(ScheduleError, match="s_11"):
+        run(p, jump_schedule(), n_iters=10, stride=1, reference=ref)
+    assert all(np.isfinite(row.bound)
+               for row in run(p, jump_schedule(), 9, stride=1, reference=ref).rows)
+    res = run(p, jump_schedule(), n_iters=10, stride=1, reference=ref, unsafe=True)
+    assert res.rows[-1].n == 11 and math.isnan(res.rows[-1].bound)
+    assert res.state.last_s == 100.0
+
+
+def test_a_nan_schedule_value_is_a_violation():
+    p = random_lad()
+    for sched, name in [
+            (Schedule("bad", lambda n: 1.0 if n < 3 else math.nan, lambda n: 1.0,
+                      lambda n, g: 0.0), "s_3"),
+            (Schedule("bad", lambda n: 1.0, lambda n: 1.0 if n < 3 else math.nan,
+                      lambda n, g: 0.0), "alpha_3"),
+            (Schedule("bad", lambda n: 1.0, lambda n: 1.0,
+                      lambda n, g: 0.0 if n < 2 else math.nan), "t_2")]:
+        st = step(init(p, sched), p)
+        with pytest.raises(ScheduleError, match=name):
+            step(st, p)
