@@ -17,7 +17,10 @@ Three loss families are supported:
 Each loss depends on x only through the residual r = A x (<c, x> for
 linear): ``residual`` makes the one pass over A, and ``loss_at``,
 ``row_weights``, ``curvature`` (logistic only) and ``subgradient_at``
-hold the only copy of each formula.
+hold the only copy of each formula.  ``residual`` and ``loss_at`` also
+take stacks: a (K, d) stack of iterates gives the (K, m) stack of their
+residuals, and ``loss_at`` of that gives the K losses, working in place
+on the stack's rows, 512 KB of them at a time.
 
 A is stored column-major (Fortran order), so the columns of x's support
 are contiguous.  When x has at most d/4 nonzeros, as the l1 iterates
@@ -45,9 +48,10 @@ LOSS_KINDS = ("lad", "logistic", "linear")
 _SUPPORT_FRACTION = 0.25
 # Xeon, 2 MB L2, 1 BLAS thread, 32 columns -> 512 KB per block: m=8000, nnz 50
 # of 200, 561 -> 421 us; m=4000, d=2000, nnz 200, 807 -> 759 us; 256 KB and
-# 1 MB blocks were slower than 512 KB at both sizes
+# 1 MB blocks were slower than 512 KB at both sizes.  ``loss_at`` takes a
+# stack's rows in chunks of the same size.
 _RESIDUAL_BLOCK = 1 << 19  # bytes of A's columns gathered per product
-# bytes per block of stochastic iterates' residuals (``block_width``): 64
+# bytes per block of stochastic iterates' residuals (``block_width``): 65
 # iterates at m=8000.  Xeon, 2 MB L2, 1 BLAS thread, (K, 200) x (200, 8000)
 # product per iterate, hot cache, best of 40: K=32 (2 MB) 61-71 us, K=64 (4 MB)
 # 53-58 us over two runs.  On the logistic-stoch-b1 benchmark, ten 55 s runs
@@ -172,12 +176,42 @@ class CompositeProblem:
         return expit(-self.b * r) * expit(self.b * r)
 
     def loss_at(self, r):
+        """F at the residual r.  Given a (K, m) stack of residuals, returns
+        the K values as an array, each bitwise ``loss_at`` of its row.  A
+        stack is worked on in place, ``_RESIDUAL_BLOCK`` bytes of rows at a
+        time (8 rows at m = 8000), and no array of its size is allocated:
+        its rows are overwritten, so a caller that needs one copies it
+        first.  A single r is left as it is."""
         if self.loss == "linear":
             return r
+        if r.ndim == 1:
+            return float(self._term_sums(r, None, None)) / self.m
+        chunk = max(1, _RESIDUAL_BLOCK // (8 * self.m))
+        scratch = None if self.loss == "lad" else np.empty((min(chunk, len(r)), self.m))
+        sums = [self._term_sums(rows, rows, scratch)
+                for rows in (r[i:i + chunk] for i in range(0, len(r), chunk))]
+        return np.concatenate(sums) / self.m
+
+    def _term_sums(self, r, out, scratch):
+        """The sum of the loss terms of r, or of each row of r, with the
+        terms written to ``out`` (a new array if None); the logistic loss
+        also writes to ``scratch``, an array with at least r's rows, or to
+        a new one if None."""
         if self.loss == "lad":
-            return float(np.sum(np.abs(r - self.b))) / self.m
-        z = -self.b * r
-        return float(np.sum(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))))) / self.m
+            z = np.subtract(r, self.b, out=out)
+            np.abs(z, out=z)
+            return z.sum(axis=-1)
+        # softplus(z) = max(z, 0) + log1p(exp(-|z|)) at z = -b r, with
+        # -(b r) bitwise (-b) r
+        z = np.multiply(r, self.b, out=out)
+        np.negative(z, out=z)
+        t = np.abs(z, out=None if scratch is None else scratch[:len(z)])
+        np.negative(t, out=t)
+        np.exp(t, out=t)
+        np.log1p(t, out=t)
+        np.maximum(z, 0.0, out=z)
+        z += t
+        return z.sum(axis=-1)
 
     def subgradient_at(self, r):
         if self.loss == "linear":
@@ -207,7 +241,12 @@ class CompositeProblem:
         of the sampler, which the solver's step calls directly."""
         if self.loss == "linear":
             return np.arange(0), self.c.copy()
-        idx = rng.choice(self.m, size=self.batch_size, replace=False)
+        if self.batch_size == 1:
+            # the index and generator state of choice(m, 1, replace=False),
+            # in about 4 us instead of 6 us
+            idx = rng.integers(self.m, size=1)
+        else:
+            idx = rng.choice(self.m, size=self.batch_size, replace=False)
         return idx, self._rows_subgradient(x, self.A[idx], self.b[idx])
 
 

@@ -24,10 +24,16 @@ MEMBERSHIP_TOL = 1e-9
 
 class _Regularizer:
     """``value`` validates x and calls the kernel ``_value``, which the
-    solver calls directly on the iterates it made itself."""
+    solver calls directly on the iterates it made itself.  ``_value`` also
+    takes a (K, d) stack of iterates and returns the K values, reducing
+    along the last axis; each is bitwise ``_value`` of its row."""
 
     def value(self, x):
-        return self._value(as_vector(x))
+        return float(self._value(as_vector(x)))
+
+
+def _indicator(inside):
+    return np.where(inside, 0.0, np.inf)
 
 
 class L1Penalty(_Regularizer):
@@ -41,7 +47,7 @@ class L1Penalty(_Regularizer):
         self.lam = float(lam)
 
     def _value(self, x):
-        return self.lam * float(np.sum(np.abs(x)))
+        return self.lam * np.abs(x).sum(axis=-1)
 
     def __repr__(self):
         return "L1Penalty(lam=%g)" % self.lam
@@ -67,9 +73,9 @@ class BoxIndicator(_Regularizer):
         return lo, hi
 
     def _value(self, x):
-        lo, hi = self.bounds(x.size)
-        inside = np.all(x >= lo - MEMBERSHIP_TOL) and np.all(x <= hi + MEMBERSHIP_TOL)
-        return 0.0 if inside else float("inf")
+        lo, hi = self.bounds(x.shape[-1])
+        return _indicator(np.all((x >= lo - MEMBERSHIP_TOL) & (x <= hi + MEMBERSHIP_TOL),
+                                 axis=-1))
 
     def __repr__(self):
         return "BoxIndicator(lo=%s, hi=%s)" % (self.lo, self.hi)
@@ -81,8 +87,8 @@ class SimplexIndicator(_Regularizer):
     kind = "simplex"
 
     def _value(self, x):
-        inside = np.all(x >= -MEMBERSHIP_TOL) and abs(float(np.sum(x)) - 1.0) <= MEMBERSHIP_TOL
-        return 0.0 if inside else float("inf")
+        return _indicator(np.all(x >= -MEMBERSHIP_TOL, axis=-1)
+                          & (np.abs(np.sum(x, axis=-1) - 1.0) <= MEMBERSHIP_TOL))
 
     def __repr__(self):
         return "SimplexIndicator()"
@@ -99,8 +105,14 @@ class L2BallIndicator(_Regularizer):
         self.radius = float(radius)
 
     def _value(self, x):
-        inside = float(np.sqrt(np.dot(x, x))) <= self.radius + MEMBERSHIP_TOL
-        return 0.0 if inside else float("inf")
+        # the power-of-two scaling of _prox_euclid_l2ball: max|z| is in
+        # [1, 2), so z.z cannot overflow; a norm past the largest float is
+        # inf, outside the ball
+        scale = np.ldexp(1.0, np.frexp(np.max(np.abs(x), axis=-1))[1] - 1)
+        z = x / np.expand_dims(scale, -1)
+        with np.errstate(over="ignore"):
+            norm = np.sqrt(np.sum(z * z, axis=-1)) * scale
+        return _indicator(norm <= self.radius + MEMBERSHIP_TOL)
 
     def __repr__(self):
         return "L2BallIndicator(radius=%g)" % self.radius
@@ -112,7 +124,7 @@ class ZeroRegularizer(_Regularizer):
     kind = "zero"
 
     def _value(self, x):
-        return 0.0
+        return np.zeros(x.shape[:-1])
 
     def __repr__(self):
         return "ZeroRegularizer()"

@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, every
-module-level constant is read somewhere in the package, and only
-``solver._schedule_values`` calls a schedule's ``s``, ``alpha`` or ``t``.
+module-level constant is read somewhere in the package, only
+``solver._schedule_values`` calls a schedule's ``s``, ``alpha`` or ``t``,
+and only ``problems._sample`` draws from a run's random generator.
 
 No linter ships with the test environment, so this walks each module's
 syntax tree instead.  ``__init__.py`` is left out of the import check: it
@@ -11,6 +12,7 @@ import ast
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "xrda"
@@ -129,3 +131,51 @@ def test_the_walk_finds_a_schedule_call():
 def test_only_the_evaluator_calls_the_schedule():
     sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
     assert schedule_calls(sources) == []
+
+
+# every public method of numpy's Generator that draws from its stream
+GENERATOR_DRAWS = frozenset(
+    name for name in dir(np.random.Generator)
+    if not name.startswith("_") and name != "bit_generator")
+DRAW_EXEMPT = {("problems.py", "_sample"), ("problems.py", "synthetic_sparse_data")}
+
+
+def generator_draws(sources):
+    """"module line N: .name()" for each call of a Generator draw method on
+    anything but an imported module (``np.power`` is no draw), outside the
+    sampler and the synthetic-data recipe, whose generator is its own; so
+    the replayable sampling stream is drawn in one place."""
+    found = []
+    for module, source in sorted(sources.items()):
+        tree = ast.parse(source)
+        modules = {name for name, _ in imported_names(tree)}
+        allowed = {id(node) for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef) and (module, fn.name) in DRAW_EXEMPT
+                   for node in ast.walk(fn)}
+        found += ["%s line %d: .%s()" % (module, node.lineno, node.func.attr)
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in GENERATOR_DRAWS and id(node) not in allowed
+                  and not (isinstance(node.func.value, ast.Name)
+                           and node.func.value.id in modules)]
+    return found
+
+
+def test_the_walk_finds_a_generator_draw():
+    sources = {"problems.py": "import numpy as np\n"
+                              "def _sample(self, x, rng):\n"
+                              "    return rng.integers(3, size=1)\n\n"
+                              "def synthetic_sparse_data(seed):\n"
+                              "    return np.random.default_rng(seed).standard_normal(2)\n\n"
+                              "def other(rng):\n    return rng.choice(4), np.power(2, 3)\n",
+               "solver.py": "def step(state, rng):\n"
+                            "    state.rng.permutation(3)\n"
+                            "    return rng.bit_generator.state, rng.random()\n"}
+    assert generator_draws(sources) == ["problems.py line 9: .choice()",
+                                        "solver.py line 2: .permutation()",
+                                        "solver.py line 3: .random()"]
+
+
+def test_only_the_sampler_draws_from_the_generator():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert generator_draws(sources) == []

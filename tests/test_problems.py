@@ -375,3 +375,66 @@ def test_residual_of_a_stack_is_one_block_of_rows(loss, union):
     expected = X @ A_c.T
     np.testing.assert_allclose(R, expected, rtol=1e-13,
                                atol=1e-13 * np.abs(expected).max(initial=0.0))
+
+
+def bitwise(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("K", [1, 3, 9, 64])
+@pytest.mark.parametrize("loss", ["lad", "logistic", "linear"])
+def test_loss_at_of_a_stack_is_each_row_bitwise(loss, K):
+    """At m = 8000 the data losses take 8 rows per chunk: K = 3, 9 and 64
+    cover a part chunk, a chunk and a row, and whole chunks."""
+    d, m = 5, 8000
+    rng = np.random.default_rng(K)
+    X = rng.standard_normal((K, d)) * 10.0 ** rng.uniform(-3, 2, (K, 1))
+    if loss == "linear":
+        p = build_problem("linear", ZeroRegularizer(), EU, c=rng.standard_normal(d))
+    else:
+        A, b, _ = synthetic_sparse_data(loss, d=d, m=m, k=2, noise=0.3, seed=K)
+        p = build_problem(loss, L1Penalty(0.1), EU, A=A, b=b)
+    R = p.residual(X)
+    rows = [R[j].copy() for j in range(K)]
+    per_row = [p.loss_at(r) for r in rows]
+    assert all(bitwise(r, R[j]) for j, r in enumerate(rows))  # a row is left as it was
+    stacked = p.loss_at(R)
+    assert stacked.shape == (K,)
+    assert bitwise(stacked, per_row)
+    if loss != "linear":
+        assert all(type(v) is float for v in per_row)
+        assert bitwise(per_row, [one_row_loss(loss, r, p.b) for r in rows])
+
+
+def one_row_loss(loss, r, b):
+    """The loss of one residual, written out as plain numpy expressions."""
+    if loss == "lad":
+        return float(np.sum(np.abs(r - b))) / r.size
+    z = -b * r
+    return float(np.sum(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))))) / r.size
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 40, 8000, 10001, 20000, 10**6])
+def test_a_batch_of_one_draws_what_choice_draws(m):
+    """integers(m, size=1) gives the index and generator state of
+    choice(m, size=1, replace=False), so batch-1 runs replay unchanged."""
+    ours, choosing = np.random.default_rng(m), np.random.default_rng(m)
+    for _ in range(3000):
+        idx = ours.integers(m, size=1)
+        want = choosing.choice(m, size=1, replace=False)
+        assert idx.dtype == want.dtype and np.array_equal(idx, want)
+    assert ours.bit_generator.state == choosing.bit_generator.state
+
+
+def test_sample_of_a_batch_of_one_replays_choice():
+    A, b, _ = synthetic_sparse_data("logistic", d=4, m=40, k=2, noise=0.3, seed=2)
+    p = build_problem("logistic", L1Penalty(0.1), EU, A=A, b=b, batch_size=1)
+    x = np.random.default_rng(0).standard_normal(4)
+    ours, choosing = np.random.default_rng(9), np.random.default_rng(9)
+    for _ in range(200):
+        idx, g = p._sample(x, ours)
+        want = choosing.choice(40, size=1, replace=False)
+        assert np.array_equal(idx, want)
+        assert bitwise(g, p._rows_subgradient(x, A[want], b[want]))
+    assert ours.bit_generator.state == choosing.bit_generator.state

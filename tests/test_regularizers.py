@@ -1,11 +1,14 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import l2ball_projection_oracle, refine_minimize_1d, simplex_kl_oracle
 from xrda.geometry import (EuclideanMirror, MirrorDomainError,
                            NegativeEntropyMirror)
-from xrda.regularizers import (BoxIndicator, L1Penalty, L2BallIndicator,
-                               SimplexIndicator, UnsupportedPairError,
+from xrda.regularizers import (MEMBERSHIP_TOL, BoxIndicator, L1Penalty,
+                               L2BallIndicator, SimplexIndicator, UnsupportedPairError,
                                ZeroRegularizer, canonical_argmin,
                                ensure_supported, in_subdifferential,
                                mirror_prox, supported_pairs)
@@ -243,3 +246,84 @@ def test_ball_prox_is_the_plain_rescaling_bit_for_bit(rng):
         nrm = float(np.sqrt(np.dot(y, y)))
         want = y if nrm <= ball.radius else y * (ball.radius / nrm)
         assert mirror_prox(ball, EU, y, 1.0).tobytes() == want.tobytes()
+
+
+def stack_of_points(kind, K, d, rng):
+    """K rows for regularizer kind, inside and outside its set."""
+    if kind == "simplex":
+        X = rng.dirichlet(np.ones(d), size=K)
+        X[1::2] *= rng.uniform(0.5, 1.5, (len(X[1::2]), 1))
+        X[2::3, 0] = -1e-3
+        return X
+    X = rng.standard_normal((K, d)) * rng.uniform(0.05, 1.0, (K, 1))
+    X[1::3] *= 4.0
+    return X
+
+
+def one_row_value(reg, x):
+    """G at one point, written out as plain numpy expressions."""
+    tol = MEMBERSHIP_TOL
+    if reg.kind == "l1":
+        return reg.lam * float(np.sum(np.abs(x)))
+    if reg.kind == "box":
+        lo, hi = reg.bounds(x.size)
+        inside = np.all(x >= lo - tol) and np.all(x <= hi + tol)
+    elif reg.kind == "simplex":
+        inside = np.all(x >= -tol) and abs(float(np.sum(x)) - 1.0) <= tol
+    elif reg.kind == "l2ball":
+        inside = float(np.sqrt(np.dot(x, x))) <= reg.radius + tol
+    else:
+        return 0.0
+    return 0.0 if inside else float("inf")
+
+
+STACKED = {"l1": L1Penalty(0.37),
+           "box": BoxIndicator(-0.6, [0.5, 0.7, 0.9, 1.1, 1.3, 0.4, 0.6]),
+           "simplex": SimplexIndicator(), "l2ball": L2BallIndicator(1.3),
+           "zero": ZeroRegularizer()}
+
+
+@pytest.mark.parametrize("K", [1, 3, 9, 64])
+@pytest.mark.parametrize("kind", sorted(STACKED))
+def test_value_of_a_stack_is_each_row_bitwise(kind, K):
+    reg = STACKED[kind]
+    X = stack_of_points(kind, K, 7, np.random.default_rng(K))
+    values = reg._value(X)
+    assert values.shape == (K,)
+    per_row = np.array([reg.value(x) for x in X])
+    assert values.tobytes() == per_row.tobytes()
+    assert all(type(reg.value(x)) is float for x in X)
+    assert per_row.tobytes() == np.array([one_row_value(reg, x) for x in X]).tobytes()
+    if kind in ("box", "simplex", "l2ball") and K > 1:
+        assert 0.0 in per_row and np.inf in per_row
+
+
+def test_ball_value_of_a_huge_point_is_inf_without_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert L2BallIndicator(2.0).value([1e200, 1e200]) == np.inf
+        assert L2BallIndicator(2.0).value([1.7e308, -1.7e308, 1.7e308]) == np.inf
+        assert L2BallIndicator(2.0).value([1e-320, 0.0]) == 0.0
+        X = np.array([[1e200, 1e200], [1.0, 1.0], [1e-310, -1e-310]])
+        assert L2BallIndicator(2.0)._value(X).tolist() == [np.inf, 0.0, 0.0]
+
+
+def test_ball_membership_is_the_plain_norm_test_at_every_scale(rng):
+    tol = 1e-9
+    for _ in range(400):
+        x = rng.standard_normal(int(rng.integers(1, 40))) * 10.0 ** rng.uniform(-100, 100)
+        nrm = float(np.sqrt(np.dot(x, x)))
+        radius = nrm * float(rng.uniform(0.5, 1.5))
+        want = 0.0 if nrm <= radius + tol else np.inf
+        assert L2BallIndicator(radius).value(x) == want
+
+
+def test_ball_membership_holds_where_the_plain_squares_overflow(rng):
+    # x.x overflows or underflows here; math.hypot scales, as _value does
+    for exponent in (-300, -200, 160, 250, 300):
+        for _ in range(50):
+            x = rng.standard_normal(int(rng.integers(1, 40))) * 10.0 ** exponent
+            nrm = math.hypot(*x)
+            radius = nrm * float(rng.uniform(0.5, 1.5))
+            want = 0.0 if nrm <= radius + 1e-9 else np.inf
+            assert L2BallIndicator(radius).value(x) == want

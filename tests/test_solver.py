@@ -15,9 +15,9 @@ from xrda.regularizers import (BoxIndicator, L1Penalty, SimplexIndicator,
 from xrda.schedules import (Schedule, averaged_leap_frog, constant_backward,
                             constant_steps, forward_backward, leap_frog,
                             power_steps, rda)
-from xrda.solver import (ScheduleError, argmin_form_step, averaged_iterate,
-                         extract_h, init, run, step, theoretical_bound,
-                         trace_row)
+from xrda.solver import (ScheduleError, _evaluate, argmin_form_step,
+                         averaged_iterate, extract_h, init, run, step,
+                         theoretical_bound, trace_row)
 
 EU = EuclideanMirror()
 EN = NegativeEntropyMirror()
@@ -608,3 +608,59 @@ def test_a_nan_schedule_value_is_a_violation():
         st = step(init(p, sched), p)
         with pytest.raises(ScheduleError, match=name):
             step(st, p)
+
+
+def replay_best(best_f, best_x, xs, fs):
+    """best_f / best_x kept by a strict < over fs in iterate order."""
+    for x, f in zip(xs, fs):
+        if f < best_f:
+            best_f, best_x = f, x
+    return best_f, best_x
+
+
+@pytest.mark.parametrize("K", [1, 3, 9, 64])
+def test_evaluate_keeps_the_earliest_of_tied_minima(K):
+    """Integer data and iterates in eighths make every residual exact, so
+    the lad loss with b = 0 takes the same bits at c x and -c x whatever
+    product forms it, and a block holds tied minima: the first is kept,
+    as a strict < in iterate order keeps it, and a tie with the best so
+    far keeps that."""
+    rng = np.random.default_rng(K)
+    A = rng.integers(-3, 4, (30, 4)).astype(float)
+    p = build_problem("lad", ZeroRegularizer(), EU, A=A, b=np.zeros(30))
+    st = init(p, leap_frog(power_steps(1.0, 0.5)), x1=np.full(4, 4.0))
+    low = rng.integers(-4, 5, 4) / 8.0
+    xs = [(2 + j % 3) * (-1.0) ** j * low for j in range(K)]
+    xs[K // 3] = low
+    xs[K - 1] = -low
+    fs = [p.objective(x) for x in xs]
+    best_f, best_x = replay_best(st.best_f, st.best_x, xs, fs)
+    st.n = 10 + K
+    st.x = xs[-1]
+    _evaluate(st, p, xs)
+    assert st.best_f == best_f == min(fs) == fs[K - 1]
+    assert st.best_x.tobytes() == best_x.tobytes() == xs[K // 3].tobytes()
+    assert st.f_x == fs[-1]
+    assert np.array_equal(st.residual, p.residual(xs[-1]))
+
+    # a block whose minimum ties the best so far keeps the earlier iterate
+    _evaluate(st, p, [-x for x in xs])
+    assert st.best_x.tobytes() == xs[K // 3].tobytes()
+
+
+@pytest.mark.parametrize("bad", [2.0, np.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("K, first, later",
+                         [(1, 0, None), (5, 2, 4), (9, 0, 8), (64, 63, None)])
+def test_evaluate_names_the_first_iterate_whose_f_is_not_finite(K, first, later, bad):
+    """The first non-finite f of a block is named by its iterate index, the
+    one a replay in iterate order would stop at; a coordinate of 2 leaves
+    the box (f = inf), a nan one makes f nan."""
+    p = build_problem("lad", BoxIndicator(-1.0, 1.0), EU, A=np.eye(3), b=np.zeros(3))
+    st = init(p, leap_frog(power_steps(1.0, 0.5)))
+    xs = [np.full(3, 0.1 * (j % 7)) for j in range(K)]
+    xs[first] = np.array([bad, 0.0, 0.0])
+    if later is not None:
+        xs[later] = np.array([3.0, 0.0, 0.0])
+    st.n = 40 + K
+    with pytest.raises(ValueError, match="not finite at iterate %d " % (40 + first + 1)):
+        _evaluate(st, p, xs)
