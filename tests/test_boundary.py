@@ -238,7 +238,7 @@ ENTROPY_CFG = CLI_CFG.replace("mirror = euclidean", "mirror = entropy").replace(
 def test_cli_entropy_overflow_exits_2(tmp_path, loss, mode):
     # exp overflows inverting the entropy mirror at a finite dual point, an
     # OverflowError; reference_tol = inf skips the reference solve, which
-    # takes the slow uncertified fallback on the simplex
+    # this test does not need
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(ENTROPY_CFG.format(loss=loss, regularizer="regularizer = simplex",
                                       scale="1e300", iterations=50, stride=10,

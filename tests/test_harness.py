@@ -285,6 +285,47 @@ def test_reference_tol_inf_traces_against_the_start(tmp_path, capsys):
     assert list(out.glob("exp_*.csv"))
 
 
+E2E_CFG = """\
+spec_version = 1
+[problem]
+loss = {loss}
+mirror = {mirror}
+{regularizer}
+d = 30
+m = 80
+k = 5
+noise = 0.2
+data_seed = 1
+[schedule]
+preset = leap_frog
+[run]
+iterations = 300
+[output]
+stride = 20
+"""
+
+
+@pytest.mark.parametrize("loss, mirror, regularizer", [
+    ("lad", "entropy", "regularizer = simplex"),
+    ("logistic", "euclidean", "regularizer = l2ball\nradius = 2"),
+], ids=["lad-simplex", "logistic-l2ball"])
+def test_cli_run_then_strict_bound_check(tmp_path, capsys, loss, mirror, regularizer):
+    """At the default reference_tol the reference certifies, and the
+    strict bound check passes on every row."""
+    cfg = write_cfg(tmp_path, E2E_CFG.format(loss=loss, mirror=mirror,
+                                             regularizer=regularizer))
+    out = tmp_path / "o"
+    assert main(["--config", cfg, "--out", str(out), "run"]) == 0
+    trace = out / "exp_seed0.csv"
+    assert main(["check-bound", str(trace), "--strict"]) == 0
+    entry = json.loads(next((out / "_refcache").glob("*.json")).read_text())
+    assert entry["converged"] and entry["certified_gap"] <= 1e-8
+    assert all(math.isfinite(r.bound) for r in read_trace_csv(trace))
+    if mirror == "entropy":
+        # the LP vertex has zero entries: D(x^, x1) stays finite through xlogy
+        assert min(entry["x_star"]) == 0.0
+
+
 SEPARABLE_CFG = STOCH_CFG.replace("regularizer = l1\nlambda = 0.1",
                                   "regularizer = zero").replace(
     "d = 6\nm = 12\nk = 2\nnoise = 0.1\ndata_seed = 3",
