@@ -150,7 +150,8 @@ def run_experiment(cfg, out_dir=None, unsafe=False, stride=None):
     """Run one trace per seed; returns the list of written paths.
 
     Exact mode ignores seed values, so listed seeds produce identical
-    traces; the reference optimum is computed once and cached.
+    traces: it runs the trajectory once and writes it to every seed's
+    file.  The reference optimum is computed once and cached.
     """
     out = Path(out_dir) if out_dir is not None else Path(cfg.directory)
     out.mkdir(parents=True, exist_ok=True)
@@ -158,11 +159,13 @@ def run_experiment(cfg, out_dir=None, unsafe=False, stride=None):
     schedule = build_schedule_from_config(cfg)
     reference = _certified_reference(cfg, problem, out, unsafe)
     paths = []
+    result = None
     for seed in cfg.seeds:
-        result = run(problem, schedule, cfg.iterations, mode=cfg.mode, seed=seed,
-                     stride=stride if stride is not None else cfg.stride,
-                     x1=cfg.x1, reference=reference, unsafe=unsafe,
-                     timing=cfg.timing)
+        if result is None or cfg.mode == "stochastic":
+            result = run(problem, schedule, cfg.iterations, mode=cfg.mode, seed=seed,
+                         stride=stride if stride is not None else cfg.stride,
+                         x1=cfg.x1, reference=reference, unsafe=unsafe,
+                         timing=cfg.timing)
         path = out / ("%s_seed%d.csv" % (cfg.name, seed))
         write_trace_csv(result.rows, path)
         paths.append(path)

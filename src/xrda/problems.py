@@ -33,7 +33,15 @@ once.  ``synthetic_sparse_data`` fills its F-ordered A directly.
 
 Stochastic oracles draw a minibatch of rows uniformly without
 replacement and return the subgradient of the minibatch-average loss,
-which is an unbiased estimate of a full subgradient.
+which is an unbiased estimate of a full subgradient.  ``_draw`` is the
+only code that draws from a run's generator: it returns the indices of
+``count`` successive minibatches and their rows from one gather, and a
+stochastic ``run`` calls it once per block of at most ``block_width()``
+steps.  A block draw leaves the generator where ``count`` single draws
+leave it, so ``_sample`` (one draw plus its subgradient), which
+``sample_subgradient`` and ``step`` called on its own use, replays the
+same stream.  A batch of one takes its subgradient a_i w_i elementwise,
+bitwise the (1, d) product's.
 """
 
 import numpy as np
@@ -201,17 +209,16 @@ class CompositeProblem:
             z = np.subtract(r, self.b, out=out)
             np.abs(z, out=z)
             return z.sum(axis=-1)
-        # softplus(z) = max(z, 0) + log1p(exp(-|z|)) at z = -b r, with
-        # -(b r) bitwise (-b) r
-        z = np.multiply(r, self.b, out=out)
-        np.negative(z, out=z)
-        t = np.abs(z, out=None if scratch is None else scratch[:len(z)])
+        # softplus(z) = max(z, 0) + log1p(exp(-|z|)) at z = -b r, taken as
+        # t - min(w, 0) at w = b r: bitwise max(-w, 0) + t, one pass fewer
+        w = np.multiply(r, self.b, out=out)
+        t = np.abs(w, out=None if scratch is None else scratch[:len(w)])
         np.negative(t, out=t)
         np.exp(t, out=t)
         np.log1p(t, out=t)
-        np.maximum(z, 0.0, out=z)
-        z += t
-        return z.sum(axis=-1)
+        np.minimum(w, 0.0, out=w)
+        np.subtract(t, w, out=w)
+        return w.sum(axis=-1)
 
     def subgradient_at(self, r):
         if self.loss == "linear":
@@ -227,6 +234,13 @@ class CompositeProblem:
     def _rows_subgradient(self, x, A, b):
         return (A.T @ self.row_weights(A @ x, b)) / A.shape[0]
 
+    def _row_subgradient(self, x, a, b):
+        """``_rows_subgradient`` of the one row a (a (1, d) array) and its
+        target b, bitwise: the weight is worked out on scalars, the product
+        a' w elementwise, and ``+ 0.0`` gives the +0 that the product's
+        accumulation from zero gives where a_j w is -0."""
+        return a[0] * self.row_weights((a @ x)[0], b[0]) + 0.0
+
     def objective(self, x):
         return self.loss_value(x) + self.reg.value(x)
 
@@ -237,17 +251,43 @@ class CompositeProblem:
         return GradientSample(g, idx, state)
 
     def _sample(self, x, rng):
-        """The drawn rows and their minibatch subgradient at x: the one copy
-        of the sampler, which the solver's step calls directly."""
+        """The drawn rows and their minibatch subgradient at x: one
+        ``_draw``, the only code that draws from the generator, then
+        ``_batch_subgradient``."""
+        idx, A, b = self._draw(rng, 1)
+        return idx[0], self._batch_subgradient(x, A[0], b[0])
+
+    def _batch_subgradient(self, x, A, b):
+        """The minibatch subgradient at x of the drawn rows A and targets b."""
         if self.loss == "linear":
-            return np.arange(0), self.c.copy()
+            return self.c.copy()
         if self.batch_size == 1:
-            # the index and generator state of choice(m, 1, replace=False),
-            # in about 4 us instead of 6 us
-            idx = rng.integers(self.m, size=1)
+            return self._row_subgradient(x, A, b)
+        return self._rows_subgradient(x, A, b)
+
+    def _draw(self, rng, count):
+        """The indices of ``count`` successive minibatch draws, a (count,
+        batch) array, with their rows ``A[idx]`` and targets ``b[idx]`` from
+        one gather; each draw's rows are a C-contiguous (batch, d) view.  A
+        batch of one is drawn with ``integers(m, size=count)``, which gives
+        the indices and generator state of ``count`` calls of ``choice(m,
+        size=1, replace=False)``; a larger batch stacks ``count`` such
+        ``choice`` calls.  The linear loss draws nothing."""
+        if self.loss == "linear":
+            return (np.zeros((count, 0), dtype=np.int64), np.zeros((count, 0, self.d)),
+                    np.zeros((count, 0)))
+        if self.batch_size == 1:
+            idx = rng.integers(self.m, size=(count, 1))
         else:
-            idx = rng.choice(self.m, size=self.batch_size, replace=False)
-        return idx, self._rows_subgradient(x, self.A[idx], self.b[idx])
+            idx = np.array([rng.choice(self.m, size=self.batch_size, replace=False)
+                            for _ in range(count)])
+        return idx, self.A[idx], self.b[idx]
+
+    def _draw_width(self):
+        """How many draws ``run`` takes at once: at most ``block_width()``,
+        and few enough that their rows fit in ``_OBJECTIVE_BLOCK`` bytes."""
+        return max(1, min(self.block_width(),
+                          _OBJECTIVE_BLOCK // (8 * self.batch_size * self.d)))
 
 
 def build_problem(loss, reg, mirror, A=None, b=None, c=None, batch_size=None):

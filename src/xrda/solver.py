@@ -47,14 +47,24 @@ block's f.  A block ends at every trace row, at the end of the run, and
 after every step when a callback is given, so ``trace_row`` and the
 callback always see a fully evaluated state.
 
+A stochastic ``run`` also draws its minibatches a block at a time: one
+``CompositeProblem._draw`` call gives the indices and rows of up to
+``block_width()`` successive steps (fewer when the rows would pass 4 MB,
+and never past ``n_iters``), and each step gets its rows through the
+private ``_rows`` argument.  ``_draw`` is the only code that draws from
+the run's generator, and a block draw consumes it exactly as that many
+single draws, so ``step`` called on its own, which draws its rows
+itself, takes the same trajectory.
+
 Inputs are validated at the boundary: ``init`` checks the start point,
 ``build_problem`` the data, and the public mirror, regularizer and
 sampling functions their arguments.  ``step`` calls the private kernels
-behind them (``_grad``, ``_grad_inverse``, ``_prox``, ``_sample``,
-``_value``) on vectors it made itself, so no check runs per step.  An
-overflowing schedule still fails loudly: a non-finite f of an evaluated
-iterate raises ValueError, in stochastic mode when its block closes, and
-so does a non-finite dual point at the end of ``run``.
+behind them (``_grad``, ``_grad_inverse``, ``_prox``, ``_sample`` or
+``_batch_subgradient``, ``_value``) on vectors it made itself, so no
+check runs per step.  An overflowing schedule still fails loudly: a
+non-finite f of an evaluated iterate raises ValueError, in stochastic
+mode when its block closes, and so does a non-finite dual point at the
+end of ``run``.
 """
 
 import math
@@ -193,13 +203,16 @@ def _schedule_values(schedule, n, gamma_n, s_n, alpha_n, unsafe):
     return s_next, alpha_next, t_n, mu, (1.0 - mu) * gamma_n + s_n
 
 
-def step(state, problem, mode="exact", rng=None, unsafe=False, _block=None):
+def step(state, problem, mode="exact", rng=None, unsafe=False, _block=None,
+         _rows=None):
     """Advance the state by one iteration; mutates and returns it.
 
     The new iterate is evaluated at once, unless ``run`` passes a list as
     ``_block``: then it is appended there and ``residual``, ``f_x`` and
     ``best_f`` wait for ``_evaluate``.  Only a stochastic step may wait,
-    as an exact step reads the residual of its iterate.
+    as an exact step reads the residual of its iterate.  A stochastic step
+    draws its minibatch from ``rng``, unless ``run`` passes the rows and
+    targets it drew for this step as ``_rows``.
     """
     s_n, alpha_n = state.last_s, state.last_alpha
     s_next, alpha_next, t_n, mu, gamma_next = _schedule_values(
@@ -209,7 +222,10 @@ def step(state, problem, mode="exact", rng=None, unsafe=False, _block=None):
     elif mode == "stochastic":
         if rng is None:
             raise ValueError("stochastic mode needs a numpy Generator")
-        g = problem._sample(state.x, rng)[1]
+        if _rows is None:
+            g = problem._sample(state.x, rng)[1]
+        else:
+            g = problem._batch_subgradient(state.x, *_rows)
     else:
         raise ValueError("mode must be 'exact' or 'stochastic', got %r" % (mode,))
 
@@ -362,8 +378,16 @@ def run(problem, schedule, n_iters, mode="exact", seed=None, stride=100,
     rows = []
     block = [] if mode == "stochastic" and callback is None else None
     width = problem.block_width()
+    draws = problem._draw_width() if mode == "stochastic" else 0
+    drawn = None
     for i in range(n_iters):
-        state = step(state, problem, mode=mode, rng=rng, unsafe=unsafe, _block=block)
+        if draws:
+            j = i % draws
+            if j == 0:
+                _, A, b = problem._draw(rng, min(draws, n_iters - i))
+            drawn = (A[j], b[j])
+        state = step(state, problem, mode=mode, rng=rng, unsafe=unsafe, _block=block,
+                     _rows=drawn)
         if block and (len(block) == width or state.n % stride == 0 or i == n_iters - 1):
             _evaluate(state, problem, block)
             block.clear()

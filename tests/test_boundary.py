@@ -6,24 +6,28 @@ These tests pin that split: each kernel equals its public function
 bitwise, the public functions still reject bad input, a run's
 validation count does not grow with its length, and an overflowing
 schedule still fails loudly, with exit code 2 from the command line.
+A stochastic run draws its samples a block at a time through
+``_draw``, and replays exactly a loop of single steps.
 """
 
 import os
 import subprocess
 import sys
+from dataclasses import astuple
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from xrda import geometry, problems, regularizers
 from xrda.geometry import EuclideanMirror, NegativeEntropyMirror
-from xrda.problems import build_problem, synthetic_sparse_data
+from xrda.problems import CompositeProblem, build_problem, synthetic_sparse_data
 from xrda.regularizers import (BoxIndicator, L1Penalty, L2BallIndicator,
                                SimplexIndicator, ZeroRegularizer, _prox,
                                mirror_prox, supported_pairs)
 from xrda.schedules import leap_frog, power_steps
-from xrda.solver import init, run, step
+from xrda.solver import _evaluate, init, run, step, trace_row
 
 EU = EuclideanMirror()
 EN = NegativeEntropyMirror()
@@ -130,6 +134,138 @@ def test_step_draws_the_rows_sample_subgradient_draws(loss, batch):
         p.sample_subgradient(st.x, sampling)
         st = step(st, p, mode="stochastic", rng=stepping)
         assert stepping.bit_generator.state == sampling.bit_generator.state
+
+
+def block_problem(loss, batch):
+    """m = 8000 rows, so a block of draws holds 65 (``block_width()``)."""
+    if loss == "linear":
+        return build_problem("linear", L1Penalty(0.05), EU, c=np.linspace(-1.0, 1.0, 6))
+    A, b, _ = synthetic_sparse_data(loss, d=6, m=8000, k=2, noise=0.3, seed=4)
+    return build_problem(loss, L1Penalty(0.05), EU, A=A, b=b, batch_size=batch)
+
+
+@pytest.mark.parametrize("callback", [False, True], ids=["blocks", "callback"])
+@pytest.mark.parametrize("loss, batch", [("lad", 1), ("logistic", 1), ("lad", 3),
+                                         ("logistic", 3), ("linear", 1)])
+def test_run_replays_a_loop_of_single_steps(loss, batch, callback):
+    p = block_problem(loss, batch)
+    if loss != "linear":
+        assert p.block_width() == p._draw_width() == 65
+    sched = leap_frog(power_steps(0.5, 0.5))
+    n_iters, stride = 150, 7  # 150 = 2 * 65 + 20, and 7 does not divide 65
+    reference = SimpleNamespace(f_star=-1.0, x_star=np.full(p.d, 0.1))
+    counts = []
+    draw = p._draw
+    p._draw = lambda rng, count: counts.append(count) or draw(rng, count)
+    seen = []
+    result = run(p, sched, n_iters, mode="stochastic", seed=12, stride=stride,
+                 reference=reference,
+                 callback=(lambda st: seen.append(st.x.copy())) if callback else None)
+
+    # one draw per block of at most block_width() steps, none past n_iters
+    assert counts == ([n_iters] if loss == "linear" else [65, 65, 20])
+    del p._draw
+
+    # one step, and one draw, at a time; without a callback the iterates
+    # are evaluated in run's blocks, whose stacked product may round f
+    # differently from one iterate's own product
+    state = init(p, sched)
+    d_star = p.mirror.bregman(reference.x_star, state.x1)
+    rng = np.random.default_rng(12)
+    block = None if callback else []
+    xs, rows = [], []
+    for i in range(n_iters):
+        state = step(state, p, "stochastic", rng, _block=block)
+        xs.append(state.x.copy())
+        if block and (len(block) == p.block_width() or state.n % stride == 0
+                      or i == n_iters - 1):
+            _evaluate(state, p, block)
+            block.clear()
+        if state.n % stride == 0:
+            rows.append(trace_row(state, p, reference, d_star))
+    if loss == "linear":
+        assert rng.bit_generator.state == np.random.default_rng(12).bit_generator.state
+    assert same(result.state.x, state.x)
+    assert same(result.state.best_f, state.best_f)
+    assert same(result.state.best_x, state.best_x)
+    assert same(result.state.f_x, state.f_x)
+    assert len(result.rows) == len(rows) == n_iters // stride
+    for got, want in zip(result.rows, rows):
+        assert same(astuple(got), astuple(want))
+    if callback:
+        assert len(seen) == n_iters
+        assert all(same(a, b) for a, b in zip(seen, xs))
+
+
+class Gathered:
+    """Stands in for A or b: indexing returns the index array itself."""
+
+    def __getitem__(self, idx):
+        return idx
+
+
+SIZES = [1, 2, 3, 40, 8000, 10001, 2 ** 31 + 5]
+
+
+@pytest.mark.parametrize("m, batch", [(m, 1) for m in SIZES]
+                         + [(m, 3) for m in SIZES if m >= 3])
+def test_a_block_draw_is_successive_single_draws(m, batch):
+    # a problem of 2^31 rows does not fit in memory; _draw reads only these
+    fake = SimpleNamespace(loss="lad", m=m, batch_size=batch, A=Gathered(), b=Gathered())
+    for count in (1, 7, 65):
+        ours, single = np.random.default_rng(m + count), np.random.default_rng(m + count)
+        idx, A, b = CompositeProblem._draw(fake, ours, count)
+        want = [CompositeProblem._draw(fake, single, 1)[0] for _ in range(count)]
+        assert idx.shape == (count, batch) and idx.dtype == want[0].dtype
+        assert np.array_equal(idx, np.concatenate(want))
+        assert A is idx and b is idx
+        assert ours.bit_generator.state == single.bit_generator.state
+
+
+@pytest.mark.parametrize("loss, batch", [("lad", 1), ("logistic", 1), ("lad", 3)])
+def test_a_block_draw_gathers_the_rows_of_its_indices(loss, batch):
+    p = block_problem(loss, batch)
+    idx, A, b = p._draw(np.random.default_rng(2), 65)
+    assert A.shape == (65, batch, p.d) and b.shape == (65, batch)
+    assert same(A, p.A[idx]) and same(b, p.b[idx])
+    # each draw's rows are laid out as A[idx] of that draw alone, so the
+    # matrix products of its subgradient take the same bits
+    assert all(A[j].flags["C_CONTIGUOUS"] for j in range(65))
+    assert p.A[idx[0]].flags["C_CONTIGUOUS"]
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("loss", ["lad", "logistic"])
+def test_one_row_subgradient_is_the_rows_subgradient_bitwise(loss):
+    rng = np.random.default_rng(31)
+    d, m = 9, 50
+    A = rng.standard_normal((m, d))
+    A[:, [2, 5]] = 0.0                       # zero entries in every row
+    A[rng.random((m, d)) < 0.2] = 0.0
+    b = rng.choice([-1.0, 1.0], size=m) if loss == "logistic" else rng.standard_normal(m)
+    p = build_problem(loss, L1Penalty(0.1), EU, A=A, b=b, batch_size=1)
+    signed_zeros = 0
+    for trial in range(400):
+        i = [int(rng.integers(m))]
+        a = p.A[i]
+        x = rng.standard_normal(d)
+        x[rng.random(d) < 0.3] = 0.0         # zero entries in x
+        r = float((a @ x)[0])
+        if trial % 4 == 1 and r != 0.0:
+            # |r| near 800: the logistic weight expit(-b r) underflows to 0
+            x *= rng.choice([-1.0, 1.0]) * 800.0 / r
+        bi = p.b[i]
+        if loss == "lad" and trial % 4 == 2:
+            bi = a @ x                        # r = b: the weight sign(0) is 0
+        got = p._row_subgradient(x, a, bi)
+        want = p._rows_subgradient(x, a, bi)
+        assert np.array_equal(bits(got), bits(want)), (trial, got, want)
+        signed_zeros += int(np.any((want == 0.0) & (a[0] != 0.0)))
+    # the cases where a_j w is -0 were reached, so the + 0.0 is exercised
+    assert signed_zeros > 20
 
 
 def counting_as_vector(monkeypatch):

@@ -102,6 +102,24 @@ def test_run_experiment_exact_seeds_identical(tmp_path):
     assert all(r.elapsed_s == 0.0 for r in rows)
 
 
+def test_run_experiment_runs_exact_mode_once(tmp_path, monkeypatch):
+    calls = []
+    original = harness.run
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["seed"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run", counted)
+    cfg = parse_config(BASE_CFG.replace("iterations = 300",
+                                        "iterations = 300\nseeds = 1 2 3"),
+                       name="exp")
+    paths = run_experiment(cfg, out_dir=tmp_path)
+    assert calls == [1]
+    assert [p.name for p in paths] == ["exp_seed1.csv", "exp_seed2.csv", "exp_seed3.csv"]
+    assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
+
+
 def test_run_experiment_is_byte_reproducible(tmp_path):
     cfg = parse_config(BASE_CFG, name="exp")
     first = run_experiment(cfg, out_dir=tmp_path / "a")[0].read_bytes()

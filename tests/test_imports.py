@@ -1,7 +1,7 @@
 """Every name a package module imports is used in that module, every
 module-level constant is read somewhere in the package, only
 ``solver._schedule_values`` calls a schedule's ``s``, ``alpha`` or ``t``,
-and only ``problems._sample`` draws from a run's random generator.
+and only ``problems._draw`` draws from a run's random generator.
 
 No linter ships with the test environment, so this walks each module's
 syntax tree instead.  ``__init__.py`` is left out of the import check: it
@@ -137,13 +137,13 @@ def test_only_the_evaluator_calls_the_schedule():
 GENERATOR_DRAWS = frozenset(
     name for name in dir(np.random.Generator)
     if not name.startswith("_") and name != "bit_generator")
-DRAW_EXEMPT = {("problems.py", "_sample"), ("problems.py", "synthetic_sparse_data")}
+DRAW_EXEMPT = {("problems.py", "_draw"), ("problems.py", "synthetic_sparse_data")}
 
 
 def generator_draws(sources):
     """"module line N: .name()" for each call of a Generator draw method on
     anything but an imported module (``np.power`` is no draw), outside the
-    sampler and the synthetic-data recipe, whose generator is its own; so
+    draw kernel and the synthetic-data recipe, whose generator is its own; so
     the replayable sampling stream is drawn in one place."""
     found = []
     for module, source in sorted(sources.items()):
@@ -163,8 +163,8 @@ def generator_draws(sources):
 
 def test_the_walk_finds_a_generator_draw():
     sources = {"problems.py": "import numpy as np\n"
-                              "def _sample(self, x, rng):\n"
-                              "    return rng.integers(3, size=1)\n\n"
+                              "def _draw(self, rng, count):\n"
+                              "    return rng.integers(3, size=count)\n\n"
                               "def synthetic_sparse_data(seed):\n"
                               "    return np.random.default_rng(seed).standard_normal(2)\n\n"
                               "def other(rng):\n    return rng.choice(4), np.power(2, 3)\n",

@@ -425,8 +425,9 @@ def test_stochastic_step_never_takes_a_full_gradient():
     n = 25
     run(p, leap_frog(power_steps(1.0, 0.5)), n, mode="stochastic", seed=4,
         stride=2 * n)
-    # two per sampled step, one residual block for all n iterates, one in init
-    assert len(tally) == 2 * n + 2
+    # one per sampled step (a batch of one takes its a' w elementwise), one
+    # residual block for all n iterates, one in init
+    assert len(tally) == n + 2
 
 
 def test_stochastic_blocks_end_at_every_trace_row():
@@ -438,9 +439,9 @@ def test_stochastic_blocks_end_at_every_trace_row():
               stride=stride)
     rows = n // stride
     assert [r.n for r in res.rows] == [5, 10, 15, 20, 25]
-    # two per sampled step; per trace row one block ending there and one
+    # one per sampled step; per trace row one block ending there and one
     # for f_avg; the block of n = 26 at the end of the run; one in init
-    assert len(tally) == 2 * n + 2 * rows + 1 + 1
+    assert len(tally) == n + 2 * rows + 1 + 1
 
 
 def stochastic_setup(loss, lam):
