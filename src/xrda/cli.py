@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ConfigError, parse_config_file
+from .config import ConfigError, parse_config_file, with_stride
 from .harness import check_bound, compare, run_experiment
 from .problems import synthetic_sparse_data, write_dense_matrix
 from .solver import ScheduleError
@@ -47,13 +47,13 @@ def build_parser():
 def _require_config(args):
     if not args.config:
         raise ConfigError(["this command needs --config PATH"])
-    return parse_config_file(args.config)
+    cfg = parse_config_file(args.config)
+    return cfg if args.stride is None else with_stride(cfg, args.stride)
 
 
 def _cmd_run(args):
     cfg = _require_config(args)
-    paths = run_experiment(cfg, out_dir=args.out, unsafe=args.unsafe,
-                           stride=args.stride)
+    paths = run_experiment(cfg, out_dir=args.out, unsafe=args.unsafe)
     for path in paths:
         print(path)
     return 0
@@ -62,8 +62,7 @@ def _cmd_run(args):
 def _cmd_compare(args):
     cfg = _require_config(args)
     presets = [p.strip() for p in args.presets.split(",") if p.strip()]
-    result = compare(cfg, presets, out_dir=args.out, unsafe=args.unsafe,
-                     stride=args.stride)
+    result = compare(cfg, presets, out_dir=args.out, unsafe=args.unsafe)
     print(result.table())
     print(result.csv_path)
     return 0

@@ -10,7 +10,7 @@ failing so a config round of fixes needs one pass.
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .geometry import make_mirror
@@ -349,10 +349,14 @@ def parse_config(text, base_dir=".", name="experiment"):
     if "output" in sections:
         o = _Reader("output", sections["output"], errors)
         cfg.directory = o.take("directory") or cfg.directory
-        cfg.stride = o.take_int("stride", default=100, minimum=1)
+        cfg.stride = _take_stride(o)
         cfg.timing = o.take_choice("timing", ("deterministic", "wall"),
                                    default="deterministic")
         o.finish()
+
+    d = cfg.d if cfg.cost is None else len(cfg.cost)
+    if d is not None:
+        errors += _dimension_errors(cfg, d)
 
     if errors:
         raise ConfigError(errors)
@@ -362,6 +366,30 @@ def parse_config(text, base_dir=".", name="experiment"):
     cfg.problem_key = hashlib.sha256(
         "\n".join("%s = %s" % kv for kv in items).encode()).hexdigest()[:16]
     return cfg
+
+
+def _take_stride(reader):
+    return reader.take_int("stride", default=100, minimum=1)
+
+
+def with_stride(cfg, stride):
+    """cfg with its [output] stride replaced, checked by the config's rule."""
+    errors = []
+    stride = _take_stride(_Reader("output", {"stride": str(stride)}, errors))
+    if errors:
+        raise ConfigError(["--stride: %s" % e for e in errors])
+    return replace(cfg, stride=stride)
+
+
+def _dimension_errors(cfg, d):
+    """The problem has d coordinates: box bounds need 1 or d entries, and
+    the start point x1 needs d."""
+    errors = ["[problem] %s has %d entries; need 1 or d = %d" % (key, len(vals), d)
+              for key, vals in (("box_lo", cfg.box_lo), ("box_hi", cfg.box_hi))
+              if vals is not None and len(vals) not in (1, d)]
+    if cfg.x1 is not None and len(cfg.x1) != d:
+        errors.append("[run] x1 has %d entries; need d = %d" % (len(cfg.x1), d))
+    return errors
 
 
 def parse_config_file(path):
@@ -396,6 +424,9 @@ def build_problem_from_config(cfg):
     if cfg.data_a is not None:
         A = read_dense_matrix(cfg.base_dir / cfg.data_a)
         b = read_dense_matrix(cfg.base_dir / cfg.data_b, ndmin=1)
+        errors = _dimension_errors(cfg, A.shape[1])
+        if errors:
+            raise ConfigError(errors)
     else:
         A, b, _ = synthetic_sparse_data(cfg.loss, cfg.d, cfg.m, cfg.k, cfg.noise,
                                         cfg.data_seed)

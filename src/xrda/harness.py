@@ -1,62 +1,42 @@
 """Experiment harness: trace files, bound checking, preset comparison.
 
-Trace CSVs have the fixed header ``n,f_x,f_avg,gap_best,gap_avg,bound,
-backward_step,nnz,elapsed_s``; floats are written with 17 significant
-digits so values round-trip exactly, and files are written atomically
-(temp file + rename).  With the default deterministic timing a run is a
-pure function of (config text, seed) and repeated invocations produce
-byte-identical files.
+Trace CSVs have one column per field of ``solver.TraceRow``, header
+``n,f_x,f_avg,gap_best,gap_avg,bound,backward_step,nnz,elapsed_s``,
+each value written with ``%.17g`` (integers as ``str`` writes them,
+floats so they round-trip exactly) and read back with its field's type.
+Files are written atomically (temp file + rename).  With the default
+deterministic timing a run is a pure function of (config text, seed)
+and repeated invocations produce byte-identical files.
 """
 
 import hashlib
 import json
 import math
-import os
 import statistics
-import tempfile
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
 
-from .config import build_problem_from_config, build_schedule_from_config
+from .config import ConfigError, build_problem_from_config, build_schedule_from_config
+from .problems import _write_atomic
 from .reference import ReferenceSolution, reference_optimum
-from .schedules import schedule_preset
+from .schedules import PRESET_KINDS, schedule_preset
 from .solver import TraceRow, run
 
-TRACE_FIELDS = ("n", "f_x", "f_avg", "gap_best", "gap_avg", "bound",
-                "backward_step", "nnz", "elapsed_s")
+TRACE_FIELDS = tuple(f.name for f in fields(TraceRow))
 TRACE_HEADER = ",".join(TRACE_FIELDS)
+_TRACE_TYPES = tuple(f.type for f in fields(TraceRow))
 
 
 def _fmt(value):
     return "%.17g" % value
 
 
-def _write_atomic(path, text):
-    """Write text to path via a sibling temp file and a rename; the temp
-    file is removed if anything fails."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 def write_trace_csv(rows, path):
     """Atomically write trace rows; floats keep full round-trip precision."""
     path = Path(path)
-    lines = [TRACE_HEADER]
-    for r in rows:
-        lines.append(",".join((
-            str(r.n), _fmt(r.f_x), _fmt(r.f_avg), _fmt(r.gap_best),
-            _fmt(r.gap_avg), _fmt(r.bound), _fmt(r.backward_step),
-            str(r.nnz), _fmt(r.elapsed_s))))
+    lines = [TRACE_HEADER] + [",".join(map(_fmt, astuple(r))) for r in rows]
     _write_atomic(path, "\n".join(lines) + "\n")
     return path
 
@@ -74,9 +54,7 @@ def read_trace_csv(path):
             raise ValueError("%s line %d: expected %d fields, got %d"
                              % (path, lineno, len(TRACE_FIELDS), len(parts)))
         try:
-            rows.append(TraceRow(int(parts[0]), float(parts[1]), float(parts[2]),
-                                 float(parts[3]), float(parts[4]), float(parts[5]),
-                                 float(parts[6]), int(parts[7]), float(parts[8])))
+            rows.append(TraceRow(*(kind(p) for kind, p in zip(_TRACE_TYPES, parts))))
         except ValueError as exc:
             raise ValueError("%s line %d: %s" % (path, lineno, exc)) from None
     return rows
@@ -146,7 +124,7 @@ def _certified_reference(cfg, problem, out_dir, unsafe):
     return reference
 
 
-def run_experiment(cfg, out_dir=None, unsafe=False, stride=None):
+def run_experiment(cfg, out_dir=None, unsafe=False):
     """Run one trace per seed; returns the list of written paths.
 
     Exact mode ignores seed values, so listed seeds produce identical
@@ -163,9 +141,8 @@ def run_experiment(cfg, out_dir=None, unsafe=False, stride=None):
     for seed in cfg.seeds:
         if result is None or cfg.mode == "stochastic":
             result = run(problem, schedule, cfg.iterations, mode=cfg.mode, seed=seed,
-                         stride=stride if stride is not None else cfg.stride,
-                         x1=cfg.x1, reference=reference, unsafe=unsafe,
-                         timing=cfg.timing)
+                         stride=cfg.stride, x1=cfg.x1, reference=reference,
+                         unsafe=unsafe, timing=cfg.timing)
         path = out / ("%s_seed%d.csv" % (cfg.name, seed))
         write_trace_csv(result.rows, path)
         paths.append(path)
@@ -267,14 +244,19 @@ class CompareResult:
         return "\n".join(lines)
 
 
-def compare(cfg, presets, out_dir=None, unsafe=False, stride=None):
+def compare(cfg, presets, out_dir=None, unsafe=False):
     """Run several presets on the config's problem and tabulate the outcome.
 
     Presets named in the config's [schedule] section keep its parameters;
-    the others use preset defaults (s_n = n**-0.5, c = 1).
+    the others use preset defaults (s_n = n**-0.5, c = 1).  Every name is
+    checked against ``PRESET_KINDS`` before any work.
     """
     if not presets:
         raise ValueError("no presets given")
+    unknown = [p for p in presets if p not in PRESET_KINDS]
+    if unknown:
+        raise ConfigError(["unknown preset %r (choose from %s)"
+                           % (p, ", ".join(PRESET_KINDS)) for p in unknown])
     out = Path(out_dir) if out_dir is not None else Path(cfg.directory)
     out.mkdir(parents=True, exist_ok=True)
     problem = build_problem_from_config(cfg)
@@ -283,17 +265,13 @@ def compare(cfg, presets, out_dir=None, unsafe=False, stride=None):
     for preset in presets:
         if preset == cfg.preset:
             schedule = build_schedule_from_config(cfg)
-        elif preset == "rda":
-            schedule = schedule_preset("rda")
         elif preset == "averaged_leap_frog":
             schedule = schedule_preset(preset, mu=cfg.mu if cfg.mu is not None else 0.5)
         else:
             schedule = schedule_preset(preset)
         result = run(problem, schedule, cfg.iterations, mode=cfg.mode,
-                     seed=cfg.seeds[0],
-                     stride=stride if stride is not None else cfg.stride,
-                     x1=cfg.x1, reference=reference, unsafe=unsafe,
-                     timing=cfg.timing)
+                     seed=cfg.seeds[0], stride=cfg.stride, x1=cfg.x1,
+                     reference=reference, unsafe=unsafe, timing=cfg.timing)
         if not result.rows:
             raise RuntimeError("preset %s logged no rows; lower the stride" % preset)
         last = result.rows[-1]

@@ -38,11 +38,15 @@ only code that draws from a run's generator: it returns the indices of
 ``count`` successive minibatches and their rows from one gather, and a
 stochastic ``run`` calls it once per block of at most ``block_width()``
 steps.  A block draw leaves the generator where ``count`` single draws
-leave it, so ``_sample`` (one draw plus its subgradient), which
-``sample_subgradient`` and ``step`` called on its own use, replays the
-same stream.  A batch of one takes its subgradient a_i w_i elementwise,
-bitwise the (1, d) product's.
+leave it, so ``sample_subgradient`` and ``step`` called on its own, which
+each take one ``_draw(rng, 1)`` and its ``_batch_subgradient``, replay
+the same stream.  A batch of one takes its subgradient a_i w_i
+elementwise, bitwise the (1, d) product's.
 """
+
+import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from scipy.special import expit
@@ -247,15 +251,8 @@ class CompositeProblem:
     def sample_subgradient(self, x, rng):
         """Minibatch subgradient; unbiased over uniformly drawn batches."""
         state = rng.bit_generator.state
-        idx, g = self._sample(x, rng)
-        return GradientSample(g, idx, state)
-
-    def _sample(self, x, rng):
-        """The drawn rows and their minibatch subgradient at x: one
-        ``_draw``, the only code that draws from the generator, then
-        ``_batch_subgradient``."""
         idx, A, b = self._draw(rng, 1)
-        return idx[0], self._batch_subgradient(x, A[0], b[0])
+        return GradientSample(self._batch_subgradient(x, A[0], b[0]), idx[0], state)
 
     def _batch_subgradient(self, x, A, b):
         """The minibatch subgradient at x of the drawn rows A and targets b."""
@@ -344,6 +341,30 @@ def read_dense_matrix(path, ndmin=2):
     return out
 
 
+def _write_atomic(path, text):
+    """Write text to path via a sibling temp file and a rename; the temp
+    file is removed if anything fails.  Every file the package writes
+    goes through here."""
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 def write_dense_matrix(path, arr):
-    """Write the dense text format with full float64 round-trip precision."""
-    np.savetxt(path, np.asarray(arr, dtype=float), fmt="%.17g")
+    """Atomically write the dense text format with full float64 round-trip
+    precision: the bytes of ``np.savetxt(path, arr, fmt="%.17g")``."""
+    arr = np.asarray(arr, dtype=float)
+    if arr.ndim not in (1, 2):
+        raise ValueError("expected a 1-d or 2-d array, got shape %s" % (arr.shape,))
+    rows = arr[:, None] if arr.ndim == 1 else arr
+    line = " ".join(["%.17g"] * rows.shape[1]) + "\n"
+    _write_atomic(path, "".join(line % tuple(row) for row in rows))

@@ -33,10 +33,11 @@ alpha_{n+1}, t_n and s_{n+1}, so a violation at index n+1 stops the run
 at step n, before any bound uses it.  (A trace row's backward-step
 column re-evaluates alpha_{n+1} and t_n, unchecked, as a preview.)
 
-The guarantee is on the best iterate, so every iterate's f is evaluated.
-An exact step needs the residual A x_n for its subgradient, so ``step``
-evaluates each new iterate at once.  A stochastic trajectory never reads
-f or the residual, so ``run`` evaluates its iterates in blocks: it keeps
+The guarantee is on the best iterate, so ``_evaluate``, the only code
+that computes f, evaluates every iterate, x_1 included.  An exact step
+needs the residual A x_n for its subgradient, so ``step`` evaluates each
+new iterate at once.  A stochastic trajectory never reads f or the
+residual, so ``run`` evaluates its iterates in blocks: it keeps
 up to ``CompositeProblem.block_width()`` of them (65 at m = 8000) and
 takes their residuals from one product that reads A once (a BLAS-3
 product instead of one matrix-vector product per step).  ``loss_at``
@@ -50,16 +51,17 @@ callback always see a fully evaluated state.
 A stochastic ``run`` also draws its minibatches a block at a time: one
 ``CompositeProblem._draw`` call gives the indices and rows of up to
 ``block_width()`` successive steps (fewer when the rows would pass 4 MB,
-and never past ``n_iters``), and each step gets its rows through the
-private ``_rows`` argument.  ``_draw`` is the only code that draws from
-the run's generator, and a block draw consumes it exactly as that many
-single draws, so ``step`` called on its own, which draws its rows
-itself, takes the same trajectory.
+and never past ``n_iters``), and each step gets its rows, and leaves its
+evaluation to ``run``, through the private ``_rows`` argument.
+``_draw`` is the only code that draws from the run's generator, and a
+block draw consumes it exactly as that many single draws, so ``step``
+called on its own, which draws its rows itself, takes the same
+trajectory.
 
 Inputs are validated at the boundary: ``init`` checks the start point,
 ``build_problem`` the data, and the public mirror, regularizer and
 sampling functions their arguments.  ``step`` calls the private kernels
-behind them (``_grad``, ``_grad_inverse``, ``_prox``, ``_sample`` or
+behind them (``_grad``, ``_grad_inverse``, ``_prox``, ``_draw``,
 ``_batch_subgradient``, ``_value``) on vectors it made itself, so no
 check runs per step.  An overflowing schedule still fails loudly: a
 non-finite f of an evaluated iterate raises ValueError, in stochastic
@@ -161,16 +163,16 @@ def init(problem, schedule, x1=None):
             "canonical minimum %g" % (reg.value(x1), reg.value(canonical)))
     s1, alpha1 = _schedule_values(schedule, 0, 0.0, math.inf, 0.0, unsafe=False)[:2]
     xt1 = mirror.grad(x1)
-    r1 = problem.residual(x1)
-    f1 = problem.loss_at(r1) + reg.value(x1)
-    return SolverState(
+    state = SolverState(
         schedule=schedule, n=1, x=x1.copy(),
         x_tilde=xt1.copy(), x_tilde_half=xt1.copy(), x_tilde_1=xt1.copy(),
         x1=x1.copy(), gamma=0.0,
         s_sum=s1, weighted_sum=s1 * x1, bound_acc=s1 * s1 / alpha1,
         dual_accum=np.zeros(d), h=np.zeros(d),
-        residual=r1, f_x=f1, best_f=f1, best_x=x1.copy(),
+        residual=None, f_x=None, best_f=math.inf, best_x=None,
         last_s=s1, last_alpha=alpha1)
+    _evaluate(state, problem, [x1])
+    return state
 
 
 def _schedule_values(schedule, n, gamma_n, s_n, alpha_n, unsafe):
@@ -203,16 +205,14 @@ def _schedule_values(schedule, n, gamma_n, s_n, alpha_n, unsafe):
     return s_next, alpha_next, t_n, mu, (1.0 - mu) * gamma_n + s_n
 
 
-def step(state, problem, mode="exact", rng=None, unsafe=False, _block=None,
-         _rows=None):
+def step(state, problem, mode="exact", rng=None, unsafe=False, _rows=None):
     """Advance the state by one iteration; mutates and returns it.
 
-    The new iterate is evaluated at once, unless ``run`` passes a list as
-    ``_block``: then it is appended there and ``residual``, ``f_x`` and
-    ``best_f`` wait for ``_evaluate``.  Only a stochastic step may wait,
-    as an exact step reads the residual of its iterate.  A stochastic step
-    draws its minibatch from ``rng``, unless ``run`` passes the rows and
-    targets it drew for this step as ``_rows``.
+    A stochastic step draws its minibatch from ``rng`` and the new iterate
+    is evaluated at once, unless ``run`` passes the rows and targets it
+    drew for this step as ``_rows``: then ``run`` evaluates the iterate,
+    and ``residual``, ``f_x`` and ``best_f`` wait for it.  An exact step
+    always evaluates at once, as the next one reads its residual.
     """
     s_n, alpha_n = state.last_s, state.last_alpha
     s_next, alpha_next, t_n, mu, gamma_next = _schedule_values(
@@ -223,7 +223,8 @@ def step(state, problem, mode="exact", rng=None, unsafe=False, _block=None,
         if rng is None:
             raise ValueError("stochastic mode needs a numpy Generator")
         if _rows is None:
-            g = problem._sample(state.x, rng)[1]
+            _, A, b = problem._draw(rng, 1)
+            g = problem._batch_subgradient(state.x, A[0], b[0])
         else:
             g = problem._batch_subgradient(state.x, *_rows)
     else:
@@ -250,10 +251,8 @@ def step(state, problem, mode="exact", rng=None, unsafe=False, _block=None,
     state.weighted_sum += s_next * x_next
     state.bound_acc += s_next * s_next / alpha_next
 
-    if _block is None:
+    if _rows is None:
         _evaluate(state, problem, [x_next])
-    else:
-        _block.append(x_next)
     return state
 
 
@@ -361,8 +360,11 @@ def run(problem, schedule, n_iters, mode="exact", seed=None, stride=100,
     A stochastic run evaluates its iterates in blocks (see the module
     docstring); each block ends at a trace row, at the end of the run, or
     when it holds ``problem.block_width()`` iterates.  With a callback
-    every iterate is evaluated before the callback sees it.  Either way
-    the returned state and every TraceRow are fully evaluated."""
+    every iterate is evaluated alone, before the callback sees it.  Either
+    way the returned state and every TraceRow are fully evaluated, but an
+    iterate evaluated alone may round f differently in the last bit: a
+    callback can change the last bits of ``f_x``, ``best_f`` and
+    ``gap_best`` (and on a near tie ``best_x``), and nothing else."""
     if n_iters < 1:
         raise ValueError("need at least one iteration")
     if stride < 1:
@@ -376,7 +378,7 @@ def run(problem, schedule, n_iters, mode="exact", seed=None, stride=100,
         d_star = problem.mirror.bregman(reference.x_star, state.x1)
     t0 = time.perf_counter() if timing == "wall" else None
     rows = []
-    block = [] if mode == "stochastic" and callback is None else None
+    block = []
     width = problem.block_width()
     draws = problem._draw_width() if mode == "stochastic" else 0
     drawn = None
@@ -386,11 +388,13 @@ def run(problem, schedule, n_iters, mode="exact", seed=None, stride=100,
             if j == 0:
                 _, A, b = problem._draw(rng, min(draws, n_iters - i))
             drawn = (A[j], b[j])
-        state = step(state, problem, mode=mode, rng=rng, unsafe=unsafe, _block=block,
-                     _rows=drawn)
-        if block and (len(block) == width or state.n % stride == 0 or i == n_iters - 1):
-            _evaluate(state, problem, block)
-            block.clear()
+        state = step(state, problem, mode=mode, rng=rng, unsafe=unsafe, _rows=drawn)
+        if drawn is not None:  # the step left its iterate to this loop
+            block.append(state.x)
+            if (callback is not None or len(block) == width
+                    or state.n % stride == 0 or i == n_iters - 1):
+                _evaluate(state, problem, block)
+                block.clear()
         if callback is not None:
             callback(state)
         if state.n % stride == 0:

@@ -121,9 +121,10 @@ def test_step_draws_the_rows_sample_subgradient_draws(loss, batch):
     x = np.random.default_rng(1).standard_normal(6)
     ours, public = np.random.default_rng(11), np.random.default_rng(11)
     for _ in range(20):
-        idx, g = p._sample(x, ours)
+        idx, rows, targets = p._draw(ours, 1)
+        g = p._batch_subgradient(x, rows[0], targets[0])
         sample = p.sample_subgradient(x, public)
-        assert np.array_equal(idx, sample.indices)
+        assert np.array_equal(idx[0], sample.indices)
         assert same(g, sample.value)
     assert ours.bit_generator.state == public.bit_generator.state
 
@@ -166,16 +167,22 @@ def test_run_replays_a_loop_of_single_steps(loss, batch, callback):
     assert counts == ([n_iters] if loss == "linear" else [65, 65, 20])
     del p._draw
 
-    # one step, and one draw, at a time; without a callback the iterates
-    # are evaluated in run's blocks, whose stacked product may round f
-    # differently from one iterate's own product
+    # one step, and one draw, at a time; with a callback each step draws
+    # and evaluates on its own, without one the iterates are evaluated in
+    # run's blocks, whose stacked product may round f differently from one
+    # iterate's own product
     state = init(p, sched)
     d_star = p.mirror.bregman(reference.x_star, state.x1)
     rng = np.random.default_rng(12)
-    block = None if callback else []
+    block = []
     xs, rows = [], []
     for i in range(n_iters):
-        state = step(state, p, "stochastic", rng, _block=block)
+        if callback:
+            state = step(state, p, "stochastic", rng)
+        else:
+            _, drawn, targets = p._draw(rng, 1)
+            state = step(state, p, "stochastic", rng, _rows=(drawn[0], targets[0]))
+            block.append(state.x)
         xs.append(state.x.copy())
         if block and (len(block) == p.block_width() or state.n % stride == 0
                       or i == n_iters - 1):

@@ -5,7 +5,7 @@ import pytest
 
 from xrda.config import (ConfigError, build_problem_from_config,
                          build_schedule_from_config, parse_config,
-                         parse_config_file)
+                         parse_config_file, with_stride)
 from xrda.problems import write_dense_matrix
 
 GOLDEN = """\
@@ -341,3 +341,55 @@ def test_reference_tol_may_be_inf_but_not_nan(value):
     assert parse_config(text.format("inf")).reference_tol == math.inf
     with pytest.raises(ConfigError, match="reference_tol = .* finite number or inf"):
         parse_config(text.format(value))
+
+
+# (line to replace, replacement, error) in MINIMAL, whose d is 4, or in
+# LINEAR, whose 4 costs give d = 4
+BAD_DIMENSIONS = [
+    ("regularizer = zero", "regularizer = box\nbox_lo = 0 0 0\nbox_hi = 1",
+     r"\[problem\] box_lo has 3 entries; need 1 or d = 4"),
+    ("regularizer = zero", "regularizer = box\nbox_lo = 0\nbox_hi = 1 1 1 1 1",
+     r"\[problem\] box_hi has 5 entries; need 1 or d = 4"),
+    ("iterations = 10", "iterations = 10\nx1 = 0 0 0", r"\[run\] x1 has 3 entries; need d = 4"),
+]
+
+
+@pytest.mark.parametrize("base", [MINIMAL, LINEAR], ids=["synthetic", "linear"])
+@pytest.mark.parametrize("old, new, message", BAD_DIMENSIONS, ids=["box_lo", "box_hi", "x1"])
+def test_dimensions_are_checked_against_d(base, old, new, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config(base.replace(old, new))
+
+
+def test_scalar_and_full_box_bounds_parse():
+    for lo, hi in (("0", "1"), ("0 0 0 0", "1"), ("0", "1 1 1 1")):
+        cfg = parse_config(MINIMAL.replace(
+            "regularizer = zero", "regularizer = box\nbox_lo = %s\nbox_hi = %s" % (lo, hi)))
+        assert len(cfg.box_lo) in (1, 4)
+
+
+def test_data_file_dimensions_are_checked_before_the_problem_is_built(tmp_path):
+    A = np.random.default_rng(0).standard_normal((6, 3))
+    write_dense_matrix(tmp_path / "A.txt", A)
+    write_dense_matrix(tmp_path / "b.txt", A[:, 0])
+    files = MINIMAL.replace("d = 4\nm = 6\nk = 1\nnoise = 0.0\ndata_seed = 0",
+                            "data_a = A.txt\ndata_b = b.txt")
+    cfg = parse_config(files.replace("iterations = 10", "iterations = 10\nx1 = 0 0 0 0"),
+                       base_dir=tmp_path)
+    with pytest.raises(ConfigError, match=r"x1 has 4 entries; need d = 3"):
+        build_problem_from_config(cfg)
+    cfg = parse_config(files.replace(
+        "regularizer = zero", "regularizer = box\nbox_lo = -1 -1\nbox_hi = 1"),
+        base_dir=tmp_path)
+    with pytest.raises(ConfigError, match=r"box_lo has 2 entries; need 1 or d = 3"):
+        build_problem_from_config(cfg)
+    cfg = parse_config(files.replace("iterations = 10", "iterations = 10\nx1 = 0 0 0"),
+                       base_dir=tmp_path)
+    assert build_problem_from_config(cfg).d == 3
+
+
+def test_with_stride_applies_the_config_rule():
+    cfg = parse_config(MINIMAL)
+    assert with_stride(cfg, 7).stride == 7 and cfg.stride == 100
+    with pytest.raises(ConfigError, match=r"--stride: \[output\] stride = 0 must be >= 1"):
+        with_stride(cfg, 0)

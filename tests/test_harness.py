@@ -1,6 +1,8 @@
 import hashlib
+import inspect
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -429,7 +431,7 @@ def test_cli_unsafe_traces_fail_bound_check(tmp_path, capsys):
 
 def test_failed_writes_leave_no_temp_files(tmp_path, monkeypatch):
     cfg = parse_config(BASE_CFG, name="exp")
-    real_replace = harness.os.replace
+    real_replace = os.replace
 
     def refuse(src, dst):
         raise OSError("rename refused")
@@ -438,16 +440,16 @@ def test_failed_writes_leave_no_temp_files(tmp_path, monkeypatch):
         return sorted(p.name for p in tmp_path.rglob("*.tmp"))
 
     # cold cache: the reference cache write is the first to fail
-    monkeypatch.setattr(harness.os, "replace", refuse)
+    monkeypatch.setattr(os, "replace", refuse)
     with pytest.raises(OSError, match="rename refused"):
         compare(cfg, ["leap_frog"], out_dir=tmp_path)
     assert leftovers() == []
     assert (tmp_path / "_refcache").is_dir()
 
     # warm cache: now the comparison CSV write fails
-    monkeypatch.setattr(harness.os, "replace", real_replace)
+    monkeypatch.setattr(os, "replace", real_replace)
     run_experiment(cfg, out_dir=tmp_path)
-    monkeypatch.setattr(harness.os, "replace", refuse)
+    monkeypatch.setattr(os, "replace", refuse)
     with pytest.raises(OSError, match="rename refused"):
         compare(cfg, ["leap_frog"], out_dir=tmp_path)
     assert leftovers() == []
@@ -544,3 +546,56 @@ def test_cli_schedule_violation_at_the_last_step_exits_2(tmp_path, capsys, monke
     assert main(["--config", cfg, "--out", str(out), "--unsafe", "run"]) == 0
     rows = read_trace_csv(out / "exp_seed0.csv")
     assert rows[-1].n == 11 and math.isnan(rows[-1].bound)
+
+
+def write_data_files(tmp_path, d):
+    A, b, _ = synthetic_sparse_data("lad", d, 12, 2, 0.1, 3)
+    write_dense_matrix(tmp_path / "A.txt", A)
+    write_dense_matrix(tmp_path / "b.txt", b)
+    return BASE_CFG.replace("d = 6\nm = 12\nk = 2\nnoise = 0.1\ndata_seed = 3",
+                            "data_a = A.txt\ndata_b = b.txt")
+
+
+@pytest.mark.parametrize("command", [["run"], ["compare", "--presets", "leap_frog"]],
+                         ids=["run", "compare"])
+@pytest.mark.parametrize("case", ["box_lo", "x1", "x1-data-files"])
+def test_cli_bad_dimensions_exit_1_before_any_work(tmp_path, capsys, command, case):
+    if case == "box_lo":
+        text = BASE_CFG.replace("regularizer = l1\nlambda = 0.1",
+                                "regularizer = box\nbox_lo = -1 -1 -1\nbox_hi = 1")
+    elif case == "x1":
+        text = BASE_CFG.replace("iterations = 300", "iterations = 300\nx1 = 0 0 0 0 0")
+    else:
+        text = write_data_files(tmp_path, 6).replace("iterations = 300",
+                                                     "iterations = 300\nx1 = 0 0 0 0 0")
+    out = tmp_path / "o"
+    assert main(["--config", write_cfg(tmp_path, text), "--out", str(out)] + command) == 1
+    assert "entries; need" in capsys.readouterr().err
+    assert not (out / "_refcache").exists()
+
+
+def test_cli_stride_override_is_checked_before_any_work(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, BASE_CFG)
+    out = tmp_path / "o"
+    for command in (["run"], ["compare", "--presets", "leap_frog"]):
+        assert main(["--config", cfg, "--out", str(out), "--stride", "0"] + command) == 1
+        assert "--stride: [output] stride = 0 must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+    assert main(["--config", cfg, "--out", str(out), "--stride", "75", "run"]) == 0
+    assert [r.n for r in read_trace_csv(out / "exp_seed0.csv")] == [75, 150, 225, 300]
+
+
+def test_the_harness_takes_its_stride_from_the_config():
+    for fn in (run_experiment, compare):
+        assert "stride" not in inspect.signature(fn).parameters
+
+
+def test_cli_unknown_preset_exits_1_before_any_run(tmp_path, capsys, monkeypatch):
+    runs = []
+    monkeypatch.setattr(harness, "run", lambda *a, **k: runs.append(a))
+    out = tmp_path / "o"
+    code = main(["--config", write_cfg(tmp_path, BASE_CFG), "--out", str(out),
+                 "compare", "--presets", "leap_frog,bogus"])
+    assert code == 1
+    assert "unknown preset 'bogus'" in capsys.readouterr().err
+    assert runs == [] and not out.exists()

@@ -1,7 +1,9 @@
 """Every name a package module imports is used in that module, every
 module-level constant is read somewhere in the package, only
 ``solver._schedule_values`` calls a schedule's ``s``, ``alpha`` or ``t``,
-and only ``problems._draw`` draws from a run's random generator.
+only ``solver._evaluate`` calls ``residual``, ``loss_at`` or ``_value`` in
+the solver, and only ``problems._draw`` draws from a run's random
+generator.
 
 No linter ships with the test environment, so this walks each module's
 syntax tree instead.  ``__init__.py`` is left out of the import check: it
@@ -98,24 +100,40 @@ def test_package_constants_are_all_read():
 
 SCHEDULE_ATTRS = ("s", "alpha", "t")
 EVALUATOR = ("solver.py", "_schedule_values")
+OBJECTIVE_ATTRS = ("residual", "loss_at", "_value")
+OBJECTIVE_EVALUATOR = ("solver.py", "_evaluate")
 
 
-def schedule_calls(sources):
-    """"module line N: .name()" for each call of an attribute named s, alpha
-    or t in ``sources`` (a {module name: source} dict) outside the one
-    evaluator, so that each schedule value is evaluated and checked in one
-    place."""
+def calls_outside(sources, attrs, owner):
+    """"module line N: .name()" for each call of an attribute named in
+    ``attrs`` in ``sources`` (a {module name: source} dict) outside the
+    function ``owner``, a (module, function name) pair."""
     found = []
     for module, source in sorted(sources.items()):
         tree = ast.parse(source)
         allowed = {id(node) for fn in ast.walk(tree)
-                   if isinstance(fn, ast.FunctionDef) and (module, fn.name) == EVALUATOR
+                   if isinstance(fn, ast.FunctionDef) and (module, fn.name) == owner
                    for node in ast.walk(fn)}
         found += ["%s line %d: .%s()" % (module, node.lineno, node.func.attr)
                   for node in ast.walk(tree)
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                  and node.func.attr in SCHEDULE_ATTRS and id(node) not in allowed]
+                  and node.func.attr in attrs and id(node) not in allowed]
     return found
+
+
+def schedule_calls(sources):
+    """Each call of an attribute named s, alpha or t outside the one
+    evaluator, so that each schedule value is evaluated and checked in one
+    place."""
+    return calls_outside(sources, SCHEDULE_ATTRS, EVALUATOR)
+
+
+def objective_calls(solver_source):
+    """Each call of ``.residual``, ``.loss_at`` or ``._value`` in the
+    solver outside ``_evaluate``, so that f of every iterate, the first
+    included, is computed in one place."""
+    return calls_outside({"solver.py": solver_source}, OBJECTIVE_ATTRS,
+                         OBJECTIVE_EVALUATOR)
 
 
 def test_the_walk_finds_a_schedule_call():
@@ -131,6 +149,22 @@ def test_the_walk_finds_a_schedule_call():
 def test_only_the_evaluator_calls_the_schedule():
     sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
     assert schedule_calls(sources) == []
+
+
+def test_the_walk_finds_an_objective_call():
+    source = ("def _evaluate(state, problem, xs):\n"
+              "    r = problem.residual(xs[0])\n"
+              "    return problem.loss_at(r) + problem.reg._value(xs[0])\n\n"
+              "def init(problem, x1):\n"
+              "    f = problem.loss_at(problem.residual(x1)) + problem.reg.value(x1)\n"
+              "    return f, problem.objective(x1), problem.reg._value(x1)\n")
+    assert sorted(objective_calls(source)) == ["solver.py line 6: .loss_at()",
+                                               "solver.py line 6: .residual()",
+                                               "solver.py line 7: ._value()"]
+
+
+def test_only_the_evaluator_computes_f_in_the_solver():
+    assert objective_calls((PACKAGE / "solver.py").read_text()) == []
 
 
 # every public method of numpy's Generator that draws from its stream

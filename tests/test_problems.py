@@ -1,4 +1,5 @@
 import itertools
+import os
 
 import mpmath
 import numpy as np
@@ -179,6 +180,31 @@ def test_matrix_file_roundtrip(tmp_path):
     vpath = tmp_path / "b.txt"
     write_dense_matrix(vpath, vec)
     assert np.array_equal(read_dense_matrix(vpath, ndmin=1), vec)
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (1, 4), (7,), (0,)])
+def test_matrix_file_bytes_are_savetxt_bytes(tmp_path, shape):
+    arr = np.random.default_rng(3).standard_normal(shape) * 10.0 ** np.arange(shape[-1])
+    if arr.size:
+        arr.flat[0] = -0.0
+    write_dense_matrix(tmp_path / "ours.txt", arr)
+    np.savetxt(tmp_path / "numpy.txt", arr, fmt="%.17g")
+    assert (tmp_path / "ours.txt").read_bytes() == (tmp_path / "numpy.txt").read_bytes()
+
+
+def test_a_failed_matrix_write_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "A.txt"
+    write_dense_matrix(path, np.eye(2))
+    old = path.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        write_dense_matrix(path, np.ones((3, 3)))
+    assert path.read_bytes() == old
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_matrix_file_errors(tmp_path):
@@ -433,8 +459,9 @@ def test_sample_of_a_batch_of_one_replays_choice():
     x = np.random.default_rng(0).standard_normal(4)
     ours, choosing = np.random.default_rng(9), np.random.default_rng(9)
     for _ in range(200):
-        idx, g = p._sample(x, ours)
+        idx, rows, targets = p._draw(ours, 1)
+        g = p._batch_subgradient(x, rows[0], targets[0])
         want = choosing.choice(40, size=1, replace=False)
-        assert np.array_equal(idx, want)
+        assert np.array_equal(idx[0], want)
         assert bitwise(g, p._rows_subgradient(x, A[want], b[want]))
     assert ours.bit_generator.state == choosing.bit_generator.state

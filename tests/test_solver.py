@@ -1,13 +1,14 @@
 import collections
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from xrda.geometry import (EuclideanMirror, MirrorDomainError,
                            NegativeEntropyMirror)
-from xrda import problems
+from xrda import problems, solver
 from xrda.problems import build_problem, synthetic_sparse_data
 from xrda.reference import prox_subgradient_iterates, reference_optimum
 from xrda.regularizers import (BoxIndicator, L1Penalty, SimplexIndicator,
@@ -497,6 +498,54 @@ def test_stochastic_run_with_callback_sees_evaluated_states():
     res = run(p, sched, 40, mode="stochastic", seed=3, stride=7, callback=check)
     assert len(seen) == 40
     assert res.state.best_f == min(seen + [p.objective(res.state.x1)])
+
+
+@pytest.mark.parametrize("loss", ["lad", "logistic"])
+def test_a_callback_changes_at_most_the_last_bits_of_f(loss, monkeypatch):
+    """With a callback each stochastic iterate is evaluated alone, by a
+    matrix-vector product; without one, in blocks, by a matrix-matrix
+    product, which may round f differently in the last bit.  Nothing else
+    changes: not the iterates, the draws, or any column but f_x and
+    gap_best."""
+    A, b, _ = synthetic_sparse_data(loss, d=6, m=8000, k=2, noise=0.3, seed=4)
+    p = build_problem(loss, L1Penalty(0.05), EU, A=A, b=b, batch_size=1)
+    sched = leap_frog(power_steps(0.5, 0.5))
+    reference = SimpleNamespace(f_star=-1.0, x_star=np.full(p.d, 0.1))
+    draw, real_step = p._draw, solver.step
+
+    def traced_run(callback):
+        draws, xs = [], []
+
+        def record_draw(rng, count):
+            out = draw(rng, count)
+            draws.append(out[0])
+            return out
+
+        def record_step(*args, **kwargs):
+            state = real_step(*args, **kwargs)
+            xs.append(state.x.copy())
+            return state
+
+        p._draw = record_draw
+        monkeypatch.setattr(solver, "step", record_step)
+        result = run(p, sched, 150, mode="stochastic", seed=12, stride=7,
+                     reference=reference, callback=callback)
+        return result, np.concatenate(draws), np.array(xs)
+
+    plain, plain_draws, plain_xs = traced_run(None)
+    observed, observed_draws, observed_xs = traced_run(lambda st: None)
+    del p._draw
+    assert len(plain_xs) == 150
+    assert np.array_equal(plain_draws, observed_draws)
+    assert np.array_equal(plain_xs.view(np.int64), observed_xs.view(np.int64))
+    assert len(plain.rows) == len(observed.rows) == 150 // 7
+    for got, want in zip(observed.rows, plain.rows):
+        for field in ("n", "f_avg", "gap_avg", "bound", "backward_step", "nnz"):
+            assert np.float64(getattr(got, field)).view(np.int64) \
+                == np.float64(getattr(want, field)).view(np.int64), field
+        for field in ("f_x", "gap_best"):
+            assert getattr(got, field) == pytest.approx(getattr(want, field),
+                                                        rel=1e-13, abs=0.0), field
 
 
 def test_exact_step_after_stochastic_run_matches_accumulated_form():
