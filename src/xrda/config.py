@@ -204,6 +204,9 @@ class _Reader:
             vals = [float(tok) for tok in raw.split()]
         except ValueError:
             vals = None
+        if vals == []:
+            self.error("%s list is empty" % key)
+            return None
         if vals is None or not all(map(math.isfinite, vals)):
             self.error("%s = %r is not a whitespace-separated list of finite numbers"
                        % (key, raw))
@@ -349,7 +352,7 @@ def parse_config(text, base_dir=".", name="experiment"):
     if "output" in sections:
         o = _Reader("output", sections["output"], errors)
         cfg.directory = o.take("directory") or cfg.directory
-        cfg.stride = _take_stride(o)
+        cfg.stride = _take_stride(o, cfg.iterations)
         cfg.timing = o.take_choice("timing", ("deterministic", "wall"),
                                    default="deterministic")
         o.finish()
@@ -368,14 +371,24 @@ def parse_config(text, base_dir=".", name="experiment"):
     return cfg
 
 
-def _take_stride(reader):
-    return reader.take_int("stride", default=100, minimum=1)
+def _take_stride(reader, iterations):
+    """The stride (default 100); one that is given must be >= 1 and log
+    at least one row, and a run's iterates after x_1 are numbered 2 to
+    iterations + 1."""
+    stride = reader.take_int("stride", minimum=1)
+    if stride is None:  # not given, or already reported
+        return 100
+    if iterations is not None and stride > iterations + 1:
+        reader.error("stride = %d exceeds iterations + 1 = %d, so no trace row "
+                     "would be logged" % (stride, iterations + 1))
+    return stride
 
 
 def with_stride(cfg, stride):
     """cfg with its [output] stride replaced, checked by the config's rule."""
     errors = []
-    stride = _take_stride(_Reader("output", {"stride": str(stride)}, errors))
+    stride = _take_stride(_Reader("output", {"stride": str(stride)}, errors),
+                          cfg.iterations)
     if errors:
         raise ConfigError(["--stride: %s" % e for e in errors])
     return replace(cfg, stride=stride)
@@ -418,20 +431,18 @@ def build_problem_from_config(cfg):
     """Materialize the CompositeProblem a config describes."""
     mirror = make_mirror(cfg.mirror)
     reg = _make_regularizer(cfg)
-    if cfg.loss == "linear":
-        return build_problem("linear", reg, mirror, c=cfg.cost,
-                             batch_size=cfg.batch_size)
+    A = b = None  # the linear loss has only its cost vector
     if cfg.data_a is not None:
         A = read_dense_matrix(cfg.base_dir / cfg.data_a)
         b = read_dense_matrix(cfg.base_dir / cfg.data_b, ndmin=1)
         errors = _dimension_errors(cfg, A.shape[1])
         if errors:
             raise ConfigError(errors)
-    else:
+    elif cfg.loss != "linear":
         A, b, _ = synthetic_sparse_data(cfg.loss, cfg.d, cfg.m, cfg.k, cfg.noise,
                                         cfg.data_seed)
     try:
-        return build_problem(cfg.loss, reg, mirror, A=A, b=b,
+        return build_problem(cfg.loss, reg, mirror, A=A, b=b, c=cfg.cost,
                              batch_size=cfg.batch_size)
     except ValueError as exc:
         raise ConfigError(["[problem] %s" % exc])

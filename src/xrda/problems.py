@@ -150,7 +150,11 @@ class CompositeProblem:
 
         Given a (K, d) stack of iterates, returns their K residuals as the
         rows of one (K, m) array, that is the (m, K) block with contiguous
-        columns, from one product that reads A once.  The support rule is
+        columns, from one product that reads A once.  A stochastic run
+        evaluates a block of 4 or more iterates as two row halves of at
+        least 2 rows each, one residual call per half on two threads, each
+        reading A once; a 1-row stack would go to gemv and round
+        differently from gemm.  The support rule is
         for single vectors only: on logistic-stoch-b1 the union support of
         a block had at most d/4 columns in 10-33% of blocks, and reading
         only those columns saved 1-16 us of a 250 us iteration.

@@ -39,14 +39,25 @@ needs the residual A x_n for its subgradient, so ``step`` evaluates each
 new iterate at once.  A stochastic trajectory never reads f or the
 residual, so ``run`` evaluates its iterates in blocks: it keeps
 up to ``CompositeProblem.block_width()`` of them (65 at m = 8000) and
-takes their residuals from one product that reads A once (a BLAS-3
-product instead of one matrix-vector product per step).  ``loss_at``
-and the regularizer's ``_value`` take the (K, m) and (K, d) stacks, so
-f of the whole block is array code, each value bitwise what the kernels
-give on its own row, and ``best_f`` comes from the first minimum of the
-block's f.  A block ends at every trace row, at the end of the run, and
-after every step when a callback is given, so ``trace_row`` and the
-callback always see a fully evaluated state.
+takes their residuals from a BLAS-3 product instead of one
+matrix-vector product per step.  ``loss_at`` and the regularizer's
+``_value`` take the (K, m) and (K, d) stacks, so f of the whole block
+is array code, each value bitwise what the kernels give on its own
+row, and ``best_f`` comes from the first minimum of the block's f.
+A block of K >= 4 iterates is evaluated on two threads: its row halves
+``X[:K//2]`` and ``X[K//2:]`` each take one product that reads A once
+and one ``loss_at`` pass, the first on ``run``'s thread and the second
+on one worker thread that ``run`` opens and joins.  Both operations
+release the GIL, so the halves run on two cores; the worker is kept off
+the CPU that ``run``'s thread is on when the run starts, where the
+platform tells (``_other_cpus``), because the scheduler otherwise woke
+it on that busy CPU.  Each half keeps at
+least 2 rows, because a 1-row product goes to gemv, which rounds
+differently from the block's gemm, and the split is along the iterates,
+never along A's rows, whose split changes bits too; so every f is
+bitwise that of the unsplit block.  A block ends at every trace row,
+at the end of the run, and after every step when a callback is given,
+so ``trace_row`` and the callback always see a fully evaluated state.
 
 A stochastic ``run`` also draws its minibatches a block at a time: one
 ``CompositeProblem._draw`` call gives the indices and rows of up to
@@ -70,7 +81,9 @@ end of ``run``.
 """
 
 import math
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -256,14 +269,17 @@ def step(state, problem, mode="exact", rng=None, unsafe=False, _rows=None):
     return state
 
 
-def _evaluate(state, problem, xs):
+def _evaluate(state, problem, xs, pool=None):
     """Objective bookkeeping for the iterates xs, oldest first, the last
     being ``state.x``: f of each, ``best_f`` / ``best_x`` from the first
     minimum of the block's f (what a strict ``<`` in iterate order
     keeps), then the residual and f of the last.  Several iterates are
     evaluated as arrays: one residual block, which reads A once, one
-    ``loss_at`` and one ``_value`` pass over it.  A non-finite f, say from
-    an overflowing schedule, is a ValueError naming the first such
+    ``loss_at`` and one ``_value`` pass over it.  Given a thread pool, a
+    block of at least 4 iterates is split into two row halves, each with
+    its own residual block and ``loss_at`` pass, the second on the pool's
+    worker; every f is bitwise the unsplit block's.  A non-finite f, say
+    from an overflowing schedule, is a ValueError naming the first such
     iterate."""
     if len(xs) == 1:
         residual = problem.residual(xs[0])
@@ -275,9 +291,25 @@ def _evaluate(state, problem, xs):
         # after, it raised peak RSS by 1.5 MB in about half of the
         # logistic-stoch-b1 runs
         residual = np.empty_like(state.residual)
-        rs = problem.residual(X)
-        residual[...] = rs[-1]  # before loss_at overwrites the rows
-        f = problem.loss_at(rs) + problem.reg._value(X)
+
+        def losses(rows, last):
+            rs = problem.residual(rows)
+            if last:
+                residual[...] = rs[-1]  # before loss_at overwrites the rows
+            return problem.loss_at(rs)
+
+        # both halves keep 2 rows or more: a 1-row product goes to gemv
+        half = len(xs) // 2
+        if pool is None or half < 2:
+            f = losses(X, True)
+        else:
+            second = pool.submit(losses, X[half:], True)
+            try:
+                first = losses(X[:half], False)
+            finally:  # the worker is done before anything leaves here
+                rest = second.result()
+            f = np.concatenate([first, rest])
+        f = f + problem.reg._value(X)
     finite = np.isfinite(f)
     if not finite.all():
         i = int(finite.argmin())
@@ -352,6 +384,30 @@ def trace_row(state, problem, reference=None, d_star=None, t0=None, unsafe=False
                     gamma_next / alpha_next, nnz, elapsed)
 
 
+def _other_cpus():
+    """The CPUs the calling thread may run on, less the one it runs on now;
+    empty where the platform does not tell.  ``run``'s worker keeps off the
+    calling thread's CPU: woken from ``run``'s thread, it was otherwise
+    placed on that busy CPU and waited for it in 40 of 40 blocks on a
+    2-vCPU Linux VM, so the halves' products overlapped for 17-41% of
+    their time instead of 74-95%."""
+    try:
+        with open("/proc/thread-self/stat") as fh:
+            cpu = int(fh.read().rsplit(")", 1)[1].split()[36])  # field 39
+        return os.sched_getaffinity(0) - {cpu}
+    except (OSError, AttributeError, ValueError, IndexError):
+        return set()
+
+
+def _keep_to(cpus):
+    """Keep the calling thread to cpus, if any, where the platform lets it."""
+    if cpus:
+        try:
+            os.sched_setaffinity(0, cpus)
+        except OSError:
+            pass
+
+
 def run(problem, schedule, n_iters, mode="exact", seed=None, stride=100,
         x1=None, reference=None, unsafe=False, callback=None, timing="deterministic"):
     """Run n_iters steps, logging a TraceRow whenever the iterate index n is a
@@ -359,12 +415,14 @@ def run(problem, schedule, n_iters, mode="exact", seed=None, stride=100,
 
     A stochastic run evaluates its iterates in blocks (see the module
     docstring); each block ends at a trace row, at the end of the run, or
-    when it holds ``problem.block_width()`` iterates.  With a callback
-    every iterate is evaluated alone, before the callback sees it.  Either
-    way the returned state and every TraceRow are fully evaluated, but an
-    iterate evaluated alone may round f differently in the last bit: a
-    callback can change the last bits of ``f_x``, ``best_f`` and
-    ``gap_best`` (and on a near tie ``best_x``), and nothing else."""
+    when it holds ``problem.block_width()`` iterates, and its second half
+    is evaluated on a worker thread that is joined before ``run`` returns
+    or raises.  With a callback every iterate is evaluated alone, before
+    the callback sees it.  Either way the returned state and every
+    TraceRow are fully evaluated, but an iterate evaluated alone may round
+    f differently in the last bit: a callback can change the last bits of
+    ``f_x``, ``best_f`` and ``gap_best`` (and on a near tie ``best_x``),
+    and nothing else."""
     if n_iters < 1:
         raise ValueError("need at least one iteration")
     if stride < 1:
@@ -382,23 +440,26 @@ def run(problem, schedule, n_iters, mode="exact", seed=None, stride=100,
     width = problem.block_width()
     draws = problem._draw_width() if mode == "stochastic" else 0
     drawn = None
-    for i in range(n_iters):
-        if draws:
-            j = i % draws
-            if j == 0:
-                _, A, b = problem._draw(rng, min(draws, n_iters - i))
-            drawn = (A[j], b[j])
-        state = step(state, problem, mode=mode, rng=rng, unsafe=unsafe, _rows=drawn)
-        if drawn is not None:  # the step left its iterate to this loop
-            block.append(state.x)
-            if (callback is not None or len(block) == width
-                    or state.n % stride == 0 or i == n_iters - 1):
-                _evaluate(state, problem, block)
-                block.clear()
-        if callback is not None:
-            callback(state)
-        if state.n % stride == 0:
-            rows.append(trace_row(state, problem, reference, d_star, t0, unsafe))
+    # the worker starts at the first block of 4 or more iterates
+    with ThreadPoolExecutor(max_workers=1, initializer=_keep_to,
+                            initargs=(_other_cpus(),)) as pool:
+        for i in range(n_iters):
+            if draws:
+                j = i % draws
+                if j == 0:
+                    _, A, b = problem._draw(rng, min(draws, n_iters - i))
+                drawn = (A[j], b[j])
+            state = step(state, problem, mode=mode, rng=rng, unsafe=unsafe, _rows=drawn)
+            if drawn is not None:  # the step left its iterate to this loop
+                block.append(state.x)
+                if (callback is not None or len(block) == width
+                        or state.n % stride == 0 or i == n_iters - 1):
+                    _evaluate(state, problem, block, pool)
+                    block.clear()
+            if callback is not None:
+                callback(state)
+            if state.n % stride == 0:
+                rows.append(trace_row(state, problem, reference, d_star, t0, unsafe))
     # An overflowed dual point stays non-finite (each step scales it by
     # ratio (1 - mu) >= 0, and 0 * inf is nan), though a backward step such
     # as the box clip can still return a finite x and f: one check here

@@ -393,3 +393,30 @@ def test_with_stride_applies_the_config_rule():
     assert with_stride(cfg, 7).stride == 7 and cfg.stride == 100
     with pytest.raises(ConfigError, match=r"--stride: \[output\] stride = 0 must be >= 1"):
         with_stride(cfg, 0)
+
+
+def test_a_stride_that_logs_no_row_is_a_config_error():
+    """The iterates of a 10-step run are numbered up to 11, so a given
+    stride of 12 or more would log no row; 11 logs the last one."""
+    text = MINIMAL + "[output]\nstride = {}\n"
+    assert parse_config(text.format(11)).stride == 11
+    with pytest.raises(ConfigError, match=r"\[output\] stride = 12 exceeds "
+                                          r"iterations \+ 1 = 11"):
+        parse_config(text.format(12))
+    cfg = parse_config(MINIMAL)
+    assert cfg.stride == 100  # the default is not a given stride
+    assert with_stride(cfg, 11).stride == 11
+    with pytest.raises(ConfigError, match=r"--stride: \[output\] stride = 50 exceeds "
+                                          r"iterations \+ 1 = 11"):
+        with_stride(cfg, 50)
+
+
+@pytest.mark.parametrize("key, base, old, new", [
+    ("box_lo", MINIMAL, "regularizer = zero", "regularizer = box\nbox_lo =\nbox_hi = 1"),
+    ("box_hi", MINIMAL, "regularizer = zero", "regularizer = box\nbox_lo = 0\nbox_hi ="),
+    ("cost", LINEAR, "cost = 1.0 2.0 3.0 4.0", "cost ="),
+    ("x1", MINIMAL, "iterations = 10", "iterations = 10\nx1 ="),
+], ids=["box_lo", "box_hi", "cost", "x1"])
+def test_empty_number_lists_are_config_errors(key, base, old, new):
+    with pytest.raises(ConfigError, match=r"\[\w+\] %s list is empty" % key):
+        parse_config(base.replace(old, new))

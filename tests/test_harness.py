@@ -585,6 +585,48 @@ def test_cli_stride_override_is_checked_before_any_work(tmp_path, capsys):
     assert [r.n for r in read_trace_csv(out / "exp_seed0.csv")] == [75, 150, 225, 300]
 
 
+def test_cli_rejects_a_stride_that_logs_no_row(tmp_path, capsys):
+    """With 20 iterations a stride of 50, from the config or from --stride,
+    is a config error (exit 1) before any work; 21 logs the last iterate."""
+    short = BASE_CFG.replace("iterations = 300", "iterations = 20")
+    out = tmp_path / "o"
+    for text, extra in ((short, []), (short.replace("stride = 50", "stride = 21"),
+                                      ["--stride", "50"])):
+        assert main(["--config", write_cfg(tmp_path, text), "--out", str(out)]
+                    + extra + ["run"]) == 1
+        assert "stride = 50 exceeds iterations + 1 = 21" in capsys.readouterr().err
+        assert not out.exists()
+    cfg = write_cfg(tmp_path, short.replace("stride = 50", "stride = 21"))
+    assert main(["--config", cfg, "--out", str(out), "run"]) == 0
+    assert [r.n for r in read_trace_csv(out / "exp_seed0.csv")] == [21]
+
+
+LINEAR_CFG = """\
+spec_version = 1
+[problem]
+loss = linear
+mirror = euclidean
+regularizer = box
+box_lo = -1
+box_hi = 1
+cost = 1.0 -2.0
+[schedule]
+preset = leap_frog
+[run]
+iterations = 20
+"""
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("cost = 1.0 -2.0", "cost =", "[problem] cost list is empty"),
+    ("iterations = 20", "iterations = 20\nmode = stochastic\nbatch_size = 2",
+     "[problem] batch size 2 not in [1, 1]")])
+def test_cli_linear_problem_errors_are_config_errors(tmp_path, capsys, old, new, message):
+    cfg = write_cfg(tmp_path, LINEAR_CFG.replace(old, new))
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "run"]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_the_harness_takes_its_stride_from_the_config():
     for fn in (run_experiment, compare):
         assert "stride" not in inspect.signature(fn).parameters

@@ -1,5 +1,8 @@
 import collections
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -427,8 +430,8 @@ def test_stochastic_step_never_takes_a_full_gradient():
     run(p, leap_frog(power_steps(1.0, 0.5)), n, mode="stochastic", seed=4,
         stride=2 * n)
     # one per sampled step (a batch of one takes its a' w elementwise), one
-    # residual block for all n iterates, one in init
-    assert len(tally) == n + 2
+    # per half of the residual block of all n iterates, one in init
+    assert len(tally) == n + 2 + 1
 
 
 def test_stochastic_blocks_end_at_every_trace_row():
@@ -440,9 +443,10 @@ def test_stochastic_blocks_end_at_every_trace_row():
               stride=stride)
     rows = n // stride
     assert [r.n for r in res.rows] == [5, 10, 15, 20, 25]
-    # one per sampled step; per trace row one block ending there and one
-    # for f_avg; the block of n = 26 at the end of the run; one in init
-    assert len(tally) == n + 2 * rows + 1 + 1
+    # one per sampled step; per trace row one per half of the block ending
+    # there (4 or 5 iterates) and one for f_avg; the block of n = 26 at the
+    # end of the run; one in init
+    assert len(tally) == n + 3 * rows + 1 + 1
 
 
 def stochastic_setup(loss, lam):
@@ -578,7 +582,9 @@ def test_residual_blocks_hold_at_most_the_byte_budget(budget, monkeypatch):
     run(p, sched, n, mode="stochastic", seed=1, stride=1000)
     assert max(widths) <= width
     assert sum(widths) == n + 1  # each iterate once, x1 in init
-    assert max(widths) == min(width, n)
+    # a full block of 4 or more is evaluated as two halves, the larger second
+    full = min(width, n)
+    assert max(widths) == (full - full // 2 if full >= 4 else full)
 
 
 def test_exact_step_after_stochastic_steps_matches_accumulated_form():
@@ -714,3 +720,125 @@ def test_evaluate_names_the_first_iterate_whose_f_is_not_finite(K, first, later,
     st.n = 40 + K
     with pytest.raises(ValueError, match="not finite at iterate %d " % (40 + first + 1)):
         _evaluate(st, p, xs)
+
+
+def recording_losses(p):
+    """Wrap p.loss_at so that it records, per call, the calling thread and
+    the losses it returned; returns the record."""
+    calls = []
+    loss_at = p.loss_at
+
+    def recorded(r):
+        out = loss_at(r)
+        calls.append((threading.get_ident(), out))
+        return out
+
+    p.loss_at = recorded
+    return calls
+
+
+def evaluated(p, xs, pool):
+    """The state after ``_evaluate`` of the stack xs from a fresh init,
+    with the losses of each ``loss_at`` call, the calling thread's first."""
+    st = init(p, leap_frog(power_steps(1.0, 0.5)))
+    st.n = 1 + len(xs)
+    st.x = xs[-1]
+    calls = recording_losses(p)
+    _evaluate(st, p, xs, pool)
+    del p.loss_at
+    me = threading.get_ident()
+    calls.sort(key=lambda call: call[0] != me)
+    return st, calls
+
+
+@pytest.mark.parametrize("K", [2, 3, 4, 5, 64, 65])
+@pytest.mark.parametrize("loss, m, d", [("logistic", 8000, 200), ("lad", 60, 8),
+                                        ("logistic", 301, 30)])
+def test_a_split_block_evaluates_bitwise_as_one_thread(loss, m, d, K):
+    """With a pool, a block of 4 or more iterates is evaluated as two row
+    halves, the second on the worker; f of every iterate, ``best_f``,
+    ``best_x``, ``f_x`` and the last residual are bitwise those of the
+    block evaluated on one thread.  Smaller blocks never reach the pool."""
+    A, b, _ = synthetic_sparse_data(loss, d=d, m=m, k=3, noise=0.5, seed=K)
+    p = build_problem(loss, L1Penalty(0.05), EU, A=A, b=b, batch_size=1)
+    rng = np.random.default_rng(m + K)
+    xs = [rng.standard_normal(d) * (rng.random(d) < 0.3) for _ in range(K)]
+    one, one_calls = evaluated(p, xs, None)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        two, two_calls = evaluated(p, xs, pool)
+    me = threading.get_ident()
+    assert [len(out) for _, out in one_calls] == [K]
+    assert [len(out) for _, out in two_calls] == ([K] if K < 4 else [K // 2, K - K // 2])
+    assert [ident == me for ident, _ in two_calls] == [True] + [False] * (K >= 4)
+    f_one = one_calls[0][1]
+    f_two = np.concatenate([out for _, out in two_calls])
+    assert np.array_equal(f_one.view(np.int64), f_two.view(np.int64))
+    for got, want in [(two.f_x, one.f_x), (two.best_f, one.best_f),
+                      (two.best_x, one.best_x), (two.residual, one.residual)]:
+        assert np.array_equal(np.asarray(got).view(np.int64),
+                              np.asarray(want).view(np.int64))
+
+
+@pytest.mark.parametrize("K, first, later", [(4, 2, 3), (9, 5, None), (9, 8, None),
+                                             (65, 40, 64), (65, 3, 40)])
+def test_a_split_block_names_the_first_iterate_whose_f_is_not_finite(K, first, later):
+    """The non-finite f of a split block is named by its iterate index,
+    whether it falls in the worker's half or the calling thread's."""
+    p = build_problem("lad", BoxIndicator(-1.0, 1.0), EU, A=np.eye(3), b=np.zeros(3))
+    st = init(p, leap_frog(power_steps(1.0, 0.5)))
+    xs = [np.full(3, 0.1 * (j % 7)) for j in range(K)]
+    xs[first] = np.array([np.nan, 0.0, 0.0])
+    if later is not None:
+        xs[later] = np.array([3.0, 0.0, 0.0])
+    st.n = 40 + K
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        with pytest.raises(ValueError, match="not finite at iterate %d " % (40 + first + 1)):
+            _evaluate(st, p, xs, pool)
+
+
+@pytest.mark.parametrize("schedule, error", [
+    (leap_frog(power_steps(1.0, 0.5)), None), (jump_schedule(), ScheduleError)])
+def test_no_thread_outlives_a_run(schedule, error):
+    """``run``'s worker evaluates the second half of its blocks and is
+    joined when the run ends, also when a schedule violation stops it with
+    iterates 8 to 10 waiting in a block."""
+    A, b, _ = synthetic_sparse_data("logistic", d=6, m=40, k=2, noise=0.1, seed=5)
+    p = build_problem("logistic", L1Penalty(0.1), EU, A=A, b=b, batch_size=1)
+    calls = recording_losses(p)
+    before = threading.active_count()
+    if error is None:
+        run(p, schedule, 30, mode="stochastic", seed=2, stride=7)
+    else:
+        with pytest.raises(error, match="s_11"):
+            run(p, schedule, 30, mode="stochastic", seed=2, stride=7)
+    assert threading.active_count() == before
+    workers = {ident for ident, _ in calls} - {threading.get_ident()}
+    assert len(workers) == 1
+    assert workers.isdisjoint(t.ident for t in threading.enumerate())
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                    reason="the platform does not report CPU affinity")
+def test_the_worker_keeps_off_the_cpu_of_runs_thread(monkeypatch):
+    """``run``'s worker is kept to the CPUs its caller may use, less the
+    one the caller runs on when the run starts; with nothing to keep to,
+    or a set the platform refuses, it keeps the caller's affinity."""
+    allowed = os.sched_getaffinity(0)
+    others = solver._other_cpus()
+    assert others < allowed and len(others) == len(allowed) - 1
+    A, b, _ = synthetic_sparse_data("logistic", d=6, m=40, k=2, noise=0.1, seed=5)
+    p = build_problem("logistic", L1Penalty(0.1), EU, A=A, b=b, batch_size=1)
+    for given, expected in [({min(allowed)}, {min(allowed)}), (set(), allowed),
+                            ({1 << 20}, allowed)]:
+        seen = []
+        loss_at = p.loss_at
+        p.loss_at = lambda r: seen.append(
+            (threading.get_ident(), os.sched_getaffinity(0))) or loss_at(r)
+        monkeypatch.setattr(solver, "_other_cpus", lambda: given)
+        run(p, leap_frog(power_steps(1.0, 0.5)), 12, mode="stochastic", seed=2,
+            stride=6)
+        del p.loss_at
+        me = threading.get_ident()
+        # the second halves of the blocks of 5 and 6 iterates
+        assert [cpus for ident, cpus in seen if ident != me] == [expected] * 2
+        assert all(cpus == allowed for ident, cpus in seen if ident == me)
