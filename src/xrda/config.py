@@ -33,8 +33,9 @@ _KNOWN_KEYS = {
 }
 
 
-class ConfigError(Exception):
-    """Carries every validation problem found in a config."""
+class ConfigError(ValueError):
+    """Carries every validation problem found in a config, or in another
+    input of a command (presets, start point, slack); exit code 1."""
 
     def __init__(self, errors):
         self.errors = list(errors)
@@ -156,73 +157,53 @@ class _Reader:
             return default
         return raw
 
-    def take_float(self, key, default=None, required=False, minimum=None,
-                   strict_min=None, allow_inf=False):
+    def take_number(self, key, kind=float, default=None, required=False,
+                    minimum=None, strict_min=None, allow_inf=False):
+        """The value as kind (float or int), or default when it is missing or
+        invalid (the error recorded); a float must be finite, or inf where
+        allow_inf."""
         raw = self.take(key)
         if raw is None:
             if required:
                 self.error("missing required key %r" % key)
             return default
+        fmt = "%d" if kind is int else "%g"
         try:
-            val = float(raw)
+            val = kind(raw)
         except ValueError:
-            self.error("%s = %r is not a number" % (key, raw))
+            self.error("%s = %r is not %s"
+                       % (key, raw, "an integer" if kind is int else "a number"))
             return default
-        if not (math.isfinite(val) or allow_inf and val == math.inf):
+        if not (kind is int or math.isfinite(val) or allow_inf and val == math.inf):
             self.error("%s = %r is not a finite number%s"
                        % (key, raw, " or inf" if allow_inf else ""))
             return default
         if minimum is not None and val < minimum:
-            self.error("%s = %g must be >= %g" % (key, val, minimum))
+            self.error(("%s = " + fmt + " must be >= " + fmt) % (key, val, minimum))
             return default
         if strict_min is not None and not val > strict_min:
-            self.error("%s = %g must be > %g" % (key, val, strict_min))
+            self.error(("%s = " + fmt + " must be > " + fmt) % (key, val, strict_min))
             return default
         return val
 
-    def take_int(self, key, default=None, required=False, minimum=None):
-        raw = self.take(key)
-        if raw is None:
-            if required:
-                self.error("missing required key %r" % key)
-            return default
-        try:
-            val = int(raw)
-        except ValueError:
-            self.error("%s = %r is not an integer" % (key, raw))
-            return default
-        if minimum is not None and val < minimum:
-            self.error("%s = %d must be >= %d" % (key, val, minimum))
-            return default
-        return val
-
-    def take_floats(self, key):
+    def take_list(self, key, kind=float):
+        """A whitespace-separated list of kind (finite floats or ints), or
+        None when it is missing, empty or invalid (the error recorded)."""
         raw = self.take(key)
         if raw is None:
             return None
         try:
-            vals = [float(tok) for tok in raw.split()]
+            vals = [kind(tok) for tok in raw.split()]
         except ValueError:
             vals = None
         if vals == []:
             self.error("%s list is empty" % key)
             return None
-        if vals is None or not all(map(math.isfinite, vals)):
-            self.error("%s = %r is not a whitespace-separated list of finite numbers"
-                       % (key, raw))
+        if vals is None or not (kind is int or all(map(math.isfinite, vals))):
+            self.error("%s = %r is not a whitespace-separated list of %s"
+                       % (key, raw, "integers" if kind is int else "finite numbers"))
             return None
         return vals
-
-    def take_ints(self, key):
-        raw = self.take(key)
-        if raw is None:
-            return None
-        try:
-            return [int(tok) for tok in raw.split()]
-        except ValueError:
-            self.error("%s = %r is not a whitespace-separated list of integers"
-                       % (key, raw))
-            return None
 
     def finish(self):
         for key in sorted(self.data):
@@ -263,26 +244,26 @@ def parse_config(text, base_dir=".", name="experiment"):
     cfg.regularizer = p.take_choice(
         "regularizer", ("l1", "box", "simplex", "l2ball", "zero"), required=True)
     if cfg.regularizer == "l1":
-        cfg.lam = p.take_float("lambda", required=True, strict_min=0.0)
+        cfg.lam = p.take_number("lambda", required=True, strict_min=0.0)
     if cfg.regularizer == "l2ball":
-        cfg.radius = p.take_float("radius", required=True, strict_min=0.0)
+        cfg.radius = p.take_number("radius", required=True, strict_min=0.0)
     if cfg.regularizer == "box":
-        cfg.box_lo = p.take_floats("box_lo")
-        cfg.box_hi = p.take_floats("box_hi")
+        cfg.box_lo = p.take_list("box_lo")
+        cfg.box_hi = p.take_list("box_hi")
         if cfg.box_lo is None or cfg.box_hi is None:
             p.error("box regularizer needs box_lo and box_hi")
     if cfg.loss == "linear":
-        cfg.cost = p.take_floats("cost")
+        cfg.cost = p.take_list("cost")
         if cfg.cost is None:
             p.error("linear loss needs the cost vector (key 'cost')")
     elif cfg.loss is not None:
         cfg.data_a = p.take("data_a")
         cfg.data_b = p.take("data_b")
-        cfg.d = p.take_int("d", minimum=1)
-        cfg.m = p.take_int("m", minimum=1)
-        cfg.k = p.take_int("k", minimum=1)
-        cfg.noise = p.take_float("noise", minimum=0.0)
-        cfg.data_seed = p.take_int("data_seed")
+        cfg.d = p.take_number("d", int, minimum=1)
+        cfg.m = p.take_number("m", int, minimum=1)
+        cfg.k = p.take_number("k", int, minimum=1)
+        cfg.noise = p.take_number("noise", minimum=0.0)
+        cfg.data_seed = p.take_number("data_seed", int)
         files_mode = cfg.data_a is not None or cfg.data_b is not None
         synth_mode = any(v is not None for v in (cfg.d, cfg.m, cfg.k, cfg.noise,
                                                  cfg.data_seed))
@@ -315,36 +296,31 @@ def parse_config(text, base_dir=".", name="experiment"):
     s = _Reader("schedule", sections["schedule"], errors)
     cfg.preset = s.take_choice("preset", PRESET_KINDS, required=True)
     if cfg.preset == "rda":
-        cfg.c = s.take_float("c", default=1.0, strict_min=0.0)
+        cfg.c = s.take_number("c", default=1.0, strict_min=0.0)
     if cfg.preset == "averaged_leap_frog":
-        cfg.mu = s.take_float("mu", required=True)
+        cfg.mu = s.take_number("mu", required=True)
         if cfg.mu is not None and not 0.0 <= cfg.mu <= 1.0:
             s.error("mu = %g must lie in [0, 1]" % cfg.mu)
     if cfg.preset is not None and cfg.preset != "rda":
         cfg.step_kind = s.take_choice("step_kind", ("power", "constant"),
                                       default="power")
-        cfg.step_scale = s.take_float("step_scale", default=1.0, strict_min=0.0)
+        cfg.step_scale = s.take_number("step_scale", default=1.0, strict_min=0.0)
         if cfg.step_kind == "power":
-            cfg.step_exponent = s.take_float("step_exponent", default=0.5)
+            cfg.step_exponent = s.take_number("step_exponent", default=0.5)
             if cfg.step_exponent is not None and cfg.step_exponent < 0:
                 s.error("step_exponent = %g must be >= 0: forward steps s must be "
                         "non-increasing" % cfg.step_exponent)
     s.finish()
 
     r = _Reader("run", sections["run"], errors)
-    cfg.iterations = r.take_int("iterations", required=True, minimum=1)
+    cfg.iterations = r.take_number("iterations", int, required=True, minimum=1)
     cfg.mode = r.take_choice("mode", ("exact", "stochastic"), default="exact")
-    seeds = r.take_ints("seeds")
-    if seeds is not None:
-        if not seeds:
-            r.error("seeds list is empty")
-        else:
-            cfg.seeds = seeds
-    cfg.batch_size = r.take_int("batch_size", minimum=1)
+    cfg.seeds = r.take_list("seeds", int) or cfg.seeds
+    cfg.batch_size = r.take_number("batch_size", int, minimum=1)
     # inf asks for no solve: the reference is the canonical start
-    cfg.reference_tol = r.take_float("reference_tol", default=1e-8, strict_min=0.0,
-                                     allow_inf=True)
-    cfg.x1 = r.take_floats("x1")
+    cfg.reference_tol = r.take_number("reference_tol", default=1e-8, strict_min=0.0,
+                                      allow_inf=True)
+    cfg.x1 = r.take_list("x1")
     if cfg.m is not None and cfg.batch_size is not None and cfg.batch_size > cfg.m:
         r.error("batch_size = %d exceeds m = %d" % (cfg.batch_size, cfg.m))
     r.finish()
@@ -375,7 +351,7 @@ def _take_stride(reader, iterations):
     """The stride (default 100); one that is given must be >= 1 and log
     at least one row, and a run's iterates after x_1 are numbered 2 to
     iterations + 1."""
-    stride = reader.take_int("stride", minimum=1)
+    stride = reader.take_number("stride", int, minimum=1)
     if stride is None:  # not given, or already reported
         return 100
     if iterations is not None and stride > iterations + 1:

@@ -7,6 +7,11 @@ floats so they round-trip exactly) and read back with its field's type.
 Files are written atomically (temp file + rename).  With the default
 deterministic timing a run is a pure function of (config text, seed)
 and repeated invocations produce byte-identical files.
+
+``run_experiment`` and ``compare`` share one setup (``_setup``), which
+checks the start point, a config error, before it writes anything or
+solves the reference, and one runner (``_trace``), which refuses a run
+that logs no trace row.
 """
 
 import hashlib
@@ -22,7 +27,7 @@ from .config import ConfigError, build_problem_from_config, build_schedule_from_
 from .problems import _write_atomic
 from .reference import ReferenceSolution, reference_optimum
 from .schedules import PRESET_KINDS, schedule_preset
-from .solver import TraceRow, run
+from .solver import TraceRow, run, start_point
 
 TRACE_FIELDS = tuple(f.name for f in fields(TraceRow))
 TRACE_HEADER = ",".join(TRACE_FIELDS)
@@ -110,18 +115,41 @@ def cached_reference(cfg, problem, out_dir):
     return ref
 
 
-def _certified_reference(cfg, problem, out_dir, unsafe):
-    """cached_reference, refused when it carries no finite certificate:
-    then nothing bounds its gap to f*, and the problem may have no
-    minimizer (logistic loss on separable data), unless unsafe."""
-    reference = cached_reference(cfg, problem, out_dir)
+def _setup(cfg, out_dir, unsafe):
+    """The output directory, problem and reference of ``run_experiment``
+    and ``compare``.  The start point is checked (a config error) before
+    anything is written or the reference is solved.  A reference with no
+    finite certificate is refused unless unsafe: nothing then bounds its
+    gap to f*, and the problem may have no minimizer (logistic loss on
+    separable data)."""
+    problem = build_problem_from_config(cfg)
+    try:
+        start_point(problem, cfg.x1)
+    except ValueError as exc:
+        raise ConfigError(["[run] %s" % exc]) from None
+    out = Path(out_dir) if out_dir is not None else Path(cfg.directory)
+    out.mkdir(parents=True, exist_ok=True)
+    reference = cached_reference(cfg, problem, out)
     if not unsafe and not math.isfinite(reference.certified_gap):
         raise RuntimeError(
             "the reference optimum has no finite certificate (%s, certified_gap = %g); "
             "the problem may have no minimizer, e.g. logistic loss on separable "
             "data; rerun with --unsafe to trace it anyway"
             % (reference.method, reference.certified_gap))
-    return reference
+    return out, problem, reference
+
+
+def _trace(cfg, problem, schedule, seed, reference, unsafe):
+    """The trace rows of one run of the config's [run] settings; a run
+    that logs no row (a stride above iterations + 1) is refused once it
+    ends."""
+    rows = run(problem, schedule, cfg.iterations, mode=cfg.mode, seed=seed,
+               stride=cfg.stride, x1=cfg.x1, reference=reference, unsafe=unsafe,
+               timing=cfg.timing).rows
+    if not rows:
+        raise RuntimeError("preset %s logged no rows; lower the stride"
+                           % schedule.name)
+    return rows
 
 
 def run_experiment(cfg, out_dir=None, unsafe=False):
@@ -131,20 +159,15 @@ def run_experiment(cfg, out_dir=None, unsafe=False):
     traces: it runs the trajectory once and writes it to every seed's
     file.  The reference optimum is computed once and cached.
     """
-    out = Path(out_dir) if out_dir is not None else Path(cfg.directory)
-    out.mkdir(parents=True, exist_ok=True)
-    problem = build_problem_from_config(cfg)
+    out, problem, reference = _setup(cfg, out_dir, unsafe)
     schedule = build_schedule_from_config(cfg)
-    reference = _certified_reference(cfg, problem, out, unsafe)
     paths = []
-    result = None
+    rows = None
     for seed in cfg.seeds:
-        if result is None or cfg.mode == "stochastic":
-            result = run(problem, schedule, cfg.iterations, mode=cfg.mode, seed=seed,
-                         stride=cfg.stride, x1=cfg.x1, reference=reference,
-                         unsafe=unsafe, timing=cfg.timing)
+        if rows is None or cfg.mode == "stochastic":
+            rows = _trace(cfg, problem, schedule, seed, reference, unsafe)
         path = out / ("%s_seed%d.csv" % (cfg.name, seed))
-        write_trace_csv(result.rows, path)
+        write_trace_csv(rows, path)
         paths.append(path)
     return paths
 
@@ -180,11 +203,14 @@ def check_bound(trace_paths, strict, slack=1e-9):
 
     Strict mode compares every row of every trace; non-strict mode
     (stochastic runs) compares the seed-mean gaps at the final logged n
-    against 1.10x the bound.  Traces without a valid bound column (from
-    --unsafe runs) are rejected.
+    against 1.10x the bound.  A trace with a missing or non-finite bound
+    or gap value (the bound column of an --unsafe run is nan) is
+    refused, and a non-finite slack is a ConfigError.
     """
     if not trace_paths:
         raise ValueError("no trace files given")
+    if not math.isfinite(slack):
+        raise ConfigError(["--slack = %r is not a finite number" % slack])
     report = BoundCheckReport(strict, slack)
     finals = []
     for path in trace_paths:
@@ -192,10 +218,11 @@ def check_bound(trace_paths, strict, slack=1e-9):
         if not rows:
             report.failures.append("%s: empty trace" % path)
             continue
-        if any(math.isnan(r.bound) or math.isnan(r.gap_best) for r in rows):
+        values = [v for r in rows for v in (r.gap_best, r.gap_avg, r.bound)]
+        if not all(map(math.isfinite, values)):
             report.failures.append(
-                "%s: missing bound or gap values (run from --unsafe or without "
-                "a reference); refusing to check" % path)
+                "%s: missing or non-finite bound or gap values (as from --unsafe "
+                "or a run without a reference); refusing to check" % path)
             continue
         if strict:
             for r in rows:
@@ -248,19 +275,14 @@ def compare(cfg, presets, out_dir=None, unsafe=False):
     """Run several presets on the config's problem and tabulate the outcome.
 
     Presets named in the config's [schedule] section keep its parameters;
-    the others use preset defaults (s_n = n**-0.5, c = 1).  Every name is
-    checked against ``PRESET_KINDS`` before any work.
+    the others use preset defaults (s_n = n**-0.5, c = 1).  An empty list
+    or a name not in ``PRESET_KINDS`` is a ConfigError, before any work.
     """
-    if not presets:
-        raise ValueError("no presets given")
-    unknown = [p for p in presets if p not in PRESET_KINDS]
-    if unknown:
-        raise ConfigError(["unknown preset %r (choose from %s)"
-                           % (p, ", ".join(PRESET_KINDS)) for p in unknown])
-    out = Path(out_dir) if out_dir is not None else Path(cfg.directory)
-    out.mkdir(parents=True, exist_ok=True)
-    problem = build_problem_from_config(cfg)
-    reference = _certified_reference(cfg, problem, out, unsafe)
+    errors = ["unknown preset %r (choose from %s)" % (p, ", ".join(PRESET_KINDS))
+              for p in presets if p not in PRESET_KINDS]
+    if errors or not presets:
+        raise ConfigError(errors or ["no presets given"])
+    out, problem, reference = _setup(cfg, out_dir, unsafe)
     rows = []
     for preset in presets:
         if preset == cfg.preset:
@@ -269,18 +291,13 @@ def compare(cfg, presets, out_dir=None, unsafe=False):
             schedule = schedule_preset(preset, mu=cfg.mu if cfg.mu is not None else 0.5)
         else:
             schedule = schedule_preset(preset)
-        result = run(problem, schedule, cfg.iterations, mode=cfg.mode,
-                     seed=cfg.seeds[0], stride=cfg.stride, x1=cfg.x1,
-                     reference=reference, unsafe=unsafe, timing=cfg.timing)
-        if not result.rows:
-            raise RuntimeError("preset %s logged no rows; lower the stride" % preset)
-        last = result.rows[-1]
+        trace = _trace(cfg, problem, schedule, cfg.seeds[0], reference, unsafe)
+        last = trace[-1]
         rows.append({
             "preset": preset,
             "final_gap_best": last.gap_best,
             "final_nnz": last.nnz,
-            "median_backward_step": statistics.median(
-                r.backward_step for r in result.rows),
+            "median_backward_step": statistics.median(r.backward_step for r in trace),
         })
     csv_path = out / ("%s_compare.csv" % cfg.name)
     lines = ["preset,final_gap_best,final_nnz,median_backward_step"]

@@ -321,16 +321,17 @@ def _project_simplex(reg, y, s):
 
 def _accelerated_projected_gradient(problem, tol):
     """Accelerated projected gradient (Beck & Teboulle, SIAM J. Imaging Sci.
-    2009) for logistic loss on the simplex or the l2 ball, from _start.  L
-    starts at the curvature along the first gradient g and doubles until
-    (g(z) - g(y))'s <= L ||s||^2 / 2, s = z - y, which implies the quadratic
-    upper bound for convex f without cancelling f values; momentum resets
-    when g'(z - x) > 0.  Returns the best point of those certified every 20
-    steps, for at most _LBFGS_OPTS["maxiter"] steps, and the largest bound."""
+    2009) for logistic loss on the simplex or the l2 ball, from the
+    canonical argmin of G.  L starts at the curvature along the first
+    gradient g and doubles until (g(z) - g(y))'s <= L ||s||^2 / 2,
+    s = z - y, which implies the quadratic upper bound for convex f without
+    cancelling f values; momentum resets when g'(z - x) > 0.  Returns the
+    best point of those certified every 20 steps, for at most
+    _LBFGS_OPTS["maxiter"] steps, and the largest bound."""
     reg, steps = problem.reg, _LBFGS_OPTS["maxiter"]
     project = _project_simplex if reg.kind == "simplex" else _prox_euclid_l2ball
     grad = lambda v: problem.subgradient_at(problem.residual(v))
-    x = y = _start(problem)
+    x = y = canonical_argmin(reg, problem.d)
     g = grad(y)
     hgg = np.dot(problem.curvature(problem.residual(y)), (problem.A @ g) ** 2) / problem.m
     L = hgg / np.dot(g, g) if hgg > 0 else 1.0
@@ -383,25 +384,17 @@ def _solve_linear(problem, tol):
     return _finish(problem, x, lower, "linear_analytic", tol)
 
 
-def _start(problem):
-    """The regularizer's canonical argmin, or the uniform vector where it
-    leaves the entropy mirror's open domain."""
-    x = canonical_argmin(problem.reg, problem.d)
-    if problem.mirror.kind == "entropy" and np.any(x <= 0.0):
-        x = np.full(problem.d, 1.0 / problem.d)
-    return x
-
-
 def reference_optimum(problem, tol=1e-8):
     """Solve the instance to certified optimality, one method per pair.
 
-    tol = inf short-circuits at the canonical start.  The returned
-    certified_gap always satisfies f* >= f_star - certified_gap.
+    tol = inf short-circuits at the canonical argmin of G, the default
+    start of a run.  The returned certified_gap always satisfies
+    f* >= f_star - certified_gap.
     """
     if not tol > 0:
         raise ValueError("reference tolerance must be positive, got %r" % (tol,))
     if np.isinf(tol):
-        x = _start(problem)
+        x = canonical_argmin(problem.reg, problem.d)
         return _finish(problem, x, lower_bound_certificate(problem, x),
                        "initial_point", tol)
     if problem.loss == "linear":

@@ -120,17 +120,15 @@ def schedule_preset(kind, c=None, mu=None, steps=None):
                          % (kind, PRESET_KINDS))
     if c is not None:
         raise ValueError("scaling c only applies to the rda preset")
+    if mu is not None and kind != "averaged_leap_frog":
+        raise ValueError("mu only applies to the averaged_leap_frog preset")
     if steps is None:
         steps = power_steps(1.0, 0.5)
     if kind == "forward_backward":
         return forward_backward(steps)
     if kind == "leap_frog":
-        if mu is not None:
-            raise ValueError("mu only applies to the averaged_leap_frog preset")
         return leap_frog(steps)
     if kind == "constant_backward":
-        if mu is not None:
-            raise ValueError("mu only applies to the averaged_leap_frog preset")
         return constant_backward(steps)
     if mu is None:
         raise ValueError("averaged_leap_frog preset needs the averaging weight mu")

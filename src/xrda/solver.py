@@ -69,12 +69,13 @@ block draw consumes it exactly as that many single draws, so ``step``
 called on its own, which draws its rows itself, takes the same
 trajectory.
 
-Inputs are validated at the boundary: ``init`` checks the start point,
-``build_problem`` the data, and the public mirror, regularizer and
-sampling functions their arguments.  ``step`` calls the private kernels
-behind them (``_grad``, ``_grad_inverse``, ``_prox``, ``_draw``,
-``_batch_subgradient``, ``_value``) on vectors it made itself, so no
-check runs per step.  An overflowing schedule still fails loudly: a
+Inputs are validated at the boundary: ``start_point`` checks the start
+point (``init`` calls it, and the harness before it solves the
+reference), ``build_problem`` the data and the mirror-regularizer pair,
+and the public mirror, regularizer and sampling functions their
+arguments.  ``step`` calls the private kernels behind them (``_grad``,
+``_grad_inverse``, ``_prox``, ``_draw``, ``_batch_subgradient``,
+``_value``) on vectors it made itself, so no check runs per step.  An overflowing schedule still fails loudly: a
 non-finite f of an evaluated iterate raises ValueError, in stochastic
 mode when its block closes, and so does a non-finite dual point at the
 end of ``run``.
@@ -89,7 +90,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (ENTROPY_DOMAIN_FLOOR, MirrorDomainError, as_vector)
-from .regularizers import _prox, canonical_argmin, ensure_supported, mirror_prox
+from .regularizers import _prox, canonical_argmin, mirror_prox
 
 NNZ_THRESHOLD = 1e-12
 
@@ -154,18 +155,15 @@ class RunResult:
     rows: list
 
 
-def init(problem, schedule, x1=None):
-    """Start a run at x1, which must minimize G (default: canonical argmin)."""
-    d = problem.d
-    mirror = problem.mirror
+def start_point(problem, x1=None):
+    """A copy of the start x1 (default: the canonical argmin of G), checked:
+    it must lie in the mirror's domain and minimize G, as the bound
+    assumes.  ``init`` calls it, and the harness before the reference is
+    solved."""
     reg = problem.reg
-    ensure_supported(mirror, reg)
-    canonical = canonical_argmin(reg, d)
-    if x1 is None:
-        x1 = canonical
-    else:
-        x1 = as_vector(x1, dim=d).copy()
-    if mirror.kind == "entropy" and np.any(x1 < ENTROPY_DOMAIN_FLOOR):
+    canonical = canonical_argmin(reg, problem.d)
+    x1 = canonical if x1 is None else as_vector(x1, dim=problem.d).copy()
+    if problem.mirror.kind == "entropy" and np.any(x1 < ENTROPY_DOMAIN_FLOOR):
         raise MirrorDomainError(
             "start point lies outside the entropy mirror's domain (open positive "
             "orthant); pass a strictly positive x1 or use the simplex "
@@ -174,8 +172,15 @@ def init(problem, schedule, x1=None):
         raise ValueError(
             "start point does not minimize the regularizer: G(x1)=%g exceeds the "
             "canonical minimum %g" % (reg.value(x1), reg.value(canonical)))
+    return x1
+
+
+def init(problem, schedule, x1=None):
+    """Start a run at ``start_point(problem, x1)``."""
+    x1 = start_point(problem, x1)
+    d = problem.d
     s1, alpha1 = _schedule_values(schedule, 0, 0.0, math.inf, 0.0, unsafe=False)[:2]
-    xt1 = mirror.grad(x1)
+    xt1 = problem.mirror.grad(x1)
     state = SolverState(
         schedule=schedule, n=1, x=x1.copy(),
         x_tilde=xt1.copy(), x_tilde_half=xt1.copy(), x_tilde_1=xt1.copy(),

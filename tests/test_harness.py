@@ -184,11 +184,23 @@ def test_check_bound_strict_catches_tampering(tmp_path):
 
 
 def test_check_bound_rejects_missing_bound(tmp_path):
+    """An --unsafe trace has a nan bound column; a non-finite value in any
+    gap or bound column of one row is refused just the same."""
     cfg = parse_config(BASE_CFG, name="exp")
     path = run_experiment(cfg, out_dir=tmp_path, unsafe=True)[0]
     report = check_bound([path], strict=True)
     assert not report.ok
     assert "refusing to check" in report.summary()
+    path = run_experiment(cfg, out_dir=tmp_path)[0]
+    for field, value in (("gap_avg", math.nan), ("bound", math.inf),
+                         ("gap_best", -math.inf)):
+        rows = read_trace_csv(path)
+        setattr(rows[-1], field, value)
+        write_trace_csv(rows, tmp_path / "tampered.csv")
+        for strict in (True, False):
+            report = check_bound([tmp_path / "tampered.csv"], strict=strict)
+            assert not report.ok
+            assert "refusing to check" in report.summary()
 
 
 def test_check_bound_seed_mean_mode(tmp_path):
@@ -375,8 +387,12 @@ def test_cli_check_bound_exit_codes(tmp_path, capsys):
     rows[0].gap_avg = rows[0].bound + 5.0
     write_trace_csv(rows, path)
     assert main(["check-bound", str(path), "--strict"]) == 3
-    # a generous slack forgives the exceedance
+    # a generous slack forgives the exceedance; a non-finite one is refused
     assert main(["check-bound", str(path), "--strict", "--slack", "10"]) == 0
+    for slack in ("nan", "inf"):
+        capsys.readouterr()
+        assert main(["check-bound", str(path), "--strict", "--slack", slack]) == 1
+        assert "--slack = %s is not a finite number" % slack in capsys.readouterr().err
 
 
 def test_cli_compare(tmp_path, capsys):
@@ -587,7 +603,9 @@ def test_cli_stride_override_is_checked_before_any_work(tmp_path, capsys):
 
 def test_cli_rejects_a_stride_that_logs_no_row(tmp_path, capsys):
     """With 20 iterations a stride of 50, from the config or from --stride,
-    is a config error (exit 1) before any work; 21 logs the last iterate."""
+    is a config error (exit 1) before any work; 21 logs the last iterate.
+    The default stride of 100 is refused once the run logs no row (exit
+    2), before any trace is written."""
     short = BASE_CFG.replace("iterations = 300", "iterations = 20")
     out = tmp_path / "o"
     for text, extra in ((short, []), (short.replace("stride = 50", "stride = 21"),
@@ -599,6 +617,12 @@ def test_cli_rejects_a_stride_that_logs_no_row(tmp_path, capsys):
     cfg = write_cfg(tmp_path, short.replace("stride = 50", "stride = 21"))
     assert main(["--config", cfg, "--out", str(out), "run"]) == 0
     assert [r.n for r in read_trace_csv(out / "exp_seed0.csv")] == [21]
+    default = tmp_path / "default"
+    cfg = write_cfg(tmp_path, short.replace("[output]\nstride = 50\n", ""))
+    for command, preset in ((["run"], "leap_frog"), (["compare", "--presets", "rda"], "rda")):
+        assert main(["--config", cfg, "--out", str(default)] + command) == 2
+        assert "preset %s logged no rows" % preset in capsys.readouterr().err
+        assert not list(default.glob("*.csv"))
 
 
 LINEAR_CFG = """\
@@ -636,8 +660,36 @@ def test_cli_unknown_preset_exits_1_before_any_run(tmp_path, capsys, monkeypatch
     runs = []
     monkeypatch.setattr(harness, "run", lambda *a, **k: runs.append(a))
     out = tmp_path / "o"
-    code = main(["--config", write_cfg(tmp_path, BASE_CFG), "--out", str(out),
-                 "compare", "--presets", "leap_frog,bogus"])
-    assert code == 1
-    assert "unknown preset 'bogus'" in capsys.readouterr().err
-    assert runs == [] and not out.exists()
+    for presets, message in (("leap_frog,bogus", "unknown preset 'bogus'"),
+                             (" , ", "no presets given")):
+        code = main(["--config", write_cfg(tmp_path, BASE_CFG), "--out", str(out),
+                     "compare", "--presets", presets])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert runs == [] and not out.exists()
+
+
+@pytest.mark.parametrize("command", [["run"], ["compare", "--presets", "leap_frog"]],
+                         ids=["run", "compare"])
+@pytest.mark.parametrize("case, message", [
+    ("x1-not-argmin", "does not minimize the regularizer"),
+    ("entropy-zero", "outside the entropy mirror's domain")],
+    ids=["x1-not-argmin", "entropy-zero"])
+def test_cli_start_point_errors_exit_1_before_the_reference(tmp_path, capsys, monkeypatch,
+                                                            command, case, message):
+    """The bound assumes x1 minimizes G: a start that does not, or the
+    entropy mirror's default start 0 under the zero regularizer, is a
+    config error found before the reference is solved or anything is
+    written."""
+    if case == "x1-not-argmin":
+        text = BASE_CFG.replace("iterations = 300", "iterations = 300\nx1 = 1 0 0 0 0 0")
+    else:
+        text = BASE_CFG.replace("mirror = euclidean\nregularizer = l1\nlambda = 0.1",
+                                "mirror = entropy\nregularizer = zero")
+    solves = []
+    monkeypatch.setattr(harness, "reference_optimum", lambda *a, **k: solves.append(a))
+    out = tmp_path / "o"
+    assert main(["--config", write_cfg(tmp_path, text), "--out", str(out)] + command) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and "[run] start point" in err and message in err
+    assert solves == [] and not out.exists()

@@ -147,12 +147,15 @@ def test_linear_unbounded_raises():
 
 
 def test_tol_inf_short_circuits():
-    p = random_problem("lad", L1Penalty(0.3), seed=31)
-    ref = reference_optimum(p, tol=float("inf"))
-    assert ref.method == "initial_point"
-    assert ref.converged
-    assert np.array_equal(ref.x_star, canonical_argmin(p.reg, p.d))
-    assert ref.f_star == p.objective(ref.x_star)
+    """The reference is the canonical argmin of G, also where it leaves the
+    entropy mirror's open domain (a run then needs a positive x1)."""
+    for reg, mirror in ((L1Penalty(0.3), EU), (ZeroRegularizer(), EN)):
+        p = random_problem("lad", reg, seed=31, mirror=mirror)
+        ref = reference_optimum(p, tol=float("inf"))
+        assert ref.method == "initial_point"
+        assert ref.converged
+        assert np.array_equal(ref.x_star, canonical_argmin(p.reg, p.d))
+        assert ref.f_star == p.objective(ref.x_star)
 
 
 def test_invalid_tol():

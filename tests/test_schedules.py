@@ -87,10 +87,9 @@ def test_preset_rejections():
         schedule_preset("rda", mu=0.5)
     with pytest.raises(ValueError, match="only applies to the rda"):
         schedule_preset("leap_frog", c=2.0)
-    with pytest.raises(ValueError, match="mu only applies"):
-        schedule_preset("leap_frog", mu=0.5)
-    with pytest.raises(ValueError, match="mu only applies"):
-        schedule_preset("constant_backward", mu=0.5)
+    for kind in ("forward_backward", "leap_frog", "constant_backward"):
+        with pytest.raises(ValueError, match="mu only applies"):
+            schedule_preset(kind, mu=0.5)
     with pytest.raises(ValueError, match="needs the averaging weight"):
         schedule_preset("averaged_leap_frog")
 
