@@ -17,10 +17,9 @@ Three loss families are supported:
 Each loss depends on x only through the residual r = A x (<c, x> for
 linear): ``residual`` makes the one pass over A, and ``loss_at``,
 ``row_weights``, ``curvature`` (logistic only) and ``subgradient_at``
-hold the only copy of each formula.  ``residual`` and ``loss_at`` also
-take stacks: a (K, d) stack of iterates gives the (K, m) stack of their
-residuals, and ``loss_at`` of that gives the K losses, working in place
-on the stack's rows, 512 KB of them at a time.
+hold the only copy of each formula.  Each takes one point: the solver
+evaluates one iterate at a time, and a stochastic run evaluates only
+the iterates it logs (see ``solver``).
 
 A is stored column-major (Fortran order), so the columns of x's support
 are contiguous.  When x has at most d/4 nonzeros, as the l1 iterates
@@ -36,7 +35,7 @@ replacement and return the subgradient of the minibatch-average loss,
 which is an unbiased estimate of a full subgradient.  ``_draw`` is the
 only code that draws from a run's generator: it returns the indices of
 ``count`` successive minibatches and their rows from one gather, and a
-stochastic ``run`` calls it once per block of at most ``block_width()``
+stochastic ``run`` calls it once per block of at most ``_draw_width()``
 steps.  A block draw leaves the generator where ``count`` single draws
 leave it, so ``sample_subgradient`` and ``step`` called on its own, which
 each take one ``_draw(rng, 1)`` and its ``_batch_subgradient``, replay
@@ -60,18 +59,14 @@ LOSS_KINDS = ("lad", "logistic", "linear")
 _SUPPORT_FRACTION = 0.25
 # Xeon, 2 MB L2, 1 BLAS thread, 32 columns -> 512 KB per block: m=8000, nnz 50
 # of 200, 561 -> 421 us; m=4000, d=2000, nnz 200, 807 -> 759 us; 256 KB and
-# 1 MB blocks were slower than 512 KB at both sizes.  ``loss_at`` takes a
-# stack's rows in chunks of the same size.
+# 1 MB blocks were slower than 512 KB at both sizes
 _RESIDUAL_BLOCK = 1 << 19  # bytes of A's columns gathered per product
-# bytes per block of stochastic iterates' residuals (``block_width``): 65
-# iterates at m=8000.  Xeon, 2 MB L2, 1 BLAS thread, (K, 200) x (200, 8000)
-# product per iterate, hot cache, best of 40: K=32 (2 MB) 61-71 us, K=64 (4 MB)
-# 53-58 us over two runs.  On the logistic-stoch-b1 benchmark, ten 55 s runs
-# each, with the step calling private kernels: 4 MB 4368-5335 iterations/s and
-# peak RSS 97.1-97.6 MB, where 2 MB with per-step validation ran 3823-4795 at
-# 95.0-95.5 MB; earlier six 20 s runs: 1 MB 3150-3695 at 94.2-94.7 MB, one
-# product per step 1185-1276 at 93.5-93.9 MB
-_OBJECTIVE_BLOCK = 1 << 22
+# bytes of rows per ``_draw`` call in a stochastic run (``_draw_width``): 65
+# one-row draws at d=200.  The width changes no output, only how many steps
+# share one gather.  Xeon, 1 BLAS thread, logistic d=200, m=8000, batch 1:
+# ``run`` took medians of 43-62 us per iteration with 4 to 1024 draws per
+# gather, and the ranges of five runs each overlapped
+_DRAW_BLOCK = 104_000
 _ROW_BLOCK = 64        # rows per draw in synthetic_sparse_data: 1 MB at d=2000
 
 
@@ -146,24 +141,11 @@ class CompositeProblem:
         raise ValueError("unknown norm tag %r" % (kind,))
 
     def residual(self, x):
-        """A x, or <c, x> for the linear loss: F depends on x only through it.
-
-        Given a (K, d) stack of iterates, returns their K residuals as the
-        rows of one (K, m) array, that is the (m, K) block with contiguous
-        columns, from one product that reads A once.  A stochastic run
-        evaluates a block of 4 or more iterates as two row halves of at
-        least 2 rows each, one residual call per half on two threads, each
-        reading A once; a 1-row stack would go to gemv and round
-        differently from gemm.  The support rule is
-        for single vectors only: on logistic-stoch-b1 the union support of
-        a block had at most d/4 columns in 10-33% of blocks, and reading
-        only those columns saved 1-16 us of a 250 us iteration.
-        """
-        stacked = x.ndim == 2
+        """A x, or <c, x> for the linear loss: F depends on x only through
+        it.  While x has at most d/4 nonzeros the product reads only the
+        support columns of A, ``_RESIDUAL_BLOCK`` bytes of them at a time."""
         if self.loss == "linear":
-            return x @ self.c if stacked else pairing(self.c, x)
-        if stacked:
-            return x @ self.A.T
+            return pairing(self.c, x)
         support = np.flatnonzero(x)
         if support.size > _SUPPORT_FRACTION * self.d:
             return self.A @ x
@@ -174,11 +156,6 @@ class CompositeProblem:
             cols = support[start:start + chunk]
             r += self.A[:, cols] @ x[cols]
         return r
-
-    def block_width(self):
-        """How many iterates one residual block holds: K rows of max(m, d)
-        floats fit in ``_OBJECTIVE_BLOCK`` bytes."""
-        return max(1, _OBJECTIVE_BLOCK // (8 * max(self.m, self.d)))
 
     def row_weights(self, r, b):
         if self.loss == "lad":
@@ -192,41 +169,23 @@ class CompositeProblem:
         return expit(-self.b * r) * expit(self.b * r)
 
     def loss_at(self, r):
-        """F at the residual r.  Given a (K, m) stack of residuals, returns
-        the K values as an array, each bitwise ``loss_at`` of its row.  A
-        stack is worked on in place, ``_RESIDUAL_BLOCK`` bytes of rows at a
-        time (8 rows at m = 8000), and no array of its size is allocated:
-        its rows are overwritten, so a caller that needs one copies it
-        first.  A single r is left as it is."""
+        """F at the residual r = ``residual(x)``; r is left as it is."""
         if self.loss == "linear":
             return r
-        if r.ndim == 1:
-            return float(self._term_sums(r, None, None)) / self.m
-        chunk = max(1, _RESIDUAL_BLOCK // (8 * self.m))
-        scratch = None if self.loss == "lad" else np.empty((min(chunk, len(r)), self.m))
-        sums = [self._term_sums(rows, rows, scratch)
-                for rows in (r[i:i + chunk] for i in range(0, len(r), chunk))]
-        return np.concatenate(sums) / self.m
-
-    def _term_sums(self, r, out, scratch):
-        """The sum of the loss terms of r, or of each row of r, with the
-        terms written to ``out`` (a new array if None); the logistic loss
-        also writes to ``scratch``, an array with at least r's rows, or to
-        a new one if None."""
         if self.loss == "lad":
-            z = np.subtract(r, self.b, out=out)
+            z = r - self.b
             np.abs(z, out=z)
-            return z.sum(axis=-1)
+            return float(z.sum()) / self.m
         # softplus(z) = max(z, 0) + log1p(exp(-|z|)) at z = -b r, taken as
         # t - min(w, 0) at w = b r: bitwise max(-w, 0) + t, one pass fewer
-        w = np.multiply(r, self.b, out=out)
-        t = np.abs(w, out=None if scratch is None else scratch[:len(w)])
+        w = r * self.b
+        t = np.abs(w)
         np.negative(t, out=t)
         np.exp(t, out=t)
         np.log1p(t, out=t)
         np.minimum(w, 0.0, out=w)
         np.subtract(t, w, out=w)
-        return w.sum(axis=-1)
+        return float(w.sum()) / self.m
 
     def subgradient_at(self, r):
         if self.loss == "linear":
@@ -285,10 +244,9 @@ class CompositeProblem:
         return idx, self.A[idx], self.b[idx]
 
     def _draw_width(self):
-        """How many draws ``run`` takes at once: at most ``block_width()``,
-        and few enough that their rows fit in ``_OBJECTIVE_BLOCK`` bytes."""
-        return max(1, min(self.block_width(),
-                          _OBJECTIVE_BLOCK // (8 * self.batch_size * self.d)))
+        """How many draws a stochastic ``run`` takes at once: as many as
+        fit their rows in ``_DRAW_BLOCK`` bytes, and at least one."""
+        return max(1, _DRAW_BLOCK // (8 * self.batch_size * self.d))
 
 
 def build_problem(loss, reg, mirror, A=None, b=None, c=None, batch_size=None):

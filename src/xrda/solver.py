@@ -33,41 +33,29 @@ alpha_{n+1}, t_n and s_{n+1}, so a violation at index n+1 stops the run
 at step n, before any bound uses it.  (A trace row's backward-step
 column re-evaluates alpha_{n+1} and t_n, unchecked, as a preview.)
 
-The guarantee is on the best iterate, so ``_evaluate``, the only code
-that computes f, evaluates every iterate, x_1 included.  An exact step
-needs the residual A x_n for its subgradient, so ``step`` evaluates each
-new iterate at once.  A stochastic trajectory never reads f or the
-residual, so ``run`` evaluates its iterates in blocks: it keeps
-up to ``CompositeProblem.block_width()`` of them (65 at m = 8000) and
-takes their residuals from a BLAS-3 product instead of one
-matrix-vector product per step.  ``loss_at`` and the regularizer's
-``_value`` take the (K, m) and (K, d) stacks, so f of the whole block
-is array code, each value bitwise what the kernels give on its own
-row, and ``best_f`` comes from the first minimum of the block's f.
-A block of K >= 4 iterates is evaluated on two threads: its row halves
-``X[:K//2]`` and ``X[K//2:]`` each take one product that reads A once
-and one ``loss_at`` pass, the first on ``run``'s thread and the second
-on one worker thread that ``run`` opens and joins.  Both operations
-release the GIL, so the halves run on two cores; the worker is kept off
-the CPU that ``run``'s thread is on when the run starts, where the
-platform tells (``_other_cpus``), because the scheduler otherwise woke
-it on that busy CPU.  Each half keeps at
-least 2 rows, because a 1-row product goes to gemv, which rounds
-differently from the block's gemm, and the split is along the iterates,
-never along A's rows, whose split changes bits too; so every f is
-bitwise that of the unsplit block.  A block ends at every trace row,
-at the end of the run, and after every step when a callback is given,
-so ``trace_row`` and the callback always see a fully evaluated state.
+``_evaluate``, the only code that computes f, evaluates one iterate:
+its residual, f, and ``best_f`` / ``best_x`` when f improves on them.
+An exact step needs the residual A x_n for its subgradient, so ``step``
+evaluates each new iterate at once, and ``best_f`` is the best f of all
+iterates, x_1 included.  A stochastic trajectory never reads f or the
+residual, and for a sampled g the theorem bounds the expected s-weighted
+mean of f(x_i) - f*, not the f of each iterate, so a stochastic ``run``
+evaluates f exactly only at x_1, at each trace-row iterate and at the
+last iterate.  Every step in between costs a draw, a subgradient of the
+drawn rows and a backward step, and no pass over the data; its
+``residual`` and ``f_x`` are None until the next evaluation, and
+``best_f`` is the best f among the evaluated iterates.  A callback
+changes none of this, so it changes no output.
 
-A stochastic ``run`` also draws its minibatches a block at a time: one
+A stochastic ``run`` draws its minibatches a block at a time: one
 ``CompositeProblem._draw`` call gives the indices and rows of up to
-``block_width()`` successive steps (fewer when the rows would pass 4 MB,
-and never past ``n_iters``), and each step gets its rows, and leaves its
+``_draw_width()`` successive steps (65 at d = 200, batch 1, and never
+past ``n_iters``), and each step gets its rows, and leaves its
 evaluation to ``run``, through the private ``_rows`` argument.
 ``_draw`` is the only code that draws from the run's generator, and a
 block draw consumes it exactly as that many single draws, so ``step``
-called on its own, which draws its rows itself, takes the same
-trajectory.
+called on its own, which draws its rows itself and evaluates its
+iterate, takes the same trajectory.
 
 Inputs are validated at the boundary: ``start_point`` checks the start
 point (``init`` calls it, and the harness before it solves the
@@ -75,16 +63,14 @@ reference), ``build_problem`` the data and the mirror-regularizer pair,
 and the public mirror, regularizer and sampling functions their
 arguments.  ``step`` calls the private kernels behind them (``_grad``,
 ``_grad_inverse``, ``_prox``, ``_draw``, ``_batch_subgradient``,
-``_value``) on vectors it made itself, so no check runs per step.  An overflowing schedule still fails loudly: a
-non-finite f of an evaluated iterate raises ValueError, in stochastic
-mode when its block closes, and so does a non-finite dual point at the
-end of ``run``.
+``_value``) on vectors it made itself, so no check runs per step.  An
+overflowing schedule still fails loudly: a non-finite f of an evaluated
+iterate raises ValueError, and so does a non-finite dual point at the
+end of ``run``, which catches an overflow at any step.
 """
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,8 +97,9 @@ class SolverState:
     = sum s_i x_i, ``bound_acc`` = sum s_i^2 / alpha_i, ``dual_accum`` =
     sum s_i g_i + t_i h_i (this last one over steps taken, i.e. 1..n-1).
     ``last_s`` and ``last_alpha`` are s_n and alpha_n.  ``residual``
-    (``CompositeProblem.residual``) and ``f_x`` are those of ``x``; an
-    exact step takes its subgradient from that residual.
+    (``CompositeProblem.residual``) and ``f_x`` are those of ``x``, or
+    None while a stochastic ``run`` has not evaluated it; an exact step
+    takes its subgradient from that residual.
     """
 
     schedule: object
@@ -189,7 +176,7 @@ def init(problem, schedule, x1=None):
         dual_accum=np.zeros(d), h=np.zeros(d),
         residual=None, f_x=None, best_f=math.inf, best_x=None,
         last_s=s1, last_alpha=alpha1)
-    _evaluate(state, problem, [x1])
+    _evaluate(state, problem)
     return state
 
 
@@ -228,9 +215,10 @@ def step(state, problem, mode="exact", rng=None, unsafe=False, _rows=None):
 
     A stochastic step draws its minibatch from ``rng`` and the new iterate
     is evaluated at once, unless ``run`` passes the rows and targets it
-    drew for this step as ``_rows``: then ``run`` evaluates the iterate,
-    and ``residual``, ``f_x`` and ``best_f`` wait for it.  An exact step
-    always evaluates at once, as the next one reads its residual.
+    drew for this step as ``_rows``: then ``residual`` and ``f_x`` are
+    set to None, and ``run`` evaluates the iterate only if it logs it or
+    stops at it.  An exact step always evaluates at once, as the next one
+    reads its residual.
     """
     s_n, alpha_n = state.last_s, state.last_alpha
     s_next, alpha_next, t_n, mu, gamma_next = _schedule_values(
@@ -270,62 +258,27 @@ def step(state, problem, mode="exact", rng=None, unsafe=False, _rows=None):
     state.bound_acc += s_next * s_next / alpha_next
 
     if _rows is None:
-        _evaluate(state, problem, [x_next])
+        _evaluate(state, problem)
+    else:
+        state.residual = state.f_x = None
     return state
 
 
-def _evaluate(state, problem, xs, pool=None):
-    """Objective bookkeeping for the iterates xs, oldest first, the last
-    being ``state.x``: f of each, ``best_f`` / ``best_x`` from the first
-    minimum of the block's f (what a strict ``<`` in iterate order
-    keeps), then the residual and f of the last.  Several iterates are
-    evaluated as arrays: one residual block, which reads A once, one
-    ``loss_at`` and one ``_value`` pass over it.  Given a thread pool, a
-    block of at least 4 iterates is split into two row halves, each with
-    its own residual block and ``loss_at`` pass, the second on the pool's
-    worker; every f is bitwise the unsplit block's.  A non-finite f, say
-    from an overflowing schedule, is a ValueError naming the first such
-    iterate."""
-    if len(xs) == 1:
-        residual = problem.residual(xs[0])
-        f = np.array([problem.loss_at(residual) + problem.reg._value(xs[0])])
-    else:
-        X = np.array(xs)
-        # the last residual's copy is allocated before the block, so that
-        # freeing the block leaves no hole under it on the heap; copied
-        # after, it raised peak RSS by 1.5 MB in about half of the
-        # logistic-stoch-b1 runs
-        residual = np.empty_like(state.residual)
-
-        def losses(rows, last):
-            rs = problem.residual(rows)
-            if last:
-                residual[...] = rs[-1]  # before loss_at overwrites the rows
-            return problem.loss_at(rs)
-
-        # both halves keep 2 rows or more: a 1-row product goes to gemv
-        half = len(xs) // 2
-        if pool is None or half < 2:
-            f = losses(X, True)
-        else:
-            second = pool.submit(losses, X[half:], True)
-            try:
-                first = losses(X[:half], False)
-            finally:  # the worker is done before anything leaves here
-                rest = second.result()
-            f = np.concatenate([first, rest])
-        f = f + problem.reg._value(X)
-    finite = np.isfinite(f)
-    if not finite.all():
-        i = int(finite.argmin())
-        raise ValueError("objective is not finite at iterate %d (f = %r)"
-                         % (state.n - len(xs) + 1 + i, float(f[i])))
-    i = int(f.argmin())
-    if f[i] < state.best_f:
-        state.best_f = float(f[i])
-        state.best_x = xs[i].copy()
+def _evaluate(state, problem):
+    """Objective bookkeeping for the iterate ``state.x``: its residual and
+    f, and ``best_f`` / ``best_x`` when f is below ``best_f`` (so of tied
+    iterates the first is kept).  A non-finite f, say from an
+    overflowing schedule, is a ValueError naming the iterate."""
+    x = state.x
+    residual = problem.residual(x)
+    f = float(problem.loss_at(residual) + problem.reg._value(x))
+    if not math.isfinite(f):
+        raise ValueError("objective is not finite at iterate %d (f = %r)" % (state.n, f))
+    if f < state.best_f:
+        state.best_f = f
+        state.best_x = x.copy()
     state.residual = residual
-    state.f_x = float(f[-1])
+    state.f_x = f
 
 
 def extract_h(state):
@@ -389,45 +342,20 @@ def trace_row(state, problem, reference=None, d_star=None, t0=None, unsafe=False
                     gamma_next / alpha_next, nnz, elapsed)
 
 
-def _other_cpus():
-    """The CPUs the calling thread may run on, less the one it runs on now;
-    empty where the platform does not tell.  ``run``'s worker keeps off the
-    calling thread's CPU: woken from ``run``'s thread, it was otherwise
-    placed on that busy CPU and waited for it in 40 of 40 blocks on a
-    2-vCPU Linux VM, so the halves' products overlapped for 17-41% of
-    their time instead of 74-95%."""
-    try:
-        with open("/proc/thread-self/stat") as fh:
-            cpu = int(fh.read().rsplit(")", 1)[1].split()[36])  # field 39
-        return os.sched_getaffinity(0) - {cpu}
-    except (OSError, AttributeError, ValueError, IndexError):
-        return set()
-
-
-def _keep_to(cpus):
-    """Keep the calling thread to cpus, if any, where the platform lets it."""
-    if cpus:
-        try:
-            os.sched_setaffinity(0, cpus)
-        except OSError:
-            pass
-
-
 def run(problem, schedule, n_iters, mode="exact", seed=None, stride=100,
         x1=None, reference=None, unsafe=False, callback=None, timing="deterministic"):
     """Run n_iters steps, logging a TraceRow whenever the iterate index n is a
     multiple of stride.  Exact mode ignores the seed entirely.
 
-    A stochastic run evaluates its iterates in blocks (see the module
-    docstring); each block ends at a trace row, at the end of the run, or
-    when it holds ``problem.block_width()`` iterates, and its second half
-    is evaluated on a worker thread that is joined before ``run`` returns
-    or raises.  With a callback every iterate is evaluated alone, before
-    the callback sees it.  Either way the returned state and every
-    TraceRow are fully evaluated, but an iterate evaluated alone may round
-    f differently in the last bit: a callback can change the last bits of
-    ``f_x``, ``best_f`` and ``gap_best`` (and on a near tie ``best_x``),
-    and nothing else."""
+    A stochastic run evaluates f exactly at x_1, at each logged iterate
+    and at the last iterate, and nowhere in between.  With sampled
+    subgradients the theorem bounds the expected s-weighted mean of
+    f(x_i) - f*, which no single f enters: ``gap_avg`` is f of the
+    s-weighted average, at most that mean by convexity, and the best f
+    of the evaluated iterates, which a stochastic trace's ``gap_best``
+    reports, is at least the best f of all of them.  The callback sees
+    every state; a stochastic one that is neither logged nor the last has
+    ``f_x`` and ``residual`` None.  A callback changes no output."""
     if n_iters < 1:
         raise ValueError("need at least one iteration")
     if stride < 1:
@@ -441,30 +369,22 @@ def run(problem, schedule, n_iters, mode="exact", seed=None, stride=100,
         d_star = problem.mirror.bregman(reference.x_star, state.x1)
     t0 = time.perf_counter() if timing == "wall" else None
     rows = []
-    block = []
-    width = problem.block_width()
     draws = problem._draw_width() if mode == "stochastic" else 0
     drawn = None
-    # the worker starts at the first block of 4 or more iterates
-    with ThreadPoolExecutor(max_workers=1, initializer=_keep_to,
-                            initargs=(_other_cpus(),)) as pool:
-        for i in range(n_iters):
-            if draws:
-                j = i % draws
-                if j == 0:
-                    _, A, b = problem._draw(rng, min(draws, n_iters - i))
-                drawn = (A[j], b[j])
-            state = step(state, problem, mode=mode, rng=rng, unsafe=unsafe, _rows=drawn)
-            if drawn is not None:  # the step left its iterate to this loop
-                block.append(state.x)
-                if (callback is not None or len(block) == width
-                        or state.n % stride == 0 or i == n_iters - 1):
-                    _evaluate(state, problem, block, pool)
-                    block.clear()
-            if callback is not None:
-                callback(state)
-            if state.n % stride == 0:
-                rows.append(trace_row(state, problem, reference, d_star, t0, unsafe))
+    for i in range(n_iters):
+        if draws:
+            j = i % draws
+            if j == 0:
+                _, A, b = problem._draw(rng, min(draws, n_iters - i))
+            drawn = (A[j], b[j])
+        state = step(state, problem, mode=mode, rng=rng, unsafe=unsafe, _rows=drawn)
+        logged = state.n % stride == 0
+        if drawn is not None and (logged or i == n_iters - 1):
+            _evaluate(state, problem)
+        if callback is not None:
+            callback(state)
+        if logged:
+            rows.append(trace_row(state, problem, reference, d_star, t0, unsafe))
     # An overflowed dual point stays non-finite (each step scales it by
     # ratio (1 - mu) >= 0, and 0 * inf is nan), though a backward step such
     # as the box clip can still return a finite x and f: one check here

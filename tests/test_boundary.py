@@ -7,7 +7,8 @@ bitwise, the public functions still reject bad input, a run's
 validation count does not grow with its length, and an overflowing
 schedule still fails loudly, with exit code 2 from the command line.
 A stochastic run draws its samples a block at a time through
-``_draw``, and replays exactly a loop of single steps.
+``_draw``, and replays exactly a loop of single steps that evaluates f
+at the trace rows and the last iterate.
 """
 
 import os
@@ -138,7 +139,7 @@ def test_step_draws_the_rows_sample_subgradient_draws(loss, batch):
 
 
 def block_problem(loss, batch):
-    """m = 8000 rows, so a block of draws holds 65 (``block_width()``)."""
+    """m = 8000 rows, d = 6."""
     if loss == "linear":
         return build_problem("linear", L1Penalty(0.05), EU, c=np.linspace(-1.0, 1.0, 6))
     A, b, _ = synthetic_sparse_data(loss, d=6, m=8000, k=2, noise=0.3, seed=4)
@@ -148,10 +149,11 @@ def block_problem(loss, batch):
 @pytest.mark.parametrize("callback", [False, True], ids=["blocks", "callback"])
 @pytest.mark.parametrize("loss, batch", [("lad", 1), ("logistic", 1), ("lad", 3),
                                          ("logistic", 3), ("linear", 1)])
-def test_run_replays_a_loop_of_single_steps(loss, batch, callback):
+def test_run_replays_a_loop_of_single_steps(loss, batch, callback, monkeypatch):
     p = block_problem(loss, batch)
-    if loss != "linear":
-        assert p.block_width() == p._draw_width() == 65
+    # a block of draws holds 65 steps' rows
+    monkeypatch.setattr(problems, "_DRAW_BLOCK", 65 * 8 * p.batch_size * p.d)
+    assert p._draw_width() == 65
     sched = leap_frog(power_steps(0.5, 0.5))
     n_iters, stride = 150, 7  # 150 = 2 * 65 + 20, and 7 does not divide 65
     reference = SimpleNamespace(f_star=-1.0, x_star=np.full(p.d, 0.1))
@@ -163,31 +165,22 @@ def test_run_replays_a_loop_of_single_steps(loss, batch, callback):
                  reference=reference,
                  callback=(lambda st: seen.append(st.x.copy())) if callback else None)
 
-    # one draw per block of at most block_width() steps, none past n_iters
-    assert counts == ([n_iters] if loss == "linear" else [65, 65, 20])
+    # one draw per block of at most _draw_width() steps, none past n_iters
+    assert counts == [65, 65, 20]
     del p._draw
 
-    # one step, and one draw, at a time; with a callback each step draws
-    # and evaluates on its own, without one the iterates are evaluated in
-    # run's blocks, whose stacked product may round f differently from one
-    # iterate's own product
+    # one step, and one draw, at a time, evaluating f at each trace row
+    # and at the last iterate, with or without a callback
     state = init(p, sched)
     d_star = p.mirror.bregman(reference.x_star, state.x1)
     rng = np.random.default_rng(12)
-    block = []
     xs, rows = [], []
     for i in range(n_iters):
-        if callback:
-            state = step(state, p, "stochastic", rng)
-        else:
-            _, drawn, targets = p._draw(rng, 1)
-            state = step(state, p, "stochastic", rng, _rows=(drawn[0], targets[0]))
-            block.append(state.x)
+        _, drawn, targets = p._draw(rng, 1)
+        state = step(state, p, "stochastic", rng, _rows=(drawn[0], targets[0]))
         xs.append(state.x.copy())
-        if block and (len(block) == p.block_width() or state.n % stride == 0
-                      or i == n_iters - 1):
-            _evaluate(state, p, block)
-            block.clear()
+        if state.n % stride == 0 or i == n_iters - 1:
+            _evaluate(state, p)
         if state.n % stride == 0:
             rows.append(trace_row(state, p, reference, d_star))
     if loss == "linear":

@@ -2,8 +2,8 @@
 module-level constant is read somewhere in the package, only
 ``solver._schedule_values`` calls a schedule's ``s``, ``alpha`` or ``t``,
 only ``solver._evaluate`` calls ``residual``, ``loss_at`` or ``_value`` in
-the solver, and only ``problems._draw`` draws from a run's random
-generator.
+the solver, only ``problems._draw`` draws from a run's random
+generator, and no module starts threads or processes or pins a CPU.
 
 No linter ships with the test environment, so this walks each module's
 syntax tree instead.  ``__init__.py`` is left out of the import check: it
@@ -213,3 +213,49 @@ def test_the_walk_finds_a_generator_draw():
 def test_only_the_sampler_draws_from_the_generator():
     sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
     assert generator_draws(sources) == []
+
+
+CONCURRENCY_MODULES = ("threading", "concurrent", "multiprocessing")
+
+
+def concurrency_uses(sources):
+    """"module line N: name" for each import of threading, concurrent.futures
+    or multiprocessing and each use of ``sched_setaffinity``: the package
+    runs on its caller's thread, and concurrency comes back only with a
+    benchmark that needs it."""
+    found = []
+    for module, source in sorted(sources.items()):
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            else:
+                continue
+            found += ["%s line %d: %s" % (module, node.lineno, name) for name in names
+                      if name.split(".")[0] in CONCURRENCY_MODULES
+                      or name == "sched_setaffinity"]
+    return found
+
+
+def test_the_walk_finds_concurrency():
+    sources = {"solver.py": "import os\nimport threading as th\n"
+                            "from concurrent.futures import ThreadPoolExecutor\n"
+                            "def run():\n    os.sched_setaffinity(0, {1})\n"
+                            "    os.sched_getaffinity(0)\n",
+               "harness.py": "import multiprocessing.pool\n"
+                             "from os import sched_setaffinity\nimport time\n"}
+    assert concurrency_uses(sources) == ["harness.py line 1: multiprocessing.pool",
+                                         "harness.py line 2: sched_setaffinity",
+                                         "solver.py line 2: threading",
+                                         "solver.py line 3: concurrent.futures",
+                                         "solver.py line 5: sched_setaffinity"]
+
+
+def test_no_module_starts_threads_or_pins_a_cpu():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert concurrency_uses(sources) == []

@@ -1,8 +1,6 @@
 import collections
 import math
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -11,7 +9,8 @@ import pytest
 
 from xrda.geometry import (EuclideanMirror, MirrorDomainError,
                            NegativeEntropyMirror)
-from xrda import problems, solver
+from xrda import problems
+from xrda.harness import write_trace_csv
 from xrda.problems import build_problem, synthetic_sparse_data
 from xrda.reference import prox_subgradient_iterates, reference_optimum
 from xrda.regularizers import (BoxIndicator, L1Penalty, SimplexIndicator,
@@ -430,8 +429,8 @@ def test_stochastic_step_never_takes_a_full_gradient():
     run(p, leap_frog(power_steps(1.0, 0.5)), n, mode="stochastic", seed=4,
         stride=2 * n)
     # one per sampled step (a batch of one takes its a' w elementwise), one
-    # per half of the residual block of all n iterates, one in init
-    assert len(tally) == n + 2 + 1
+    # for the last iterate, one in init
+    assert len(tally) == n + 1 + 1
 
 
 def test_stochastic_blocks_end_at_every_trace_row():
@@ -443,10 +442,9 @@ def test_stochastic_blocks_end_at_every_trace_row():
               stride=stride)
     rows = n // stride
     assert [r.n for r in res.rows] == [5, 10, 15, 20, 25]
-    # one per sampled step; per trace row one per half of the block ending
-    # there (4 or 5 iterates) and one for f_avg; the block of n = 26 at the
-    # end of the run; one in init
-    assert len(tally) == n + 3 * rows + 1 + 1
+    # one per sampled step; per trace row one for its iterate and one for
+    # f_avg; one for the last iterate, n = 26; one in init
+    assert len(tally) == n + 2 * rows + 1 + 1
 
 
 def stochastic_setup(loss, lam):
@@ -466,90 +464,77 @@ def replay(p, sched, n, seed):
     return st, xs
 
 
+def test_standalone_stochastic_steps_evaluate_every_iterate():
+    """``step`` called on its own evaluates its iterate, so ``best_f`` is
+    the best f over every iterate, bitwise."""
+    p, sched = stochastic_setup("logistic", 0.01)
+    st, xs = replay(p, sched, 60, seed=4)
+    fs = [p.objective(x) for x in xs]
+    assert st.best_f == min(fs)
+    assert np.array_equal(st.best_x, xs[int(np.argmin(fs))])
+    assert st.f_x == fs[-1]
+
+
 @pytest.mark.parametrize("budget", [None, 8 * 300 * 3])
 @pytest.mark.parametrize("loss, lam", [("logistic", 0.01), ("lad", 0.1),
                                        ("logistic", 0.3)])
-def test_stochastic_run_evaluates_every_iterate_in_blocks(loss, lam, budget,
-                                                          monkeypatch):
-    """Blocks of iterates give each f to rtol 1e-13 of its own objective and
-    leave the trajectory bitwise that of step-by-step stochastic steps."""
-    if budget is not None:  # three iterates per block
-        monkeypatch.setattr(problems, "_OBJECTIVE_BLOCK", budget)
+def test_stochastic_run_evaluates_x1_each_row_and_the_last_iterate(loss, lam, budget,
+                                                                  monkeypatch):
+    """A stochastic run takes the trajectory of standalone steps, bitwise,
+    whatever the draw width, and evaluates f at x_1, at each trace row and
+    at the last iterate: ``f_x``, ``best_f``, ``best_x`` and each row's
+    ``gap_best`` are those of its evaluated iterates, bitwise."""
+    if budget is not None:  # eleven draws per block
+        monkeypatch.setattr(problems, "_DRAW_BLOCK", budget)
     p, sched = stochastic_setup(loss, lam)
+    reference = SimpleNamespace(f_star=-1.0, x_star=np.full(p.d, 0.1))
     n, seed = 97, 8
-    res = run(p, sched, n, mode="stochastic", seed=seed, stride=10)
+    res = run(p, sched, n, mode="stochastic", seed=seed, stride=10, reference=reference)
     st, xs = replay(p, sched, n, seed)
     assert np.array_equal(res.state.x, st.x)
     assert np.array_equal(res.state.weighted_sum, st.weighted_sum)
-    fs = [p.objective(x) for x in xs]
-    assert res.state.best_f == pytest.approx(min(fs), rel=1e-13, abs=0.0)
-    assert np.array_equal(res.state.best_x, xs[int(np.argmin(fs))])
-    assert res.state.f_x == pytest.approx(fs[-1], rel=1e-13, abs=0.0)
+    fs = {i: p.objective(xs[i - 1]) for i in [1] + list(range(10, n + 2, 10)) + [n + 1]}
     assert [r.n for r in res.rows] == list(range(10, n + 2, 10))
     for r in res.rows:
-        assert r.f_x == pytest.approx(fs[r.n - 1], rel=1e-13, abs=0.0)
-
-
-def test_stochastic_run_with_callback_sees_evaluated_states():
-    p, sched = stochastic_setup("logistic", 0.01)
-    seen = []
-
-    def check(st):
-        assert st.f_x == p.objective(st.x)
-        assert np.array_equal(st.residual, p.residual(st.x))
-        seen.append(st.f_x)
-
-    res = run(p, sched, 40, mode="stochastic", seed=3, stride=7, callback=check)
-    assert len(seen) == 40
-    assert res.state.best_f == min(seen + [p.objective(res.state.x1)])
+        assert r.f_x == fs[r.n]
+        assert r.gap_best == min(f for i, f in fs.items() if i <= r.n) - reference.f_star
+    best = min(fs, key=fs.get)
+    assert res.state.best_f == fs[best]
+    assert np.array_equal(res.state.best_x, xs[best - 1])
+    assert res.state.f_x == fs[n + 1]
+    # standalone steps evaluate every iterate, so their best is no worse
+    assert st.best_f <= res.state.best_f
 
 
 @pytest.mark.parametrize("loss", ["lad", "logistic"])
-def test_a_callback_changes_at_most_the_last_bits_of_f(loss, monkeypatch):
-    """With a callback each stochastic iterate is evaluated alone, by a
-    matrix-vector product; without one, in blocks, by a matrix-matrix
-    product, which may round f differently in the last bit.  Nothing else
-    changes: not the iterates, the draws, or any column but f_x and
-    gap_best."""
+def test_a_callback_changes_no_output(loss, tmp_path):
+    """A stochastic run evaluates the same iterates with a callback as
+    without one, so its trace is byte-identical; the callback sees f and
+    the residual of the evaluated iterates, and None in between."""
     A, b, _ = synthetic_sparse_data(loss, d=6, m=8000, k=2, noise=0.3, seed=4)
     p = build_problem(loss, L1Penalty(0.05), EU, A=A, b=b, batch_size=1)
     sched = leap_frog(power_steps(0.5, 0.5))
     reference = SimpleNamespace(f_star=-1.0, x_star=np.full(p.d, 0.1))
-    draw, real_step = p._draw, solver.step
+    n, stride = 150, 7
+    seen = []
 
-    def traced_run(callback):
-        draws, xs = [], []
+    def check(st):
+        if st.n % stride == 0 or st.n == n + 1:
+            assert st.f_x == p.objective(st.x)
+            assert np.array_equal(st.residual, p.residual(st.x))
+        else:
+            assert st.f_x is None and st.residual is None
+        seen.append(st.n)
 
-        def record_draw(rng, count):
-            out = draw(rng, count)
-            draws.append(out[0])
-            return out
-
-        def record_step(*args, **kwargs):
-            state = real_step(*args, **kwargs)
-            xs.append(state.x.copy())
-            return state
-
-        p._draw = record_draw
-        monkeypatch.setattr(solver, "step", record_step)
-        result = run(p, sched, 150, mode="stochastic", seed=12, stride=7,
+    traces = []
+    for callback in (None, check):
+        result = run(p, sched, n, mode="stochastic", seed=12, stride=stride,
                      reference=reference, callback=callback)
-        return result, np.concatenate(draws), np.array(xs)
-
-    plain, plain_draws, plain_xs = traced_run(None)
-    observed, observed_draws, observed_xs = traced_run(lambda st: None)
-    del p._draw
-    assert len(plain_xs) == 150
-    assert np.array_equal(plain_draws, observed_draws)
-    assert np.array_equal(plain_xs.view(np.int64), observed_xs.view(np.int64))
-    assert len(plain.rows) == len(observed.rows) == 150 // 7
-    for got, want in zip(observed.rows, plain.rows):
-        for field in ("n", "f_avg", "gap_avg", "bound", "backward_step", "nnz"):
-            assert np.float64(getattr(got, field)).view(np.int64) \
-                == np.float64(getattr(want, field)).view(np.int64), field
-        for field in ("f_x", "gap_best"):
-            assert getattr(got, field) == pytest.approx(getattr(want, field),
-                                                        rel=1e-13, abs=0.0), field
+        traces.append(tmp_path / ("%d.csv" % len(traces)))
+        write_trace_csv(result.rows, traces[-1])
+    assert seen == list(range(2, n + 2))
+    assert len(result.rows) == n // stride
+    assert traces[0].read_bytes() == traces[1].read_bytes()
 
 
 def test_exact_step_after_stochastic_run_matches_accumulated_form():
@@ -564,27 +549,26 @@ def test_exact_step_after_stochastic_run_matches_accumulated_form():
     assert st.f_x == p.objective(st.x)
 
 
-@pytest.mark.parametrize("budget", [None, 8 * 300 * 4 + 7, 8 * 300])
-def test_residual_blocks_hold_at_most_the_byte_budget(budget, monkeypatch):
-    if budget is not None:
-        monkeypatch.setattr(problems, "_OBJECTIVE_BLOCK", budget)
+@pytest.mark.parametrize("stride", [1000, 7, 1])
+def test_a_stochastic_run_takes_one_residual_per_evaluated_iterate(stride):
+    """``problem.residual`` is called once for x_1, once for each trace
+    row's iterate and once for the last iterate when no row logs it, and
+    once for each row's averaged iterate; never for any other iterate."""
     p, sched = stochastic_setup("logistic", 0.01)
-    width = problems._OBJECTIVE_BLOCK // (8 * max(p.m, p.d))
-    widths = []
+    inputs, iterates = [], {}
     residual = p.residual
-
-    def recording(x):
-        widths.append(x.shape[0] if x.ndim == 2 else 1)
-        return residual(x)
-
-    p.residual = recording
+    p.residual = lambda x: inputs.append(x) or residual(x)
     n = 160
-    run(p, sched, n, mode="stochastic", seed=1, stride=1000)
-    assert max(widths) <= width
-    assert sum(widths) == n + 1  # each iterate once, x1 in init
-    # a full block of 4 or more is evaluated as two halves, the larger second
-    full = min(width, n)
-    assert max(widths) == (full - full // 2 if full >= 4 else full)
+    res = run(p, sched, n, mode="stochastic", seed=1, stride=stride,
+              callback=lambda st: iterates.__setitem__(st.n, st.x))
+    del p.residual
+    assert np.array_equal(inputs[0], res.state.x1)
+    iterates[1] = inputs[0]
+    logged = [i for i in range(2, n + 2) if i % stride == 0]
+    expected = [1] + logged + ([n + 1] if (n + 1) % stride else [])
+    evaluated = [i for x in inputs for i, y in iterates.items() if x is y]
+    assert evaluated == expected
+    assert len(inputs) == len(expected) + len(res.rows)
 
 
 def test_exact_step_after_stochastic_steps_matches_accumulated_form():
@@ -677,10 +661,9 @@ def replay_best(best_f, best_x, xs, fs):
 @pytest.mark.parametrize("K", [1, 3, 9, 64])
 def test_evaluate_keeps_the_earliest_of_tied_minima(K):
     """Integer data and iterates in eighths make every residual exact, so
-    the lad loss with b = 0 takes the same bits at c x and -c x whatever
-    product forms it, and a block holds tied minima: the first is kept,
-    as a strict < in iterate order keeps it, and a tie with the best so
-    far keeps that."""
+    the lad loss with b = 0 takes the same bits at c x and -c x: of K
+    iterates evaluated in turn, the first of tied minima is kept, and a
+    tie with the best so far keeps that."""
     rng = np.random.default_rng(K)
     A = rng.integers(-3, 4, (30, 4)).astype(float)
     p = build_problem("lad", ZeroRegularizer(), EU, A=A, b=np.zeros(30))
@@ -691,16 +674,21 @@ def test_evaluate_keeps_the_earliest_of_tied_minima(K):
     xs[K - 1] = -low
     fs = [p.objective(x) for x in xs]
     best_f, best_x = replay_best(st.best_f, st.best_x, xs, fs)
-    st.n = 10 + K
-    st.x = xs[-1]
-    _evaluate(st, p, xs)
+
+    def evaluate_in_turn(xs):
+        for x in xs:
+            st.n += 1
+            st.x = x
+            _evaluate(st, p)
+
+    evaluate_in_turn(xs)
     assert st.best_f == best_f == min(fs) == fs[K - 1]
     assert st.best_x.tobytes() == best_x.tobytes() == xs[K // 3].tobytes()
     assert st.f_x == fs[-1]
     assert np.array_equal(st.residual, p.residual(xs[-1]))
 
-    # a block whose minimum ties the best so far keeps the earlier iterate
-    _evaluate(st, p, [-x for x in xs])
+    # iterates whose minimum ties the best so far keep the earlier one
+    evaluate_in_turn([-x for x in xs])
     assert st.best_x.tobytes() == xs[K // 3].tobytes()
 
 
@@ -708,137 +696,38 @@ def test_evaluate_keeps_the_earliest_of_tied_minima(K):
 @pytest.mark.parametrize("K, first, later",
                          [(1, 0, None), (5, 2, 4), (9, 0, 8), (64, 63, None)])
 def test_evaluate_names_the_first_iterate_whose_f_is_not_finite(K, first, later, bad):
-    """The first non-finite f of a block is named by its iterate index, the
-    one a replay in iterate order would stop at; a coordinate of 2 leaves
-    the box (f = inf), a nan one makes f nan."""
+    """Of K iterates evaluated in turn, the first whose f is not finite
+    stops the evaluation and is named by its iterate index; a coordinate
+    of 2 leaves the box (f = inf), a nan one makes f nan."""
     p = build_problem("lad", BoxIndicator(-1.0, 1.0), EU, A=np.eye(3), b=np.zeros(3))
     st = init(p, leap_frog(power_steps(1.0, 0.5)))
     xs = [np.full(3, 0.1 * (j % 7)) for j in range(K)]
     xs[first] = np.array([bad, 0.0, 0.0])
     if later is not None:
         xs[later] = np.array([3.0, 0.0, 0.0])
-    st.n = 40 + K
+    st.n = 40
     with pytest.raises(ValueError, match="not finite at iterate %d " % (40 + first + 1)):
-        _evaluate(st, p, xs)
-
-
-def recording_losses(p):
-    """Wrap p.loss_at so that it records, per call, the calling thread and
-    the losses it returned; returns the record."""
-    calls = []
-    loss_at = p.loss_at
-
-    def recorded(r):
-        out = loss_at(r)
-        calls.append((threading.get_ident(), out))
-        return out
-
-    p.loss_at = recorded
-    return calls
-
-
-def evaluated(p, xs, pool):
-    """The state after ``_evaluate`` of the stack xs from a fresh init,
-    with the losses of each ``loss_at`` call, the calling thread's first."""
-    st = init(p, leap_frog(power_steps(1.0, 0.5)))
-    st.n = 1 + len(xs)
-    st.x = xs[-1]
-    calls = recording_losses(p)
-    _evaluate(st, p, xs, pool)
-    del p.loss_at
-    me = threading.get_ident()
-    calls.sort(key=lambda call: call[0] != me)
-    return st, calls
-
-
-@pytest.mark.parametrize("K", [2, 3, 4, 5, 64, 65])
-@pytest.mark.parametrize("loss, m, d", [("logistic", 8000, 200), ("lad", 60, 8),
-                                        ("logistic", 301, 30)])
-def test_a_split_block_evaluates_bitwise_as_one_thread(loss, m, d, K):
-    """With a pool, a block of 4 or more iterates is evaluated as two row
-    halves, the second on the worker; f of every iterate, ``best_f``,
-    ``best_x``, ``f_x`` and the last residual are bitwise those of the
-    block evaluated on one thread.  Smaller blocks never reach the pool."""
-    A, b, _ = synthetic_sparse_data(loss, d=d, m=m, k=3, noise=0.5, seed=K)
-    p = build_problem(loss, L1Penalty(0.05), EU, A=A, b=b, batch_size=1)
-    rng = np.random.default_rng(m + K)
-    xs = [rng.standard_normal(d) * (rng.random(d) < 0.3) for _ in range(K)]
-    one, one_calls = evaluated(p, xs, None)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        two, two_calls = evaluated(p, xs, pool)
-    me = threading.get_ident()
-    assert [len(out) for _, out in one_calls] == [K]
-    assert [len(out) for _, out in two_calls] == ([K] if K < 4 else [K // 2, K - K // 2])
-    assert [ident == me for ident, _ in two_calls] == [True] + [False] * (K >= 4)
-    f_one = one_calls[0][1]
-    f_two = np.concatenate([out for _, out in two_calls])
-    assert np.array_equal(f_one.view(np.int64), f_two.view(np.int64))
-    for got, want in [(two.f_x, one.f_x), (two.best_f, one.best_f),
-                      (two.best_x, one.best_x), (two.residual, one.residual)]:
-        assert np.array_equal(np.asarray(got).view(np.int64),
-                              np.asarray(want).view(np.int64))
-
-
-@pytest.mark.parametrize("K, first, later", [(4, 2, 3), (9, 5, None), (9, 8, None),
-                                             (65, 40, 64), (65, 3, 40)])
-def test_a_split_block_names_the_first_iterate_whose_f_is_not_finite(K, first, later):
-    """The non-finite f of a split block is named by its iterate index,
-    whether it falls in the worker's half or the calling thread's."""
-    p = build_problem("lad", BoxIndicator(-1.0, 1.0), EU, A=np.eye(3), b=np.zeros(3))
-    st = init(p, leap_frog(power_steps(1.0, 0.5)))
-    xs = [np.full(3, 0.1 * (j % 7)) for j in range(K)]
-    xs[first] = np.array([np.nan, 0.0, 0.0])
-    if later is not None:
-        xs[later] = np.array([3.0, 0.0, 0.0])
-    st.n = 40 + K
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        with pytest.raises(ValueError, match="not finite at iterate %d " % (40 + first + 1)):
-            _evaluate(st, p, xs, pool)
+        for x in xs:
+            st.n += 1
+            st.x = x
+            _evaluate(st, p)
 
 
 @pytest.mark.parametrize("schedule, error", [
     (leap_frog(power_steps(1.0, 0.5)), None), (jump_schedule(), ScheduleError)])
 def test_no_thread_outlives_a_run(schedule, error):
-    """``run``'s worker evaluates the second half of its blocks and is
-    joined when the run ends, also when a schedule violation stops it with
-    iterates 8 to 10 waiting in a block."""
+    """A run starts no thread: the thread count is the same before a
+    stochastic run, during it as its callback sees it, and after it, also
+    when a schedule violation stops it."""
     A, b, _ = synthetic_sparse_data("logistic", d=6, m=40, k=2, noise=0.1, seed=5)
     p = build_problem("logistic", L1Penalty(0.1), EU, A=A, b=b, batch_size=1)
-    calls = recording_losses(p)
     before = threading.active_count()
+    during = []
+    callback = lambda st: during.append(threading.active_count())
     if error is None:
-        run(p, schedule, 30, mode="stochastic", seed=2, stride=7)
+        run(p, schedule, 30, mode="stochastic", seed=2, stride=7, callback=callback)
     else:
         with pytest.raises(error, match="s_11"):
-            run(p, schedule, 30, mode="stochastic", seed=2, stride=7)
+            run(p, schedule, 30, mode="stochastic", seed=2, stride=7, callback=callback)
+    assert during and set(during) == {before}
     assert threading.active_count() == before
-    workers = {ident for ident, _ in calls} - {threading.get_ident()}
-    assert len(workers) == 1
-    assert workers.isdisjoint(t.ident for t in threading.enumerate())
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
-                    reason="the platform does not report CPU affinity")
-def test_the_worker_keeps_off_the_cpu_of_runs_thread(monkeypatch):
-    """``run``'s worker is kept to the CPUs its caller may use, less the
-    one the caller runs on when the run starts; with nothing to keep to,
-    or a set the platform refuses, it keeps the caller's affinity."""
-    allowed = os.sched_getaffinity(0)
-    others = solver._other_cpus()
-    assert others < allowed and len(others) == len(allowed) - 1
-    A, b, _ = synthetic_sparse_data("logistic", d=6, m=40, k=2, noise=0.1, seed=5)
-    p = build_problem("logistic", L1Penalty(0.1), EU, A=A, b=b, batch_size=1)
-    for given, expected in [({min(allowed)}, {min(allowed)}), (set(), allowed),
-                            ({1 << 20}, allowed)]:
-        seen = []
-        loss_at = p.loss_at
-        p.loss_at = lambda r: seen.append(
-            (threading.get_ident(), os.sched_getaffinity(0))) or loss_at(r)
-        monkeypatch.setattr(solver, "_other_cpus", lambda: given)
-        run(p, leap_frog(power_steps(1.0, 0.5)), 12, mode="stochastic", seed=2,
-            stride=6)
-        del p.loss_at
-        me = threading.get_ident()
-        # the second halves of the blocks of 5 and 6 iterates
-        assert [cpus for ident, cpus in seen if ident != me] == [expected] * 2
-        assert all(cpus == allowed for ident, cpus in seen if ident == me)
