@@ -206,9 +206,9 @@ def check_bound(trace_paths, strict, slack=1e-9):
     against 1.10x the bound.  A stochastic run evaluates f only at x_1
     and the logged iterates, so its gap_best is the best of those: never
     below the best over all iterates, which makes its check stricter than
-    one over every iterate would be.  A trace with a missing or non-finite bound
-    or gap value (the bound column of an --unsafe run is nan) is
-    refused, and a non-finite slack is a ConfigError.
+    one over every iterate would be.  A trace with a missing or
+    non-finite bound or gap value (the bound column of an --unsafe run is
+    nan) is refused, and a non-finite slack is a ConfigError.
     """
     if not trace_paths:
         raise ValueError("no trace files given")
