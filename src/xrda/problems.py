@@ -17,9 +17,12 @@ Three loss families are supported:
 Each loss depends on x only through the residual r = A x (<c, x> for
 linear): ``residual`` makes the one pass over A, and ``loss_at``,
 ``row_weights``, ``curvature`` (logistic only) and ``subgradient_at``
-hold the only copy of each formula.  Each takes one point: the solver
-evaluates one iterate at a time, and a stochastic run evaluates only
-the iterates it logs (see ``solver``).
+hold the only copy of each formula.  The solver evaluates one iterate
+at a time, and a stochastic run evaluates only the iterates it logs
+(see ``solver``).  ``residual`` and ``loss_at`` also take stacks, as a
+regularizer's ``_value`` does: a (K, d) stack of iterates gives the
+(K, m) stack of their residuals from one product, and ``loss_at`` of
+that gives the K losses, each bitwise that of its row.
 
 A is stored column-major (Fortran order), so the columns of x's support
 are contiguous.  When x has at most d/4 nonzeros, as the l1 iterates
@@ -143,9 +146,14 @@ class CompositeProblem:
     def residual(self, x):
         """A x, or <c, x> for the linear loss: F depends on x only through
         it.  While x has at most d/4 nonzeros the product reads only the
-        support columns of A, ``_RESIDUAL_BLOCK`` bytes of them at a time."""
+        support columns of A, ``_RESIDUAL_BLOCK`` bytes of them at a time.
+        Given a (K, d) stack of iterates, returns their K residuals as the
+        rows of one (K, m) array, from one product that reads A once."""
+        stacked = x.ndim == 2
         if self.loss == "linear":
-            return pairing(self.c, x)
+            return x @ self.c if stacked else pairing(self.c, x)
+        if stacked:
+            return x @ self.A.T
         support = np.flatnonzero(x)
         if support.size > _SUPPORT_FRACTION * self.d:
             return self.A @ x
@@ -169,9 +177,13 @@ class CompositeProblem:
         return expit(-self.b * r) * expit(self.b * r)
 
     def loss_at(self, r):
-        """F at the residual r = ``residual(x)``; r is left as it is."""
+        """F at the residual r = ``residual(x)``; r is left as it is.  Given
+        a (K, m) stack of residuals, returns the K values as an array, each
+        bitwise ``loss_at`` of its row."""
         if self.loss == "linear":
             return r
+        if r.ndim == 2:
+            return np.array([self.loss_at(row) for row in r])
         if self.loss == "lad":
             z = r - self.b
             np.abs(z, out=z)

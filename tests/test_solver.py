@@ -9,7 +9,7 @@ import pytest
 
 from xrda.geometry import (EuclideanMirror, MirrorDomainError,
                            NegativeEntropyMirror)
-from xrda import problems
+from xrda import problems, solver
 from xrda.harness import write_trace_csv
 from xrda.problems import build_problem, synthetic_sparse_data
 from xrda.reference import prox_subgradient_iterates, reference_optimum
@@ -506,35 +506,89 @@ def test_stochastic_run_evaluates_x1_each_row_and_the_last_iterate(loss, lam, bu
     assert st.best_f <= res.state.best_f
 
 
-@pytest.mark.parametrize("loss", ["lad", "logistic"])
-def test_a_callback_changes_no_output(loss, tmp_path):
-    """A stochastic run evaluates the same iterates with a callback as
-    without one, so its trace is byte-identical; the callback sees f and
-    the residual of the evaluated iterates, and None in between."""
-    A, b, _ = synthetic_sparse_data(loss, d=6, m=8000, k=2, noise=0.3, seed=4)
-    p = build_problem(loss, L1Penalty(0.05), EU, A=A, b=b, batch_size=1)
-    sched = leap_frog(power_steps(0.5, 0.5))
-    reference = SimpleNamespace(f_star=-1.0, x_star=np.full(p.d, 0.1))
-    n, stride = 150, 7
+@pytest.mark.parametrize("budget", [None, 8 * 300 * 3])
+@pytest.mark.parametrize("loss, lam", [("logistic", 0.01), ("lad", 0.1),
+                                       ("logistic", 0.3)])
+def test_stochastic_run_evaluates_every_iterate_in_blocks(loss, lam, budget,
+                                                          monkeypatch):
+    """At stride 1 every iterate is logged, so a stochastic run that draws
+    in blocks evaluates every iterate, as standalone steps do: each row's
+    f, ``best_f``, ``best_x`` and ``f_x`` are bitwise theirs."""
+    if budget is not None:  # eleven draws per block
+        monkeypatch.setattr(problems, "_DRAW_BLOCK", budget)
+    p, sched = stochastic_setup(loss, lam)
+    n, seed = 97, 8
+    res = run(p, sched, n, mode="stochastic", seed=seed, stride=1)
+    st, xs = replay(p, sched, n, seed)
+    assert np.array_equal(res.state.x, st.x)
+    fs = [p.objective(x) for x in xs]
+    assert [r.n for r in res.rows] == list(range(2, n + 2))
+    assert [r.f_x for r in res.rows] == fs[1:]
+    assert res.state.best_f == st.best_f == min(fs)
+    assert np.array_equal(res.state.best_x, st.best_x)
+    assert res.state.f_x == st.f_x == fs[-1]
+
+
+def test_stochastic_run_with_callback_sees_evaluated_states():
+    """The callback sees f and the residual of each iterate a stochastic
+    run evaluates, each logged one and the last, and None in between."""
+    p, sched = stochastic_setup("logistic", 0.01)
+    n, stride = 40, 7
     seen = []
 
     def check(st):
         if st.n % stride == 0 or st.n == n + 1:
             assert st.f_x == p.objective(st.x)
             assert np.array_equal(st.residual, p.residual(st.x))
+            seen.append(st.f_x)
         else:
             assert st.f_x is None and st.residual is None
-        seen.append(st.n)
 
-    traces = []
-    for callback in (None, check):
-        result = run(p, sched, n, mode="stochastic", seed=12, stride=stride,
+    res = run(p, sched, n, mode="stochastic", seed=3, stride=stride, callback=check)
+    assert len(seen) == len(res.rows) + 1
+    assert res.state.best_f == min(seen + [p.objective(res.state.x1)])
+
+
+@pytest.mark.parametrize("loss", ["lad", "logistic"])
+def test_a_callback_changes_at_most_the_last_bits_of_f(loss, monkeypatch, tmp_path):
+    """A stochastic run evaluates the same iterates with a callback as
+    without one, so a callback changes not even the last bits of f: the
+    draws, the iterates and the trace file are bitwise the same."""
+    A, b, _ = synthetic_sparse_data(loss, d=6, m=8000, k=2, noise=0.3, seed=4)
+    p = build_problem(loss, L1Penalty(0.05), EU, A=A, b=b, batch_size=1)
+    sched = leap_frog(power_steps(0.5, 0.5))
+    reference = SimpleNamespace(f_star=-1.0, x_star=np.full(p.d, 0.1))
+    draw, real_step = p._draw, solver.step
+
+    def traced_run(callback, path):
+        draws, xs = [], []
+
+        def record_draw(rng, count):
+            out = draw(rng, count)
+            draws.append(out[0])
+            return out
+
+        def record_step(*args, **kwargs):
+            state = real_step(*args, **kwargs)
+            xs.append(state.x.copy())
+            return state
+
+        p._draw = record_draw
+        monkeypatch.setattr(solver, "step", record_step)
+        result = run(p, sched, 150, mode="stochastic", seed=12, stride=7,
                      reference=reference, callback=callback)
-        traces.append(tmp_path / ("%d.csv" % len(traces)))
-        write_trace_csv(result.rows, traces[-1])
-    assert seen == list(range(2, n + 2))
-    assert len(result.rows) == n // stride
-    assert traces[0].read_bytes() == traces[1].read_bytes()
+        write_trace_csv(result.rows, path)
+        return path.read_bytes(), np.concatenate(draws), np.array(xs)
+
+    plain, plain_draws, plain_xs = traced_run(None, tmp_path / "plain.csv")
+    observed, observed_draws, observed_xs = traced_run(lambda st: None,
+                                                       tmp_path / "observed.csv")
+    del p._draw
+    assert len(plain_xs) == 150
+    assert np.array_equal(plain_draws, observed_draws)
+    assert np.array_equal(plain_xs.view(np.int64), observed_xs.view(np.int64))
+    assert plain.count(b"\n") == 1 + 150 // 7
+    assert observed == plain
 
 
 def test_exact_step_after_stochastic_run_matches_accumulated_form():
@@ -569,6 +623,45 @@ def test_a_stochastic_run_takes_one_residual_per_evaluated_iterate(stride):
     evaluated = [i for x in inputs for i, y in iterates.items() if x is y]
     assert evaluated == expected
     assert len(inputs) == len(expected) + len(res.rows)
+
+
+@pytest.mark.parametrize("budget", [None, 8 * 300 * 4 + 7, 8 * 300])
+def test_residual_blocks_hold_at_most_the_byte_budget(budget, monkeypatch):
+    """Each residual a stochastic run takes reads A's support columns in
+    products of at most ``_RESIDUAL_BLOCK`` bytes while the point has at
+    most d/4 nonzeros, and takes one full product when it has more."""
+    if budget is not None:
+        monkeypatch.setattr(problems, "_RESIDUAL_BLOCK", budget)
+    p, sched = stochastic_setup("logistic", 0.03)  # 4 to 38 nonzeros
+    width = max(1, problems._RESIDUAL_BLOCK // (8 * p.m))
+    A, residual = p.A, p.residual
+    calls = []
+
+    class Counting(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                calls[-1][1].append(inputs[0].shape[1])
+            return getattr(ufunc, method)(*(np.asarray(v) for v in inputs), **kwargs)
+
+    def recording(x):
+        calls.append((np.count_nonzero(x), []))
+        p.A = A.view(Counting)
+        try:
+            return residual(x)
+        finally:
+            p.A = A
+
+    p.residual = recording
+    run(p, sched, 160, mode="stochastic", seed=1, stride=1)
+    del p.residual
+    sparse = [(nnz, widths) for nnz, widths in calls if 4 * nnz <= p.d]
+    assert 0 < len(sparse) < len(calls)
+    assert all(widths == [p.d] for nnz, widths in calls if 4 * nnz > p.d)
+    for nnz, widths in sparse:
+        assert max(widths) <= width and sum(widths) == nnz
+        assert len(widths) == max(1, -(-nnz // width))
+    if width < p.d // 4:  # the budget splits some product
+        assert any(len(widths) > 1 for _, widths in sparse)
 
 
 def test_exact_step_after_stochastic_steps_matches_accumulated_form():
@@ -711,6 +804,39 @@ def test_evaluate_names_the_first_iterate_whose_f_is_not_finite(K, first, later,
             st.n += 1
             st.x = x
             _evaluate(st, p)
+
+
+@pytest.mark.parametrize("K, first, later", [(4, 2, 3), (9, 5, None), (9, 8, None),
+                                             (65, 40, 64), (65, 3, 40)])
+def test_a_split_block_names_the_first_iterate_whose_f_is_not_finite(K, first, later,
+                                                                    monkeypatch):
+    """A stochastic run that stops partway through a block of K draws, at
+    a non-finite f, names the iterate by its index, not by the block's
+    end: step ``first`` of the second block is made to leave a nan
+    iterate, and a later one (outside the box, f = inf) is never reached."""
+    p = build_problem("lad", BoxIndicator(-1.0, 1.0), EU, A=np.eye(3), b=np.zeros(3),
+                      batch_size=1)
+    monkeypatch.setattr(problems, "_DRAW_BLOCK", K * 8 * p.d)
+    assert p._draw_width() == K
+    counts, draw = [], p._draw
+    p._draw = lambda rng, count: counts.append(count) or draw(rng, count)
+    bad = {K + first + 2: np.nan}
+    if later is not None:
+        bad[K + later + 2] = 3.0
+    real_step = solver.step
+
+    def spoiling_step(*args, **kwargs):
+        state = real_step(*args, **kwargs)
+        if state.n in bad:
+            state.x = np.array([bad[state.n], 0.0, 0.0])
+        return state
+
+    monkeypatch.setattr(solver, "step", spoiling_step)
+    with pytest.raises(ValueError, match="not finite at iterate %d " % (K + first + 2)):
+        run(p, leap_frog(power_steps(1.0, 0.5)), 3 * K, mode="stochastic", seed=5,
+            stride=1)
+    del p._draw
+    assert counts == [K, K]
 
 
 @pytest.mark.parametrize("schedule, error", [
