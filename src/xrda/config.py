@@ -263,7 +263,7 @@ def parse_config(text, base_dir=".", name="experiment"):
         cfg.m = p.take_number("m", int, minimum=1)
         cfg.k = p.take_number("k", int, minimum=1)
         cfg.noise = p.take_number("noise", minimum=0.0)
-        cfg.data_seed = p.take_number("data_seed", int)
+        cfg.data_seed = p.take_number("data_seed", int, minimum=0)
         files_mode = cfg.data_a is not None or cfg.data_b is not None
         synth_mode = any(v is not None for v in (cfg.d, cfg.m, cfg.k, cfg.noise,
                                                  cfg.data_seed))
@@ -316,6 +316,8 @@ def parse_config(text, base_dir=".", name="experiment"):
     cfg.iterations = r.take_number("iterations", int, required=True, minimum=1)
     cfg.mode = r.take_choice("mode", ("exact", "stochastic"), default="exact")
     cfg.seeds = r.take_list("seeds", int) or cfg.seeds
+    if min(cfg.seeds) < 0:
+        r.error("seeds = %s: every seed must be >= 0" % " ".join(map(str, cfg.seeds)))
     cfg.batch_size = r.take_number("batch_size", int, minimum=1)
     # inf asks for no solve: the reference is the canonical start
     cfg.reference_tol = r.take_number("reference_tol", default=1e-8, strict_min=0.0,

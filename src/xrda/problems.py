@@ -19,10 +19,7 @@ linear): ``residual`` makes the one pass over A, and ``loss_at``,
 ``row_weights``, ``curvature`` (logistic only) and ``subgradient_at``
 hold the only copy of each formula.  The solver evaluates one iterate
 at a time, and a stochastic run evaluates only the iterates it logs
-(see ``solver``).  ``residual`` and ``loss_at`` also take stacks, as a
-regularizer's ``_value`` does: a (K, d) stack of iterates gives the
-(K, m) stack of their residuals from one product, and ``loss_at`` of
-that gives the K losses, each bitwise that of its row.
+(see ``solver``).
 
 A is stored column-major (Fortran order), so the columns of x's support
 are contiguous.  When x has at most d/4 nonzeros, as the l1 iterates
@@ -146,14 +143,9 @@ class CompositeProblem:
     def residual(self, x):
         """A x, or <c, x> for the linear loss: F depends on x only through
         it.  While x has at most d/4 nonzeros the product reads only the
-        support columns of A, ``_RESIDUAL_BLOCK`` bytes of them at a time.
-        Given a (K, d) stack of iterates, returns their K residuals as the
-        rows of one (K, m) array, from one product that reads A once."""
-        stacked = x.ndim == 2
+        support columns of A, ``_RESIDUAL_BLOCK`` bytes of them at a time."""
         if self.loss == "linear":
-            return x @ self.c if stacked else pairing(self.c, x)
-        if stacked:
-            return x @ self.A.T
+            return pairing(self.c, x)
         support = np.flatnonzero(x)
         if support.size > _SUPPORT_FRACTION * self.d:
             return self.A @ x
@@ -177,13 +169,9 @@ class CompositeProblem:
         return expit(-self.b * r) * expit(self.b * r)
 
     def loss_at(self, r):
-        """F at the residual r = ``residual(x)``; r is left as it is.  Given
-        a (K, m) stack of residuals, returns the K values as an array, each
-        bitwise ``loss_at`` of its row."""
+        """F at the residual r = ``residual(x)``; r is left as it is."""
         if self.loss == "linear":
             return r
-        if r.ndim == 2:
-            return np.array([self.loss_at(row) for row in r])
         if self.loss == "lad":
             z = r - self.b
             np.abs(z, out=z)

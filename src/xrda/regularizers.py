@@ -24,16 +24,14 @@ MEMBERSHIP_TOL = 1e-9
 
 class _Regularizer:
     """``value`` validates x and calls the kernel ``_value``, which the
-    solver calls directly on the iterates it made itself.  ``_value`` also
-    takes a (K, d) stack of iterates and returns the K values, reducing
-    along the last axis; each is bitwise ``_value`` of its row."""
+    solver calls directly on the iterates it made itself."""
 
     def value(self, x):
         return float(self._value(as_vector(x)))
 
 
 def _indicator(inside):
-    return np.where(inside, 0.0, np.inf)
+    return 0.0 if inside else math.inf
 
 
 class L1Penalty(_Regularizer):
@@ -47,7 +45,7 @@ class L1Penalty(_Regularizer):
         self.lam = float(lam)
 
     def _value(self, x):
-        return self.lam * np.abs(x).sum(axis=-1)
+        return self.lam * np.abs(x).sum()
 
     def __repr__(self):
         return "L1Penalty(lam=%g)" % self.lam
@@ -73,9 +71,8 @@ class BoxIndicator(_Regularizer):
         return lo, hi
 
     def _value(self, x):
-        lo, hi = self.bounds(x.shape[-1])
-        return _indicator(np.all((x >= lo - MEMBERSHIP_TOL) & (x <= hi + MEMBERSHIP_TOL),
-                                 axis=-1))
+        lo, hi = self.bounds(x.size)
+        return _indicator(np.all((x >= lo - MEMBERSHIP_TOL) & (x <= hi + MEMBERSHIP_TOL)))
 
     def __repr__(self):
         return "BoxIndicator(lo=%s, hi=%s)" % (self.lo, self.hi)
@@ -87,8 +84,8 @@ class SimplexIndicator(_Regularizer):
     kind = "simplex"
 
     def _value(self, x):
-        return _indicator(np.all(x >= -MEMBERSHIP_TOL, axis=-1)
-                          & (np.abs(np.sum(x, axis=-1) - 1.0) <= MEMBERSHIP_TOL))
+        return _indicator(np.all(x >= -MEMBERSHIP_TOL)
+                          and abs(np.sum(x) - 1.0) <= MEMBERSHIP_TOL)
 
     def __repr__(self):
         return "SimplexIndicator()"
@@ -105,14 +102,8 @@ class L2BallIndicator(_Regularizer):
         self.radius = float(radius)
 
     def _value(self, x):
-        # the power-of-two scaling of _prox_euclid_l2ball: max|z| is in
-        # [1, 2), so z.z cannot overflow; a norm past the largest float is
-        # inf, outside the ball
-        scale = np.ldexp(1.0, np.frexp(np.max(np.abs(x), axis=-1))[1] - 1)
-        z = x / np.expand_dims(scale, -1)
-        with np.errstate(over="ignore"):
-            norm = np.sqrt(np.sum(z * z, axis=-1)) * scale
-        return _indicator(norm <= self.radius + MEMBERSHIP_TOL)
+        _, scale, nrm = _scaled_norm(x)
+        return _indicator(nrm * scale <= self.radius + MEMBERSHIP_TOL)
 
     def __repr__(self):
         return "L2BallIndicator(radius=%g)" % self.radius
@@ -124,7 +115,7 @@ class ZeroRegularizer(_Regularizer):
     kind = "zero"
 
     def _value(self, x):
-        return np.zeros(x.shape[:-1])
+        return 0.0
 
     def __repr__(self):
         return "ZeroRegularizer()"
@@ -140,12 +131,20 @@ def _prox_euclid_box(reg, y, s):
     return np.clip(y, lo, hi)
 
 
+def _scaled_norm(x):
+    """(z, 2^k, ||z||) with z = x / 2^k and 2^k near max|x|: the division
+    is exact and max|z| is in [1, 2), so z.z cannot overflow, and ||x|| is
+    ||z|| * 2^k, a float product that is inf, without a warning, past the
+    largest float."""
+    scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(x))))[1] - 1)
+    z = x / scale
+    return z, scale, float(np.sqrt(np.dot(z, z)))
+
+
 def _prox_euclid_l2ball(reg, y, s):
-    # z = y / 2^k with 2^k near max|y| is exact, so this is bit for bit
-    # y * (radius / sqrt(y.y)) wherever y.y is finite, and right beyond.
-    scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(y))))[1] - 1)
-    z = y / scale
-    nrm = float(np.sqrt(np.dot(z, z)))
+    # bit for bit y * (radius / sqrt(y.y)) wherever y.y is finite, and
+    # right beyond
+    z, scale, nrm = _scaled_norm(y)
     if nrm * scale <= reg.radius:
         return y.copy()
     return z * (reg.radius / nrm)

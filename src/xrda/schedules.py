@@ -81,7 +81,8 @@ def leap_frog(steps):
     """Never reuse backward subgradients: t = 0, alpha = 1.
 
     The backward weight gamma_{n+1} = sum_{i<=n} s_i grows without
-    bound, which is what drives iterates to exact sparsity.
+    bound, as RDA's does.  Exact sparsity needs only a backward step that
+    does not shrink to zero; ``constant_backward`` keeps it bounded.
     """
     return Schedule("leap_frog", steps, lambda n: 1.0, _zero_t)
 

@@ -202,6 +202,22 @@ def test_empty_seeds_rejected():
                                      "iterations = 10\nseeds ="))
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("loss = lad\n", "", "[problem] missing required key 'loss'"),
+    ("regularizer = zero", "regularizer = l1\nlambda = 0", "[problem] lambda = 0 must be > 0"),
+    ("preset = rda", "preset = leap_frog\nstep_scale = 0",
+     "[schedule] step_scale = 0 must be > 0"),
+    ("iterations = 10", "iterations = 10\nx1 = 0 a",
+     "[run] x1 = '0 a' is not a whitespace-separated list of finite numbers"),
+    ("preset = rda", "preset = averaged_leap_frog\nmu = 1.5",
+     "[schedule] mu = 1.5 must lie in [0, 1]"),
+], ids=["no-loss", "lambda-0", "step_scale-0", "x1-token", "mu-1.5"])
+def test_rejected_values_name_their_key(old, new, message):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(MINIMAL.replace(old, new))
+    assert message in exc.value.errors
+
+
 def test_data_source_exclusivity():
     both = MINIMAL.replace("d = 4", "d = 4\ndata_a = A.txt\ndata_b = b.txt")
     with pytest.raises(ConfigError, match="not both"):

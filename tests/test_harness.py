@@ -217,6 +217,42 @@ def test_check_bound_seed_mean_mode(tmp_path):
     assert "different n" in report.summary()
 
 
+@pytest.mark.parametrize("label", ["gap_best", "gap_avg"])
+def test_check_bound_seed_mean_fails_past_its_limit(tmp_path, capsys, label):
+    """The non-strict check fails when the mean over seeds of a gap column
+    at the final n exceeds 1.10 x bound + slack, and passes just below."""
+    cfg = parse_config(STOCH_CFG, name="st")
+    paths = run_experiment(cfg, out_dir=tmp_path)
+    traces = [read_trace_csv(path) for path in paths]
+    bound = max(rows[-1].bound for rows in traces)
+    limit = 1.10 * bound + 1e-9
+    for mean, ok in ((limit * (1 + 1e-9), False), (limit * (1 - 1e-9), True)):
+        for rows, offset in zip(traces, (-0.25 * bound, 0.25 * bound)):
+            setattr(rows[-1], label, mean + offset)  # each seed apart, the mean as set
+        for rows, path in zip(traces, paths):
+            write_trace_csv(rows, path)
+        report = check_bound(paths, strict=False)
+        assert report.ok is ok, report.summary()
+        if not ok:
+            assert ("seed-mean %s=" % label) in report.summary()
+            assert "exceeds 1.10 x bound=" in report.summary()
+        assert main(["check-bound"] + [str(p) for p in paths]) == (0 if ok else 3)
+        capsys.readouterr()
+
+
+def test_compare_takes_mu_one_half_for_an_unconfigured_averaged_preset(tmp_path,
+                                                                       monkeypatch):
+    """A preset other than the config's own takes its defaults, and
+    averaged_leap_frog, which has none for mu, takes mu = 0.5."""
+    made = []
+    real = harness.schedule_preset
+    monkeypatch.setattr(harness, "schedule_preset",
+                        lambda kind, **kw: made.append((kind, kw)) or real(kind, **kw))
+    cfg = parse_config(BASE_CFG, name="exp")  # preset leap_frog
+    compare(cfg, ["averaged_leap_frog", "rda", "leap_frog"], out_dir=tmp_path)
+    assert made == [("averaged_leap_frog", {"mu": 0.5}), ("rda", {})]
+
+
 def test_check_bound_input_validation(tmp_path):
     with pytest.raises(ValueError, match="no trace files"):
         check_bound([], strict=True)
@@ -693,3 +729,21 @@ def test_cli_start_point_errors_exit_1_before_the_reference(tmp_path, capsys, mo
     err = capsys.readouterr().err
     assert "config error:" in err and "[run] start point" in err and message in err
     assert solves == [] and not out.exists()
+
+
+@pytest.mark.parametrize("command", [["run"], ["compare", "--presets", "leap_frog"],
+                                     ["gen-problem"]], ids=["run", "compare", "gen-problem"])
+@pytest.mark.parametrize("old, new, message", [
+    ("seeds = 4 9", "seeds = -1 2", "[run] seeds = -1 2: every seed must be >= 0"),
+    ("data_seed = 3", "data_seed = -3", "[problem] data_seed = -3 must be >= 0")],
+    ids=["seeds", "data_seed"])
+def test_cli_negative_seeds_exit_1_before_any_work(tmp_path, capsys, command, old, new,
+                                                   message):
+    """A negative run seed or data seed is a config error naming its key,
+    found before the reference is solved or anything is written."""
+    out = tmp_path / "o"
+    text = STOCH_CFG.replace(old, new)
+    assert main(["--config", write_cfg(tmp_path, text), "--out", str(out)] + command) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and message in err
+    assert not (out / "_refcache").exists() and not out.exists()

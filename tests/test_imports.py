@@ -3,7 +3,8 @@ module-level constant is read somewhere in the package, only
 ``solver._schedule_values`` calls a schedule's ``s``, ``alpha`` or ``t``,
 only ``solver._evaluate`` calls ``residual``, ``loss_at`` or ``_value`` in
 the solver, only ``problems._draw`` draws from a run's random
-generator, and no module starts threads or processes or pins a CPU.
+generator, no module starts threads or processes or pins a CPU, and
+``residual``, ``loss_at`` and ``_value`` take one point, not a stack.
 
 No linter ships with the test environment, so this walks each module's
 syntax tree instead.  ``__init__.py`` is left out of the import check: it
@@ -259,3 +260,44 @@ def test_the_walk_finds_concurrency():
 def test_no_module_starts_threads_or_pins_a_cpu():
     sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
     assert concurrency_uses(sources) == []
+
+
+ONE_POINT_KERNELS = ("residual", "loss_at", "_value")
+
+
+def stacked_forms(sources):
+    """"module line N: function ..." for each read of ``.ndim`` and each
+    ``axis=-1`` keyword inside a function named residual, loss_at or
+    _value: the solver evaluates one iterate at a time, so each takes one
+    point and keeps no second path for a stack of them."""
+    found = []
+    for module, source in sorted(sources.items()):
+        for fn in ast.walk(ast.parse(source)):
+            if not (isinstance(fn, ast.FunctionDef) and fn.name in ONE_POINT_KERNELS):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Attribute) and node.attr == "ndim":
+                    found.append("%s line %d: %s reads .ndim" % (module, node.lineno, fn.name))
+                elif (isinstance(node, ast.keyword) and node.arg == "axis"
+                      and ast.unparse(node.value) == "-1"):
+                    found.append("%s line %d: %s reduces along axis=-1"
+                                 % (module, node.lineno, fn.name))
+    return found
+
+
+def test_the_walk_finds_a_stacked_form():
+    sources = {"problems.py": "def residual(self, x):\n"
+                              "    return x @ self.A.T if x.ndim == 2 else self.A @ x\n\n"
+                              "def loss_at(self, r):\n    return np.sum(r, axis= -1)\n\n"
+                              "def subgradient_at(self, r):\n"
+                              "    return r.ndim, r.sum(axis=-1)\n",
+               "regularizers.py": "class L1:\n    def _value(self, x):\n"
+                                  "        return np.abs(x).sum(axis=-1) + x.sum(axis=0)\n"}
+    assert stacked_forms(sources) == ["problems.py line 2: residual reads .ndim",
+                                      "problems.py line 5: loss_at reduces along axis=-1",
+                                      "regularizers.py line 3: _value reduces along axis=-1"]
+
+
+def test_the_objective_kernels_take_one_point():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert stacked_forms(sources) == []

@@ -374,35 +374,6 @@ def test_residual_gathers_blocks_of_at_most_512_kb(nnz):
         assert widths == [d]
 
 
-@pytest.mark.parametrize("loss", ["lad", "linear"])
-@pytest.mark.parametrize("union", [0, 3, 10, 11, 40])
-def test_residual_of_a_stack_is_one_block_of_rows(loss, union):
-    """A (K, d) stack gives the K residuals as contiguous rows, from one
-    product whatever the union of the supports."""
-    d, m, K = 40, 70, 6
-    rng = np.random.default_rng(union)
-    cols = rng.choice(d, size=union, replace=False)
-    X = np.zeros((K, d))
-    for j in range(K):  # each iterate takes part of the union
-        part = cols[rng.random(union) < 0.6]
-        X[j, part] = rng.standard_normal(part.size)
-    X[0, cols] = 1.0
-    if loss == "linear":
-        p = build_problem("linear", ZeroRegularizer(), EU, c=rng.standard_normal(d))
-        np.testing.assert_allclose(p.residual(X), [p.residual(x) for x in X],
-                                   rtol=1e-13, atol=1e-13)
-        return
-    A_c = rng.standard_normal((m, d))
-    p = build_problem("lad", L1Penalty(0.1), EU, A=A_c, b=np.zeros(m))
-    widths = count_gathered_columns(p)
-    R = p.residual(X)
-    assert R.shape == (K, m) and R.flags.c_contiguous
-    assert len(widths) == 1
-    expected = X @ A_c.T
-    np.testing.assert_allclose(R, expected, rtol=1e-13,
-                               atol=1e-13 * np.abs(expected).max(initial=0.0))
-
-
 def bitwise(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -412,9 +383,8 @@ def bitwise(a, b):
 @pytest.mark.parametrize("loss", ["lad", "logistic", "linear"])
 def test_loss_at_of_a_stack_is_each_row_bitwise(loss, K):
     """At m = 8000, ``loss_at`` of each of K residuals is a float, bitwise
-    the loss written out as plain numpy expressions; of the (K, m) stack
-    it is the K values, each bitwise that of its row; and neither changes
-    its argument."""
+    the loss written out as plain numpy expressions, and leaves the
+    residual as it was."""
     d, m = 5, 8000
     rng = np.random.default_rng(K)
     X = rng.standard_normal((K, d)) * 10.0 ** rng.uniform(-3, 2, (K, 1))
@@ -423,15 +393,10 @@ def test_loss_at_of_a_stack_is_each_row_bitwise(loss, K):
     else:
         A, b, _ = synthetic_sparse_data(loss, d=d, m=m, k=2, noise=0.3, seed=K)
         p = build_problem(loss, L1Penalty(0.1), EU, A=A, b=b)
-    R = p.residual(X)
-    kept = R.copy()
-    rows = [R[j].copy() for j in range(K)]
+    rows = [p.residual(x) for x in X]
+    kept = [np.copy(r) for r in rows]
     per_row = [p.loss_at(r) for r in rows]
-    assert all(bitwise(r, R[j]) for j, r in enumerate(rows))  # a row is left as it was
-    stacked = p.loss_at(R)
-    assert stacked.shape == (K,)
-    assert bitwise(stacked, per_row)
-    assert bitwise(R, kept)
+    assert all(bitwise(r, k) for r, k in zip(rows, kept))
     if loss != "linear":
         assert all(type(v) is float for v in per_row)
         assert bitwise(per_row, [one_row_loss(loss, r, p.b) for r in rows])
