@@ -33,6 +33,9 @@ _KNOWN_KEYS = {
 }
 
 
+_RECIPE_KEYS = ("d", "m", "k", "noise", "data_seed")
+
+
 class ConfigError(ValueError):
     """Carries every validation problem found in a config, or in another
     input of a command (presets, start point, slack); exit code 1."""
@@ -257,6 +260,8 @@ def parse_config(text, base_dir=".", name="experiment"):
         if cfg.cost is None:
             p.error("linear loss needs the cost vector (key 'cost')")
     elif cfg.loss is not None:
+        # a recipe key that is given but invalid is reported once, as invalid
+        missing = [key for key in _RECIPE_KEYS if key not in p.data]
         cfg.data_a = p.take("data_a")
         cfg.data_b = p.take("data_b")
         cfg.d = p.take_number("d", int, minimum=1)
@@ -265,8 +270,7 @@ def parse_config(text, base_dir=".", name="experiment"):
         cfg.noise = p.take_number("noise", minimum=0.0)
         cfg.data_seed = p.take_number("data_seed", int, minimum=0)
         files_mode = cfg.data_a is not None or cfg.data_b is not None
-        synth_mode = any(v is not None for v in (cfg.d, cfg.m, cfg.k, cfg.noise,
-                                                 cfg.data_seed))
+        synth_mode = len(missing) < len(_RECIPE_KEYS)
         if files_mode and synth_mode:
             p.error("give either data files (data_a, data_b) or a synthetic recipe "
                     "(d, m, k, noise, data_seed), not both")
@@ -274,12 +278,9 @@ def parse_config(text, base_dir=".", name="experiment"):
             if cfg.data_a is None or cfg.data_b is None:
                 p.error("file mode needs both data_a and data_b")
         elif synth_mode:
-            missing = [key for key, v in (("d", cfg.d), ("m", cfg.m), ("k", cfg.k),
-                                          ("noise", cfg.noise),
-                                          ("data_seed", cfg.data_seed)) if v is None]
             if missing:
                 p.error("synthetic recipe is missing %s" % ", ".join(missing))
-            elif cfg.k > cfg.d:
+            elif cfg.k is not None and cfg.d is not None and cfg.k > cfg.d:
                 p.error("planted sparsity k = %d exceeds d = %d" % (cfg.k, cfg.d))
         else:
             p.error("%s loss needs data files or a synthetic recipe" % cfg.loss)

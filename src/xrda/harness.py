@@ -291,7 +291,7 @@ def compare(cfg, presets, out_dir=None, unsafe=False):
         if preset == cfg.preset:
             schedule = build_schedule_from_config(cfg)
         elif preset == "averaged_leap_frog":
-            schedule = schedule_preset(preset, mu=cfg.mu if cfg.mu is not None else 0.5)
+            schedule = schedule_preset(preset, mu=0.5)
         else:
             schedule = schedule_preset(preset)
         trace = _trace(cfg, problem, schedule, cfg.seeds[0], reference, unsafe)

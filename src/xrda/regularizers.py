@@ -122,8 +122,12 @@ class ZeroRegularizer(_Regularizer):
 
 
 def _prox_euclid_l1(reg, y, s):
-    thresh = s * reg.lam
-    return np.sign(y) * np.maximum(np.abs(y) - thresh, 0.0)
+    # max(|y| - s lam, 0) * sign(y), in one fresh array
+    out = np.abs(y)
+    out -= s * reg.lam
+    np.maximum(out, 0.0, out=out)
+    out *= np.sign(y)
+    return out
 
 
 def _prox_euclid_box(reg, y, s):

@@ -27,6 +27,14 @@ satisfy
                  sum_{i<=n} s_i^2 / alpha_i) / sum_{i<=n} s_i,
 
 which ``theoretical_bound`` evaluates from the state's accumulators.
+
+``step`` leaves out each term of weight exactly 0 (mu_n xt_n,
+(1 - a_n/a_{n+1}) xt_1, t_n h_n), multiplies by no factor of exactly 1,
+and forms s_n g_n once.  A left-out term is a signed zero (or nan at an
+already overflowed dual point), so only the sign of a zero entry can
+change, and no output reads it.  h is derived from the state, not
+stored, and for the Euclidean mirror xt_{n+1} is x_{n+1} itself.
+
 Only ``_schedule_values`` calls the schedule, and unless ``unsafe`` it
 checks each value once, when it is first evaluated: step n evaluates
 alpha_{n+1}, t_n and s_{n+1}, so a violation at index n+1 stops the run
@@ -96,7 +104,9 @@ class SolverState:
     hold sums over iterates 1..n: ``s_sum`` = sum s_i, ``weighted_sum``
     = sum s_i x_i, ``bound_acc`` = sum s_i^2 / alpha_i, ``dual_accum`` =
     sum s_i g_i + t_i h_i (this last one over steps taken, i.e. 1..n-1).
-    ``last_s`` and ``last_alpha`` are s_n and alpha_n.  ``residual``
+    ``last_s`` and ``last_alpha`` are s_n and alpha_n.  ``h`` is derived
+    from ``last_alpha``, ``gamma``, ``x_tilde_half`` and ``x_tilde``, and
+    ``x_tilde`` is ``x`` for the Euclidean mirror.  ``residual``
     (``CompositeProblem.residual``) and ``f_x`` are those of ``x``, or
     None while a stochastic ``run`` has not evaluated it; an exact step
     takes its subgradient from that residual.
@@ -114,13 +124,19 @@ class SolverState:
     weighted_sum: np.ndarray
     bound_acc: float
     dual_accum: np.ndarray
-    h: np.ndarray
     residual: object
     f_x: float
     best_f: float
     best_x: np.ndarray
     last_s: float
     last_alpha: float
+
+    @property
+    def h(self):
+        """h_n = (alpha_n / gamma_n) (xt_{n-1/2} - xt_n); zero while gamma_n = 0."""
+        if self.gamma == 0.0:
+            return np.zeros(self.x.size)
+        return (self.last_alpha / self.gamma) * (self.x_tilde_half - self.x_tilde)
 
 
 @dataclass
@@ -173,7 +189,7 @@ def init(problem, schedule, x1=None):
         x_tilde=xt1.copy(), x_tilde_half=xt1.copy(), x_tilde_1=xt1.copy(),
         x1=x1.copy(), gamma=0.0,
         s_sum=s1, weighted_sum=s1 * x1, bound_acc=s1 * s1 / alpha1,
-        dual_accum=np.zeros(d), h=np.zeros(d),
+        dual_accum=np.zeros(d),
         residual=None, f_x=None, best_f=math.inf, best_x=None,
         last_s=s1, last_alpha=alpha1)
     _evaluate(state, problem)
@@ -236,16 +252,24 @@ def step(state, problem, mode="exact", rng=None, unsafe=False, _rows=None):
     else:
         raise ValueError("mode must be 'exact' or 'stochastic', got %r" % (mode,))
 
-    mirror = problem.mirror
-    xt_prime = (1.0 - mu) * state.x_tilde_half + mu * state.x_tilde
+    # no term of weight exactly 0 (module docstring)
+    sg = s_n * g
+    xt_half = state.x_tilde_half
+    if mu:
+        xt_half = (1.0 - mu) * xt_half + mu * state.x_tilde
     ratio = alpha_n / alpha_next
-    xt_half = ratio * xt_prime + (1.0 - ratio) * state.x_tilde_1 - (s_n / alpha_next) * g
-    x_next = _prox(problem.reg, mirror, mirror._grad_inverse(xt_half),
-                   gamma_next / alpha_next)
-    xt_next = mirror._grad(x_next)
+    if ratio != 1.0:
+        xt_half = ratio * xt_half + (1.0 - ratio) * state.x_tilde_1
+    c = s_n / alpha_next
+    xt_half = xt_half - (sg if c == s_n else c * g)
+    # _prox returns a fresh array, so the identity map needs no copies
+    mirror = problem.mirror
+    euclidean = mirror.kind == "euclidean"
+    y = xt_half if euclidean else mirror._grad_inverse(xt_half)
+    x_next = _prox(problem.reg, mirror, y, gamma_next / alpha_next)
+    xt_next = x_next if euclidean else mirror._grad(x_next)
 
-    state.dual_accum += s_n * g + t_n * state.h
-    state.h = (alpha_next / gamma_next) * (xt_half - xt_next)
+    state.dual_accum += (sg + t_n * state.h) if t_n else sg
     state.x = x_next
     state.x_tilde = xt_next
     state.x_tilde_half = xt_half
@@ -283,7 +307,7 @@ def _evaluate(state, problem):
 
 def extract_h(state):
     """The recovered subgradient of G at the current iterate (zero at init)."""
-    return state.h.copy()
+    return state.h
 
 
 def averaged_iterate(state):
@@ -385,10 +409,10 @@ def run(problem, schedule, n_iters, mode="exact", seed=None, stride=100,
             callback(state)
         if logged:
             rows.append(trace_row(state, problem, reference, d_star, t0, unsafe))
-    # An overflowed dual point stays non-finite (each step scales it by
-    # ratio (1 - mu) >= 0, and 0 * inf is nan), though a backward step such
-    # as the box clip can still return a finite x and f: one check here
-    # catches an overflow at any step.
+    # An overflowed dual point stays non-finite (a step scales it by
+    # ratio (1 - mu) >= 0, 0 * inf is nan, and subtracting c g keeps an inf
+    # or nan entry), though a backward step such as the box clip can still
+    # return a finite x and f: one check here catches an overflow at any step.
     if not np.isfinite(state.x_tilde_half).all():
         raise ValueError("the dual point has non-finite entries at iterate %d"
                          % state.n)

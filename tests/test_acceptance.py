@@ -271,19 +271,24 @@ def test_criterion_08_sparsity_contrast():
     problem = make_instance(SPARSE100)
     ref = reference_optimum(problem, tol=REF_TOL)
     fracs = {}
-    for kind in ("leap_frog", "forward_backward"):
+    for kind in ("leap_frog", "constant_backward", "forward_backward"):
         res = run(problem, preset_schedule(kind), 3000, stride=100,
                   reference=ref)
         nnz = [r.nnz for r in res.rows if r.n >= 500]
         assert len(nnz) == 26
-        if kind == "leap_frog":
-            fracs[kind] = float(np.mean([v <= 15 for v in nnz]))
-        else:
+        if kind == "forward_backward":
             fracs[kind] = float(np.mean([v > 15 for v in nnz]))
-    ok = fracs["leap_frog"] >= 0.90 and fracs["forward_backward"] >= 0.90
-    report(8, "growing backward step drives iterate sparsity", ok,
-           "leap_frog<=15 at %.0f%%, forward_backward>15 at %.0f%%"
-           % (100 * fracs["leap_frog"], 100 * fracs["forward_backward"]))
+        else:
+            fracs[kind] = float(np.mean([v <= 15 for v in nnz]))
+        if kind == "constant_backward":
+            # bounded, not growing: pinned at gamma / alpha = s_1 = 1
+            assert res.rows[-1].backward_step == 1.0
+    ok = all(frac >= 0.90 for frac in fracs.values())
+    report(8, "a backward step that does not shrink drives iterate sparsity", ok,
+           "leap_frog<=15 at %.0f%%, constant_backward<=15 at %.0f%%, "
+           "forward_backward>15 at %.0f%%"
+           % (100 * fracs["leap_frog"], 100 * fracs["constant_backward"],
+              100 * fracs["forward_backward"]))
 
 
 def test_criterion_09_prox_closed_forms():

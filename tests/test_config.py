@@ -238,6 +238,21 @@ def test_data_source_exclusivity():
         parse_config(partial)
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("d = 4", "d = 0", "[problem] d = 0 must be >= 1"),
+    ("m = 6", "m = 0", "[problem] m = 0 must be >= 1"),
+    ("k = 1", "k = 0", "[problem] k = 0 must be >= 1"),
+    ("noise = 0.0", "noise = -1", "[problem] noise = -1 must be >= 0"),
+    ("data_seed = 0", "data_seed = -3", "[problem] data_seed = -3 must be >= 0"),
+], ids=["d", "m", "k", "noise", "data_seed"])
+def test_a_rejected_recipe_key_is_one_error(old, new, message):
+    """A recipe key that is given but invalid is not also reported as
+    missing from the recipe."""
+    with pytest.raises(ConfigError) as exc:
+        parse_config(MINIMAL.replace(old, new))
+    assert exc.value.errors == [message]
+
+
 def test_k_exceeds_d():
     with pytest.raises(ConfigError, match="k = 9 exceeds d = 4"):
         parse_config(MINIMAL.replace("k = 1", "k = 9"))

@@ -1,6 +1,7 @@
 import collections
 import math
 import threading
+from dataclasses import astuple
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -13,11 +14,11 @@ from xrda import problems, solver
 from xrda.harness import write_trace_csv
 from xrda.problems import build_problem, synthetic_sparse_data
 from xrda.reference import prox_subgradient_iterates, reference_optimum
-from xrda.regularizers import (BoxIndicator, L1Penalty, SimplexIndicator,
-                               ZeroRegularizer, in_subdifferential)
-from xrda.schedules import (Schedule, averaged_leap_frog, constant_backward,
-                            constant_steps, forward_backward, leap_frog,
-                            power_steps, rda)
+from xrda.regularizers import (BoxIndicator, L1Penalty, L2BallIndicator,
+                               SimplexIndicator, ZeroRegularizer, in_subdifferential)
+from xrda.schedules import (PRESET_KINDS, Schedule, averaged_leap_frog,
+                            constant_backward, constant_steps, forward_backward,
+                            leap_frog, power_steps, rda, schedule_preset)
 from xrda.solver import (ScheduleError, _evaluate, argmin_form_step,
                          averaged_iterate, extract_h, init, run, step,
                          theoretical_bound, trace_row)
@@ -857,3 +858,78 @@ def test_no_thread_outlives_a_run(schedule, error):
             run(p, schedule, 30, mode="stochastic", seed=2, stride=7, callback=callback)
     assert during and set(during) == {before}
     assert threading.active_count() == before
+
+
+def transcribed_run(p, sched, n_iters, mode, seed, stride, ref):
+    """The module docstring's recursion term for term, with h stored, on a
+    state from ``init``; it draws, evaluates and logs as ``run`` does.
+    Returns the final state, the last h and the trace rows."""
+    rng = np.random.default_rng(seed)
+    st = init(p, sched)
+    d_star = p.mirror.bregman(ref.x_star, st.x1)
+    h = np.zeros(p.d)
+    rows = []
+    for i in range(n_iters):
+        n, s_n, a_n, gamma_n = st.n, st.last_s, st.last_alpha, st.gamma
+        s_next, a_next, t_n = sched.s(n + 1), sched.alpha(n + 1), sched.t(n, gamma_n)
+        mu = t_n / gamma_n if gamma_n > 0 else 0.0
+        if mode == "exact":
+            g = p.subgradient(st.x)
+        else:
+            _, A, b = p._draw(rng, 1)
+            g = p._batch_subgradient(st.x, A[0], b[0])
+        xt_prime = (1.0 - mu) * st.x_tilde_half + mu * st.x_tilde
+        ratio = a_n / a_next
+        xt_half = ratio * xt_prime + (1.0 - ratio) * st.x_tilde_1 - (s_n / a_next) * g
+        gamma_next = (1.0 - mu) * gamma_n + s_n
+        x_next = solver.mirror_prox(p.reg, p.mirror, p.mirror.grad_inverse(xt_half),
+                                    gamma_next / a_next)
+        xt_next = p.mirror.grad(x_next)
+        st.dual_accum += s_n * g + t_n * h
+        h = (a_next / gamma_next) * (xt_half - xt_next)
+        st.x, st.x_tilde, st.x_tilde_half, st.gamma = x_next, xt_next, xt_half, gamma_next
+        st.last_s, st.last_alpha, st.n = s_next, a_next, n + 1
+        st.s_sum += s_next
+        st.weighted_sum += s_next * x_next
+        st.bound_acc += s_next * s_next / a_next
+        logged = st.n % stride == 0
+        if mode == "exact" or logged or i == n_iters - 1:
+            _evaluate(st, p)
+        if logged:
+            rows.append(trace_row(st, p, ref, d_star))
+    return st, h, rows
+
+
+REFERENCE_PAIRS = {
+    "l1": (L1Penalty(0.1), EU), "box": (BoxIndicator(0.1, 0.9), EU),
+    "l2ball": (L2BallIndicator(0.8), EU), "zero": (ZeroRegularizer(), EU),
+    "simplex": (SimplexIndicator(), EN)}
+
+
+@pytest.mark.parametrize("mode, batch", [("exact", None), ("stochastic", 1),
+                                         ("stochastic", 3)])
+@pytest.mark.parametrize("pair", sorted(REFERENCE_PAIRS))
+def test_run_is_the_transcribed_recursion_bitwise(pair, mode, batch):
+    """``step`` leaves out the terms whose weight is exactly 0 and derives
+    h from the state; ``run`` still gives the trace rows of the recursion
+    with every term kept, bitwise, and the same state.  Leaving out a
+    term can change only the sign of a zero, which ``+ 0.0`` clears."""
+    reg, mirror = REFERENCE_PAIRS[pair]
+    for loss in ("lad", "logistic"):
+        A, b, _ = synthetic_sparse_data(loss, d=6, m=24, k=2, noise=0.3, seed=8)
+        p = build_problem(loss, reg, mirror, A=A, b=b, batch_size=batch)
+        ref = reference_optimum(p, tol=float("inf"))
+        for kind in PRESET_KINDS:
+            mu = 0.5 if kind == "averaged_leap_frog" else None
+            res = run(p, schedule_preset(kind, mu=mu), 40, mode=mode, seed=6, stride=7,
+                      reference=ref)
+            st, h, rows = transcribed_run(p, schedule_preset(kind, mu=mu), 40, mode, 6,
+                                          7, ref)
+            assert len(res.rows) == len(rows) == 5
+            for got, want in zip(res.rows, rows):
+                assert np.array(astuple(got)).tobytes() == np.array(astuple(want)).tobytes(), \
+                    (loss, kind, got.n)
+            for got, want in [(res.state.x, st.x), (res.state.x_tilde_half, st.x_tilde_half),
+                              (res.state.weighted_sum, st.weighted_sum),
+                              (res.state.dual_accum, st.dual_accum), (res.state.h, h)]:
+                assert np.array_equal(got + 0.0, want + 0.0), (loss, kind)

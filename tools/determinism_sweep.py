@@ -1,0 +1,111 @@
+"""Determinism sweep: run the xrda command line over a fixed matrix of configs
+and keep everything it writes.
+
+Usage, from the root of the repository:
+
+    python3 tools/determinism_sweep.py OUT_DIR
+
+The matrix: the lad and logistic losses, each with the l1, box, simplex
+(entropy mirror), l2ball and zero regularizers, each in exact mode, in
+stochastic mode with batch 1 (seeds 1 2) and with batch 3 (seeds 3 4).
+Every case runs ``xrda run`` (leap_frog) and ``xrda compare`` with the
+four other presets; logistic+zero runs both once more with ``--unsafe``.
+Each command gets a directory under OUT_DIR with its config, the trace
+CSVs and ``_refcache`` it writes, its standard output and error and its
+exit code.  OUT_DIR must not exist yet.
+
+Paths in the outputs are relative to the command's directory, so two
+sweeps, of one version or of two that must agree, compare with
+``diff -r``.  The commands run one at a time, with BLAS on one thread.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+LOSSES = ("lad", "logistic")
+PAIRS = {
+    "l1": "mirror = euclidean\nregularizer = l1\nlambda = 0.1",
+    "box": "mirror = euclidean\nregularizer = box\nbox_lo = 0.1\nbox_hi = 0.9",
+    "simplex": "mirror = entropy\nregularizer = simplex",
+    "l2ball": "mirror = euclidean\nregularizer = l2ball\nradius = 1.0",
+    "zero": "mirror = euclidean\nregularizer = zero",
+}
+MODES = {
+    "exact": "mode = exact",
+    "b1": "mode = stochastic\nbatch_size = 1\nseeds = 1 2",
+    "b3": "mode = stochastic\nbatch_size = 3\nseeds = 3 4",
+}
+COMMANDS = {
+    "run": ["run"],
+    "compare": ["compare", "--presets",
+                "forward_backward,rda,constant_backward,averaged_leap_frog"],
+}
+
+
+def config_text(loss, pair, mode):
+    return "\n".join([
+        "spec_version = 1",
+        "[problem]",
+        "loss = %s" % loss,
+        PAIRS[pair],
+        "d = 8", "m = 30", "k = 2", "noise = 0.3", "data_seed = 5",
+        "[schedule]",
+        "preset = leap_frog",
+        "[run]",
+        "iterations = 200",
+        MODES[mode],
+        "[output]",
+        "stride = 25",
+    ]) + "\n"
+
+
+def cases():
+    """(directory name, config text, extra CLI flags, command) of every run."""
+    for loss in LOSSES:
+        for pair in PAIRS:
+            for mode in MODES:
+                flag_sets = [[]]
+                if loss == "logistic" and pair == "zero":
+                    flag_sets.append(["--unsafe"])
+                for flags in flag_sets:
+                    for command, args in COMMANDS.items():
+                        name = "-".join([loss, pair, mode, command]
+                                        + [f.strip("-") for f in flags])
+                        yield name, config_text(loss, pair, mode), flags, args
+
+
+def run_case(case_dir, text, flags, args, env):
+    case_dir.mkdir(parents=True)
+    (case_dir / "sweep.ini").write_text(text)
+    cmd = ([sys.executable, "-m", "xrda", "--config", "sweep.ini", "--out", "out"]
+           + flags + args)
+    proc = subprocess.run(cmd, cwd=case_dir, env=env, capture_output=True, text=True)
+    (case_dir / "stdout.txt").write_text(proc.stdout)
+    (case_dir / "stderr.txt").write_text(proc.stderr)
+    (case_dir / "exit_code.txt").write_text("%d\n" % proc.returncode)
+    return proc.returncode
+
+
+def main(argv):
+    if len(argv) != 1:
+        sys.exit("usage: python3 tools/determinism_sweep.py OUT_DIR")
+    out = Path(argv[0])
+    if out.exists():
+        sys.exit("%s exists; the sweep writes a new directory" % out)
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    codes = {}
+    for name, text, flags, args in cases():
+        codes[name] = run_case(out / name, text, flags, args, env)
+        print("%-36s exit %d" % (name, codes[name]))
+    print("%d commands, %d exited non-zero"
+          % (len(codes), sum(code != 0 for code in codes.values())))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
