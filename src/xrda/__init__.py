@@ -13,9 +13,8 @@ from .regularizers import (BoxIndicator, L1Penalty, L2BallIndicator,
                            SimplexIndicator, UnsupportedPairError,
                            ZeroRegularizer, canonical_argmin, ensure_supported,
                            in_subdifferential, mirror_prox)
-from .problems import (CompositeProblem, GradientSample, build_problem,
-                       read_dense_matrix, synthetic_sparse_data,
-                       write_dense_matrix)
+from .problems import (CompositeProblem, build_problem, read_dense_matrix,
+                       synthetic_sparse_data, write_dense_matrix)
 from .reference import (ReferenceSolution, lower_bound_certificate,
                         prox_subgradient_iterates, reference_optimum)
 from .schedules import (Schedule, averaged_leap_frog, constant_backward,

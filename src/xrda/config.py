@@ -136,12 +136,17 @@ def _collect_sections(tokens, errors):
 
 
 class _Reader:
-    """Typed key extraction over one section's dict, accumulating errors."""
+    """Typed key extraction over one section's dict, accumulating errors.
+
+    A choice that is missing or rejected decides which other keys the
+    section reads, so ``finish`` then reports no key as not allowed:
+    the choice's own error is the one to fix."""
 
     def __init__(self, section, data, errors):
         self.section = section
         self.data = dict(data)
         self.errors = errors
+        self.choice_failed = False
 
     def error(self, msg):
         self.errors.append("[%s] %s" % (self.section, msg))
@@ -154,9 +159,11 @@ class _Reader:
         if raw is None:
             if required:
                 self.error("missing required key %r" % key)
+                self.choice_failed = True
             return default
         if raw not in choices:
             self.error("%s = %r is not one of %s" % (key, raw, sorted(choices)))
+            self.choice_failed = True
             return default
         return raw
 
@@ -213,6 +220,8 @@ class _Reader:
             if key in _KNOWN_KEYS[self.section]:
                 continue
             self.error("unknown key %r" % key)
+        if self.choice_failed:
+            return
         for key in sorted(set(self.data) & _KNOWN_KEYS[self.section]):
             self.error("key %r is not allowed with these settings" % key)
 
@@ -319,7 +328,8 @@ def parse_config(text, base_dir=".", name="experiment"):
     cfg.seeds = r.take_list("seeds", int) or cfg.seeds
     if min(cfg.seeds) < 0:
         r.error("seeds = %s: every seed must be >= 0" % " ".join(map(str, cfg.seeds)))
-    cfg.batch_size = r.take_number("batch_size", int, minimum=1)
+    if cfg.mode == "stochastic":
+        cfg.batch_size = r.take_number("batch_size", int, minimum=1)
     # inf asks for no solve: the reference is the canonical start
     cfg.reference_tol = r.take_number("reference_tol", default=1e-8, strict_min=0.0,
                                       allow_inf=True)

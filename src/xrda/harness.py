@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, build_problem_from_config, build_schedule_from_config
+from .geometry import MirrorDomainError
 from .problems import _write_atomic
 from .reference import ReferenceSolution, reference_optimum
 from .schedules import PRESET_KINDS, schedule_preset
@@ -121,10 +122,13 @@ def _setup(cfg, out_dir, unsafe):
     anything is written or the reference is solved.  A reference with no
     finite certificate is refused unless unsafe: nothing then bounds its
     gap to f*, and the problem may have no minimizer (logistic loss on
-    separable data)."""
+    separable data).  So is a reference outside the mirror's domain,
+    whose D(x*, x1) the bound cannot take: a lad or logistic reference
+    on the zero regularizer minimizes over all of R^d, and may have
+    negative entries, outside the entropy mirror's orthant."""
     problem = build_problem_from_config(cfg)
     try:
-        start_point(problem, cfg.x1)
+        x1 = start_point(problem, cfg.x1)
     except ValueError as exc:
         raise ConfigError(["[run] %s" % exc]) from None
     out = Path(out_dir) if out_dir is not None else Path(cfg.directory)
@@ -136,6 +140,14 @@ def _setup(cfg, out_dir, unsafe):
             "the problem may have no minimizer, e.g. logistic loss on separable "
             "data; rerun with --unsafe to trace it anyway"
             % (reference.method, reference.certified_gap))
+    try:
+        problem.mirror.bregman(reference.x_star, x1)
+    except MirrorDomainError as exc:
+        raise RuntimeError(
+            "the reference optimum lies outside the %s mirror's domain (%s), so the "
+            "bound's D(x*, x1) is undefined; use a regularizer whose set lies inside "
+            "the domain, such as simplex, or set reference_tol = inf to take the "
+            "canonical start as the reference" % (problem.mirror.kind, exc)) from None
     return out, problem, reference
 
 

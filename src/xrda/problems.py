@@ -37,10 +37,12 @@ only code that draws from a run's generator: it returns the indices of
 ``count`` successive minibatches and their rows from one gather, and a
 stochastic ``run`` calls it once per block of at most ``_draw_width()``
 steps.  A block draw leaves the generator where ``count`` single draws
-leave it, so ``sample_subgradient`` and ``step`` called on its own, which
-each take one ``_draw(rng, 1)`` and its ``_batch_subgradient``, replay
-the same stream.  A batch of one takes its subgradient a_i w_i
-elementwise, bitwise the (1, d) product's.
+leave it.  ``sample_subgradient`` takes one ``_draw(rng, 1)`` and
+returns the subgradient array of its rows, and ``step`` called on its
+own draws through it, so both replay a run's stream; a caller that
+wants to replay one draw saves ``rng.bit_generator.state`` before it.
+A batch of one takes its subgradient a_i w_i elementwise, bitwise the
+(1, d) product's.
 """
 
 import os
@@ -68,15 +70,6 @@ _RESIDUAL_BLOCK = 1 << 19  # bytes of A's columns gathered per product
 # gather, and the ranges of five runs each overlapped
 _DRAW_BLOCK = 104_000
 _ROW_BLOCK = 64        # rows per draw in synthetic_sparse_data: 1 MB at d=2000
-
-
-class GradientSample:
-    """A stochastic subgradient with the rows and RNG state that produced it."""
-
-    def __init__(self, value, indices, seed_state):
-        self.value = value
-        self.indices = indices
-        self.seed_state = seed_state
 
 
 class CompositeProblem:
@@ -212,10 +205,11 @@ class CompositeProblem:
         return self.loss_value(x) + self.reg.value(x)
 
     def sample_subgradient(self, x, rng):
-        """Minibatch subgradient; unbiased over uniformly drawn batches."""
-        state = rng.bit_generator.state
-        idx, A, b = self._draw(rng, 1)
-        return GradientSample(self._batch_subgradient(x, A[0], b[0]), idx[0], state)
+        """Minibatch subgradient at x of one draw from rng; unbiased over
+        uniformly drawn batches.  To replay a draw, save
+        ``rng.bit_generator.state`` before it."""
+        _, A, b = self._draw(rng, 1)
+        return self._batch_subgradient(x, A[0], b[0])
 
     def _batch_subgradient(self, x, A, b):
         """The minibatch subgradient at x of the drawn rows A and targets b."""

@@ -41,19 +41,22 @@ alpha_{n+1}, t_n and s_{n+1}, so a violation at index n+1 stops the run
 at step n, before any bound uses it.  (A trace row's backward-step
 column re-evaluates alpha_{n+1} and t_n, unchecked, as a preview.)
 
-``_evaluate``, the only code that computes f, evaluates one iterate:
-its residual, f, and ``best_f`` / ``best_x`` when f improves on them.
-An exact step needs the residual A x_n for its subgradient, so ``step``
-evaluates each new iterate at once, and ``best_f`` is the best f of all
-iterates, x_1 included.  A stochastic trajectory never reads f or the
-residual, and for a sampled g the theorem bounds the expected s-weighted
-mean of f(x_i) - f*, not the f of each iterate, so a stochastic ``run``
-evaluates f exactly only at x_1, at each trace-row iterate and at the
-last iterate.  Every step in between costs a draw, a subgradient of the
-drawn rows and a backward step, and no pass over the data; its
-``residual`` and ``f_x`` are None until the next evaluation, and
-``best_f`` is the best f among the evaluated iterates.  A callback
-changes none of this, so it changes no output.
+``_objective`` is the only code that computes f: the residual, then
+``loss_at`` plus the regularizer's ``_value``, and the check that f is
+finite.  ``_evaluate`` takes it at one iterate and keeps its residual,
+f, and ``best_f`` / ``best_x`` when f improves on them; ``trace_row``
+takes it at the s-weighted average.  An exact step needs the residual
+A x_n for its subgradient, so ``step`` evaluates each new iterate at
+once, and ``best_f`` is the best f of all iterates, x_1 included.  A
+stochastic trajectory never reads f or the residual, and for a sampled g
+the theorem bounds the expected s-weighted mean of f(x_i) - f*, not the
+f of each iterate, so a stochastic ``run`` evaluates f exactly only at
+x_1, at each trace-row iterate and at the last iterate.  Every step in
+between costs a draw, a subgradient of the drawn rows and a backward
+step, and no pass over the data; its ``residual`` and ``f_x`` are None
+until the next evaluation, and ``best_f`` is the best f among the
+evaluated iterates.  A callback changes none of this, so it changes no
+output.
 
 A stochastic ``run`` draws its minibatches a block at a time: one
 ``CompositeProblem._draw`` call gives the indices and rows of up to
@@ -62,19 +65,19 @@ past ``n_iters``), and each step gets its rows, and leaves its
 evaluation to ``run``, through the private ``_rows`` argument.
 ``_draw`` is the only code that draws from the run's generator, and a
 block draw consumes it exactly as that many single draws, so ``step``
-called on its own, which draws its rows itself and evaluates its
-iterate, takes the same trajectory.
+called on its own, which draws through ``sample_subgradient`` (one
+``_draw(rng, 1)``) and evaluates its iterate, takes the same trajectory.
 
 Inputs are validated at the boundary: ``start_point`` checks the start
 point (``init`` calls it, and the harness before it solves the
 reference), ``build_problem`` the data and the mirror-regularizer pair,
-and the public mirror, regularizer and sampling functions their
-arguments.  ``step`` calls the private kernels behind them (``_grad``,
-``_grad_inverse``, ``_prox``, ``_draw``, ``_batch_subgradient``,
-``_value``) on vectors it made itself, so no check runs per step.  An
-overflowing schedule still fails loudly: a non-finite f of an evaluated
-iterate raises ValueError, and so does a non-finite dual point at the
-end of ``run``, which catches an overflow at any step.
+and the public mirror and regularizer functions their arguments.
+``step`` calls the unchecked kernels (``_grad``, ``_grad_inverse``,
+``_prox``, ``_value``, and ``sample_subgradient`` or the
+``_batch_subgradient`` behind it) on vectors it made itself, so no check
+runs per step.  An overflowing schedule still fails loudly: a non-finite
+f raises ValueError in ``_objective``, and so does a non-finite dual
+point at the end of ``run``, which catches an overflow at any step.
 """
 
 import math
@@ -229,12 +232,12 @@ def _schedule_values(schedule, n, gamma_n, s_n, alpha_n, unsafe):
 def step(state, problem, mode="exact", rng=None, unsafe=False, _rows=None):
     """Advance the state by one iteration; mutates and returns it.
 
-    A stochastic step draws its minibatch from ``rng`` and the new iterate
-    is evaluated at once, unless ``run`` passes the rows and targets it
-    drew for this step as ``_rows``: then ``residual`` and ``f_x`` are
-    set to None, and ``run`` evaluates the iterate only if it logs it or
-    stops at it.  An exact step always evaluates at once, as the next one
-    reads its residual.
+    A stochastic step draws its minibatch subgradient from ``rng`` through
+    ``sample_subgradient`` and the new iterate is evaluated at once,
+    unless ``run`` passes the rows and targets it drew for this step as
+    ``_rows``: then ``residual`` and ``f_x`` are set to None, and ``run``
+    evaluates the iterate only if it logs it or stops at it.  An exact
+    step always evaluates at once, as the next one reads its residual.
     """
     s_n, alpha_n = state.last_s, state.last_alpha
     s_next, alpha_next, t_n, mu, gamma_next = _schedule_values(
@@ -245,8 +248,7 @@ def step(state, problem, mode="exact", rng=None, unsafe=False, _rows=None):
         if rng is None:
             raise ValueError("stochastic mode needs a numpy Generator")
         if _rows is None:
-            _, A, b = problem._draw(rng, 1)
-            g = problem._batch_subgradient(state.x, A[0], b[0])
+            g = problem.sample_subgradient(state.x, rng)
         else:
             g = problem._batch_subgradient(state.x, *_rows)
     else:
@@ -288,19 +290,25 @@ def step(state, problem, mode="exact", rng=None, unsafe=False, _rows=None):
     return state
 
 
-def _evaluate(state, problem):
-    """Objective bookkeeping for the iterate ``state.x``: its residual and
-    f, and ``best_f`` / ``best_x`` when f is below ``best_f`` (so of tied
-    iterates the first is kept).  A non-finite f, say from an
-    overflowing schedule, is a ValueError naming the iterate."""
-    x = state.x
+def _objective(problem, x, what, n):
+    """The residual of x and f(x) = ``loss_at(residual) + _value(x)``.  A
+    non-finite f, say from an overflowing schedule, is a ValueError that
+    names the point as ``what`` ``n``."""
     residual = problem.residual(x)
     f = float(problem.loss_at(residual) + problem.reg._value(x))
     if not math.isfinite(f):
-        raise ValueError("objective is not finite at iterate %d (f = %r)" % (state.n, f))
+        raise ValueError("objective is not finite at %s %d (f = %r)" % (what, n, f))
+    return residual, f
+
+
+def _evaluate(state, problem):
+    """Objective bookkeeping for the iterate ``state.x``: its residual and
+    f, and ``best_f`` / ``best_x`` when f is below ``best_f`` (so of tied
+    iterates the first is kept)."""
+    residual, f = _objective(problem, state.x, "iterate", state.n)
     if f < state.best_f:
         state.best_f = f
-        state.best_x = x.copy()
+        state.best_x = state.x.copy()
     state.residual = residual
     state.f_x = f
 
@@ -322,31 +330,23 @@ def theoretical_bound(state, d_star, M, sigma):
     return (state.last_alpha * d_star + M * M / (2.0 * sigma) * state.bound_acc) / state.s_sum
 
 
-_ARGMIN_FORM_REGS = ("l1", "zero", "box")
-
-
 def argmin_form_step(state, problem):
     """Next iterate computed from the accumulated dual sum instead of the
-    forward recursion; Euclidean mirror with a separable-prox regularizer
-    only.  Exact-gradient semantics."""
+    forward recursion, for every supported mirror-regularizer pair.
+    Exact-gradient semantics."""
     mirror = problem.mirror
-    reg = problem.reg
-    if mirror.kind != "euclidean" or reg.kind not in _ARGMIN_FORM_REGS:
-        raise NotImplementedError(
-            "accumulated form supports the euclidean mirror with one of %s"
-            % (_ARGMIN_FORM_REGS,))
     _, alpha_next, t_n, _, gamma_next = _schedule_values(
         state.schedule, state.n, state.gamma, state.last_s, state.last_alpha, unsafe=False)
     g = problem.subgradient(state.x)
     dual = state.dual_accum + state.last_s * g + t_n * state.h
     base = mirror.grad_inverse(state.x_tilde_1 - dual / alpha_next)
-    return mirror_prox(reg, mirror, base, gamma_next / alpha_next)
+    return mirror_prox(problem.reg, mirror, base, gamma_next / alpha_next)
 
 
 def trace_row(state, problem, reference=None, d_star=None, t0=None, unsafe=False):
     """Snapshot the state into a TraceRow; gaps and bound are nan without a
     reference, and the bound is also nan for unsafe runs."""
-    f_avg = problem.objective(averaged_iterate(state))
+    f_avg = _objective(problem, averaged_iterate(state), "averaged iterate", state.n)[1]
     nan = float("nan")
     if reference is not None:
         gap_best = state.best_f - reference.f_star

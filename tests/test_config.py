@@ -190,10 +190,48 @@ def test_bad_box_bounds_reported():
 def test_batch_size_checks():
     with pytest.raises(ConfigError, match="exceeds m"):
         parse_config(MINIMAL.replace("iterations = 10",
-                                     "iterations = 10\nbatch_size = 7"))
+                                     "iterations = 10\nmode = stochastic\nbatch_size = 7"))
     cfg = parse_config(MINIMAL.replace("iterations = 10",
-                                       "iterations = 10\nbatch_size = 6"))
+                                       "iterations = 10\nmode = stochastic\nbatch_size = 6"))
     assert cfg.batch_size == 6
+
+
+def test_batch_size_is_not_allowed_in_exact_mode():
+    for mode in ("", "mode = exact\n"):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(MINIMAL.replace("iterations = 10",
+                                         "iterations = 10\n%sbatch_size = 3" % mode))
+        assert exc.value.errors == ["[run] key 'batch_size' is not allowed with "
+                                    "these settings"]
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("loss = lad", "loss = lasso",
+     "[problem] loss = 'lasso' is not one of ['lad', 'linear', 'logistic']"),
+    ("loss = lad\n", "", "[problem] missing required key 'loss'"),
+    ("regularizer = l1", "regularizer = L1",
+     "[problem] regularizer = 'L1' is not one of "
+     "['box', 'l1', 'l2ball', 'simplex', 'zero']"),
+    ("preset = rda\nc = 2.0", "preset = averaged\nmu = 0.5\nstep_scale = 2",
+     "[schedule] preset = 'averaged' is not one of ['averaged_leap_frog', "
+     "'constant_backward', 'forward_backward', 'leap_frog', 'rda']"),
+    ("mode = exact", "mode = stoch\nbatch_size = 3",
+     "[run] mode = 'stoch' is not one of ['exact', 'stochastic']"),
+], ids=["rejected-loss", "missing-loss", "rejected-regularizer", "rejected-preset",
+        "rejected-mode"])
+def test_a_rejected_choice_is_one_error(old, new, message):
+    """The keys a missing or rejected choice would have allowed are not
+    also reported as not allowed."""
+    assert old in GOLDEN
+    with pytest.raises(ConfigError) as exc:
+        parse_config(GOLDEN.replace(old, new))
+    assert exc.value.errors == [message]
+
+
+def test_a_rejected_choice_still_reports_unknown_keys():
+    with pytest.raises(ConfigError) as exc:
+        parse_config(GOLDEN.replace("loss = lad", "loss = lasso\nlamda = 0.1"))
+    assert exc.value.errors[1:] == ["[problem] unknown key 'lamda'"]
 
 
 def test_empty_seeds_rejected():

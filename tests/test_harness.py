@@ -3,6 +3,8 @@ import inspect
 import json
 import math
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -307,6 +309,18 @@ def test_cli_run_ok(tmp_path, capsys):
     assert (tmp_path / "o" / "exp_seed0.csv").exists()
 
 
+def test_readme_config_runs_and_passes_the_strict_bound_check(tmp_path, capsys):
+    """README's example config, as printed, is a valid experiment."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```ini\n(.*?)^```$", readme, flags=re.M | re.S)
+    assert len(blocks) == 1
+    cfg = write_cfg(tmp_path, blocks[0])
+    out = tmp_path / "o"
+    assert main(["--config", cfg, "--out", str(out), "run"]) == 0, \
+        capsys.readouterr().err
+    assert main(["check-bound", "--strict", str(out / "exp_seed0.csv")]) == 0
+
+
 def test_cli_needs_config(tmp_path, capsys):
     assert main(["run"]) == 1
     assert "needs --config" in capsys.readouterr().err
@@ -392,6 +406,33 @@ def test_cli_run_then_strict_bound_check(tmp_path, capsys, loss, mirror, regular
     if mirror == "entropy":
         # the LP vertex has zero entries: D(x^, x1) stays finite through xlogy
         assert min(entry["x_star"]) == 0.0
+
+
+ENTROPY_ZERO_CFG = BASE_CFG.replace(
+    "mirror = euclidean\nregularizer = l1\nlambda = 0.1",
+    "mirror = entropy\nregularizer = zero").replace(
+    "d = 6\nm = 12\nk = 2\nnoise = 0.1\ndata_seed = 3",
+    "d = 8\nm = 30\nk = 2\nnoise = 0.3\ndata_seed = 5").replace(
+    "iterations = 300", "iterations = 300\nx1 = 1 1 1 1 1 1 1 1")
+
+
+@pytest.mark.parametrize("command", [["run"], ["compare", "--presets", "leap_frog,rda"]],
+                         ids=["run", "compare"])
+def test_cli_refuses_a_reference_outside_the_mirror_domain(tmp_path, capsys, command):
+    """The lad reference on the zero regularizer minimizes over all of
+    R^d, and here has negative entries, where the entropy mirror's
+    D(x*, x1) is undefined: exit 2, naming the mirror and the remedies,
+    and no trace.  reference_tol = inf takes the canonical start instead."""
+    cfg = write_cfg(tmp_path, ENTROPY_ZERO_CFG)
+    out = tmp_path / "o"
+    assert main(["--config", cfg, "--out", str(out)] + command) == 2
+    err = capsys.readouterr().err
+    assert "outside the entropy mirror's domain" in err
+    assert "simplex" in err and "reference_tol = inf" in err
+    assert not list(out.glob("exp_*.csv"))
+    inf = write_cfg(tmp_path, ENTROPY_ZERO_CFG.replace(
+        "[output]", "reference_tol = inf\n[output]"), name="inf.cfg")
+    assert main(["--config", inf, "--out", str(out)] + command) == 0
 
 
 SEPARABLE_CFG = STOCH_CFG.replace("regularizer = l1\nlambda = 0.1",

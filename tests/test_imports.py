@@ -1,8 +1,8 @@
 """Every name a package module imports is used in that module, every
 module-level constant is read somewhere in the package, only
 ``solver._schedule_values`` calls a schedule's ``s``, ``alpha`` or ``t``,
-only ``solver._evaluate`` calls ``residual``, ``loss_at`` or ``_value`` in
-the solver, only ``problems._draw`` draws from a run's random
+only ``solver._objective`` calls ``residual``, ``loss_at``, ``_value`` or
+``objective`` in the solver, only ``problems._draw`` draws from a run's random
 generator, no module starts threads or processes or pins a CPU, and
 ``residual``, ``loss_at`` and ``_value`` take one point, not a stack.
 
@@ -101,8 +101,8 @@ def test_package_constants_are_all_read():
 
 SCHEDULE_ATTRS = ("s", "alpha", "t")
 EVALUATOR = ("solver.py", "_schedule_values")
-OBJECTIVE_ATTRS = ("residual", "loss_at", "_value")
-OBJECTIVE_EVALUATOR = ("solver.py", "_evaluate")
+OBJECTIVE_ATTRS = ("residual", "loss_at", "_value", "objective")
+OBJECTIVE_EVALUATOR = ("solver.py", "_objective")
 
 
 def calls_outside(sources, attrs, owner):
@@ -130,9 +130,10 @@ def schedule_calls(sources):
 
 
 def objective_calls(solver_source):
-    """Each call of ``.residual``, ``.loss_at`` or ``._value`` in the
-    solver outside ``_evaluate``, so that f of every iterate, the first
-    included, is computed in one place."""
+    """Each call of ``.residual``, ``.loss_at``, ``._value`` or
+    ``.objective`` in the solver outside ``_objective``, so that every f
+    the solver reports, of each iterate and of each averaged iterate, is
+    computed and checked in one place."""
     return calls_outside({"solver.py": solver_source}, OBJECTIVE_ATTRS,
                          OBJECTIVE_EVALUATOR)
 
@@ -153,15 +154,16 @@ def test_only_the_evaluator_calls_the_schedule():
 
 
 def test_the_walk_finds_an_objective_call():
-    source = ("def _evaluate(state, problem, xs):\n"
-              "    r = problem.residual(xs[0])\n"
-              "    return problem.loss_at(r) + problem.reg._value(xs[0])\n\n"
+    source = ("def _objective(problem, x):\n"
+              "    r = problem.residual(x)\n"
+              "    return problem.loss_at(r) + problem.reg._value(x)\n\n"
               "def init(problem, x1):\n"
               "    f = problem.loss_at(problem.residual(x1)) + problem.reg.value(x1)\n"
               "    return f, problem.objective(x1), problem.reg._value(x1)\n")
     assert sorted(objective_calls(source)) == ["solver.py line 6: .loss_at()",
                                                "solver.py line 6: .residual()",
-                                               "solver.py line 7: ._value()"]
+                                               "solver.py line 7: ._value()",
+                                               "solver.py line 7: .objective()"]
 
 
 def test_only_the_evaluator_computes_f_in_the_solver():

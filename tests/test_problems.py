@@ -88,7 +88,7 @@ def test_subgradients_within_lipschitz_bound(loss, mirror, reg, rng):
         x = rng.standard_normal(4) * 2.0 if mirror is EU \
             else rng.dirichlet(np.ones(4))
         g = p.subgradient(x) if i % 2 == 0 \
-            else p.sample_subgradient(x, sampler).value
+            else p.sample_subgradient(x, sampler)
         assert dual_norm(g, kind) <= p.M + 1e-9
 
 
@@ -119,26 +119,29 @@ def test_sample_determinism_and_replay(rng):
     p = build_problem("lad", ZeroRegularizer(), EU, A=A, b=b, batch_size=3)
     x = rng.standard_normal(3)
 
-    s1 = p.sample_subgradient(x, np.random.default_rng(42))
-    s2 = p.sample_subgradient(x, np.random.default_rng(42))
-    assert np.array_equal(s1.indices, s2.indices)
-    assert np.array_equal(s1.value, s2.value)
-    assert len(set(s1.indices)) == 3  # without replacement
+    g1, g2 = np.random.default_rng(42), np.random.default_rng(42)
+    saved = g1.bit_generator.state
+    s1 = p.sample_subgradient(x, g1)
+    s2 = p.sample_subgradient(x, g2)
+    assert np.array_equal(s1, s2)
+    assert g1.bit_generator.state == g2.bit_generator.state
+    idx, rows, targets = p._draw(np.random.default_rng(42), 1)
+    assert len(set(idx[0])) == 3  # without replacement
+    assert np.array_equal(s1, p._rows_subgradient(x, rows[0], targets[0]))
 
-    # seed_state snapshots the generator before the draw, so it replays
-    g = np.random.default_rng(42)
-    g.bit_generator.state = s1.seed_state
-    s3 = p.sample_subgradient(x, g)
-    assert np.array_equal(s1.indices, s3.indices)
+    # a generator state saved before the draw replays it
+    g = np.random.default_rng(7)
+    g.bit_generator.state = saved
+    assert np.array_equal(p.sample_subgradient(x, g), s1)
+    assert g.bit_generator.state == g1.bit_generator.state
 
 
 def test_linear_sample_is_deterministic():
     p = build_problem("linear", ZeroRegularizer(), EU, c=[2.0, -1.0])
     g = np.random.default_rng(0)
     before = g.bit_generator.state
-    s = p.sample_subgradient(np.zeros(2), g)
-    assert np.array_equal(s.value, [2.0, -1.0])
-    assert s.indices.size == 0
+    assert np.array_equal(p.sample_subgradient(np.zeros(2), g), [2.0, -1.0])
+    assert p._draw(g, 1)[0].size == 0
     assert g.bit_generator.state == before  # no randomness consumed
 
 

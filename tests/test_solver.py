@@ -15,7 +15,8 @@ from xrda.harness import write_trace_csv
 from xrda.problems import build_problem, synthetic_sparse_data
 from xrda.reference import prox_subgradient_iterates, reference_optimum
 from xrda.regularizers import (BoxIndicator, L1Penalty, L2BallIndicator,
-                               SimplexIndicator, ZeroRegularizer, in_subdifferential)
+                               SimplexIndicator, ZeroRegularizer, in_subdifferential,
+                               supported_pairs)
 from xrda.schedules import (PRESET_KINDS, Schedule, averaged_leap_frog,
                             constant_backward, constant_steps, forward_backward,
                             leap_frog, power_steps, rda, schedule_preset)
@@ -213,22 +214,21 @@ def test_leap_frog_zero_reg_is_subgradient_descent():
     lambda: averaged_leap_frog(0.5, power_steps(1.0, 0.5)),
 ])
 def test_forward_matches_accumulated_form(make_sched):
-    for reg in (L1Penalty(0.15), BoxIndicator(-0.4, 0.4), ZeroRegularizer()):
-        p = random_lad(seed=13, reg=reg)
-        st = init(p, make_sched())
+    """Every supported pair; entropy+zero starts at x1 = 1, inside the
+    mirror's domain."""
+    regs = {"l1": L1Penalty(0.15), "box": BoxIndicator(-0.4, 0.4),
+            "simplex": SimplexIndicator(), "l2ball": L2BallIndicator(0.8),
+            "zero": ZeroRegularizer()}
+    A, b, _ = synthetic_sparse_data("lad", d=5, m=12, k=2, noise=0.1, seed=13)
+    for mirror, kind in supported_pairs():
+        p = build_problem("lad", regs[kind], EN if mirror == "entropy" else EU, A=A, b=b)
+        x1 = np.ones(p.d) if (mirror, kind) == ("entropy", "zero") else None
+        st = init(p, make_sched(), x1=x1)
         for _ in range(100):
             predicted = argmin_form_step(st, p)
             st = step(st, p)
             err = float(np.max(np.abs(st.x - predicted)))
-            assert err <= 1e-9, (reg.kind, st.n, err)
-
-
-def test_accumulated_form_unsupported_combos():
-    p = build_problem("lad", SimplexIndicator(), EN, A=np.eye(2),
-                      b=np.array([1.0, 0.0]))
-    st = init(p, leap_frog(constant_steps(0.1)))
-    with pytest.raises(NotImplementedError):
-        argmin_form_step(st, p)
+            assert err <= 1e-9, (mirror, kind, st.n, err)
 
 
 def test_extracted_h_is_a_regularizer_subgradient():

@@ -5,11 +5,15 @@ Usage, from the root of the repository:
 
     python3 tools/determinism_sweep.py OUT_DIR
 
-The matrix: the lad and logistic losses, each with the l1, box, simplex
-(entropy mirror), l2ball and zero regularizers, each in exact mode, in
+The matrix: the lad and logistic losses, each with the six supported
+pairs (the l1, box, l2ball and zero regularizers on the Euclidean
+mirror, simplex and zero on the entropy mirror), each in exact mode, in
 stochastic mode with batch 1 (seeds 1 2) and with batch 3 (seeds 3 4).
-Every case runs ``xrda run`` (leap_frog) and ``xrda compare`` with the
-four other presets; logistic+zero runs both once more with ``--unsafe``.
+Entropy+zero starts at x1 = 1 with ``reference_tol = inf``, as its data
+reference lies outside the entropy mirror's domain.  Every case runs
+``xrda run`` (leap_frog) and ``xrda compare`` with the four other
+presets; logistic with the zero regularizer runs both once more with
+``--unsafe``.
 Each command gets a directory under OUT_DIR with its config, the trace
 CSVs and ``_refcache`` it writes, its standard output and error and its
 exit code.  OUT_DIR must not exist yet.
@@ -33,7 +37,11 @@ PAIRS = {
     "simplex": "mirror = entropy\nregularizer = simplex",
     "l2ball": "mirror = euclidean\nregularizer = l2ball\nradius = 1.0",
     "zero": "mirror = euclidean\nregularizer = zero",
+    "entropy_zero": "mirror = entropy\nregularizer = zero",
 }
+# [run] keys of a pair: entropy+zero needs a start inside the orthant, and its
+# data reference lies outside it
+RUN_KEYS = {"entropy_zero": ["x1 = 1 1 1 1 1 1 1 1", "reference_tol = inf"]}
 MODES = {
     "exact": "mode = exact",
     "b1": "mode = stochastic\nbatch_size = 1\nseeds = 1 2",
@@ -58,6 +66,7 @@ def config_text(loss, pair, mode):
         "[run]",
         "iterations = 200",
         MODES[mode],
+    ] + RUN_KEYS.get(pair, []) + [
         "[output]",
         "stride = 25",
     ]) + "\n"
@@ -69,7 +78,7 @@ def cases():
         for pair in PAIRS:
             for mode in MODES:
                 flag_sets = [[]]
-                if loss == "logistic" and pair == "zero":
+                if loss == "logistic" and pair in ("zero", "entropy_zero"):
                     flag_sets.append(["--unsafe"])
                 for flags in flag_sets:
                     for command, args in COMMANDS.items():
