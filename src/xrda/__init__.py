@@ -21,8 +21,8 @@ from .schedules import (Schedule, averaged_leap_frog, constant_backward,
                         constant_steps, forward_backward, leap_frog,
                         power_steps, rda, schedule_preset)
 from .solver import (RunResult, ScheduleError, SolverState, TraceRow,
-                     argmin_form_step, averaged_iterate, extract_h, init, run,
-                     step, theoretical_bound)
+                     argmin_form_step, averaged_iterate, init, run, step,
+                     theoretical_bound)
 from .config import ConfigError, ExperimentConfig, parse_config, parse_config_file
 from .harness import (check_bound, compare, read_trace_csv, run_experiment,
                       write_trace_csv)

@@ -259,17 +259,19 @@ def parse_config(text, base_dir=".", name="experiment"):
         cfg.lam = p.take_number("lambda", required=True, strict_min=0.0)
     if cfg.regularizer == "l2ball":
         cfg.radius = p.take_number("radius", required=True, strict_min=0.0)
+    # a key that is given but invalid is reported once, as invalid
     if cfg.regularizer == "box":
+        absent = "box_lo" not in p.data or "box_hi" not in p.data
         cfg.box_lo = p.take_list("box_lo")
         cfg.box_hi = p.take_list("box_hi")
-        if cfg.box_lo is None or cfg.box_hi is None:
+        if absent:
             p.error("box regularizer needs box_lo and box_hi")
     if cfg.loss == "linear":
+        absent = "cost" not in p.data
         cfg.cost = p.take_list("cost")
-        if cfg.cost is None:
+        if absent:
             p.error("linear loss needs the cost vector (key 'cost')")
     elif cfg.loss is not None:
-        # a recipe key that is given but invalid is reported once, as invalid
         missing = [key for key in _RECIPE_KEYS if key not in p.data]
         cfg.data_a = p.take("data_a")
         cfg.data_b = p.take("data_b")

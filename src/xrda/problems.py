@@ -206,8 +206,10 @@ class CompositeProblem:
 
     def sample_subgradient(self, x, rng):
         """Minibatch subgradient at x of one draw from rng; unbiased over
-        uniformly drawn batches.  To replay a draw, save
+        uniformly drawn batches.  x is checked before the draw, so a bad x
+        leaves rng as it was.  To replay a draw, save
         ``rng.bit_generator.state`` before it."""
+        x = as_vector(x, dim=self.d)
         _, A, b = self._draw(rng, 1)
         return self._batch_subgradient(x, A[0], b[0])
 

@@ -54,7 +54,8 @@ class L1Penalty(_Regularizer):
 class BoxIndicator(_Regularizer):
     """Indicator of the box {x : lo <= x <= hi}, componentwise.
 
-    Bounds may be scalars (broadcast against the iterate) or vectors.
+    Bounds may be scalars (broadcast against the iterate) or vectors; a
+    vector with more than one entry sets the length of both.
     """
 
     kind = "box"
@@ -62,6 +63,11 @@ class BoxIndicator(_Regularizer):
     def __init__(self, lo, hi):
         self.lo = np.asarray(lo, dtype=float)
         self.hi = np.asarray(hi, dtype=float)
+        if self.lo.ndim > 1 or self.hi.ndim > 1 or not (self.lo.size and self.hi.size):
+            raise ValueError("box bounds must be scalars or non-empty vectors")
+        if len({self.lo.size, self.hi.size} - {1}) > 1:
+            raise ValueError("box bounds have %d and %d entries; give scalars or "
+                             "vectors of one length" % (self.lo.size, self.hi.size))
         if np.any(self.lo > self.hi):
             raise ValueError("box has lo > hi in some coordinate")
 

@@ -18,22 +18,27 @@ step recovers a subgradient of G at the new iterate,
 
 and the same trajectory can be written in accumulated form: x_{n+1} is
 the backward step at gamma_{n+1}/a_{n+1} from the point whose dual
-coordinates are xt_1 - (sum_{i<=n} s_i g_i + t_i h_i) / a_{n+1}
-(``argmin_form_step``).  Under non-increasing s, non-decreasing alpha,
-and 0 <= t_n <= gamma_n, the best and the s-weighted-average iterate
-satisfy
+coordinates are xt_1 - (sum_{i<=n} s_i g_i + t_i h_i) / a_{n+1}.
+``argmin_form_step`` checks the recursion against that form.  The state
+holds only the recursion, so the caller carries the dual sum: it starts
+at zeros after ``init``, and each ``argmin_form_step`` call takes the sum
+over the steps already taken and returns it with step n's terms added.
+
+Under non-increasing s, non-decreasing alpha, and 0 <= t_n <= gamma_n,
+the best and the s-weighted-average iterate satisfy
 
     f - f*  <=  (alpha_n D(x*, x_1) + (M^2 / 2 sigma)
                  sum_{i<=n} s_i^2 / alpha_i) / sum_{i<=n} s_i,
 
 which ``theoretical_bound`` evaluates from the state's accumulators.
 
-``step`` leaves out each term of weight exactly 0 (mu_n xt_n,
-(1 - a_n/a_{n+1}) xt_1, t_n h_n), multiplies by no factor of exactly 1,
-and forms s_n g_n once.  A left-out term is a signed zero (or nan at an
-already overflowed dual point), so only the sign of a zero entry can
-change, and no output reads it.  h is derived from the state, not
-stored, and for the Euclidean mirror xt_{n+1} is x_{n+1} itself.
+``step`` computes only the recursion's terms.  It leaves out each term
+of weight exactly 0 (mu_n xt_n and (1 - a_n/a_{n+1}) xt_1) and
+multiplies by no factor of exactly 1.  A left-out term is a signed zero
+(or nan at an already overflowed dual point), so only the sign of a zero
+entry can change, and no output reads it.  h is derived from the state
+(``SolverState.h``), not stored, and no step reads it; for the Euclidean
+mirror xt_{n+1} is x_{n+1} itself.
 
 Only ``_schedule_values`` calls the schedule, and unless ``unsafe`` it
 checks each value once, when it is first evaluated: step n evaluates
@@ -65,19 +70,19 @@ past ``n_iters``), and each step gets its rows, and leaves its
 evaluation to ``run``, through the private ``_rows`` argument.
 ``_draw`` is the only code that draws from the run's generator, and a
 block draw consumes it exactly as that many single draws, so ``step``
-called on its own, which draws through ``sample_subgradient`` (one
-``_draw(rng, 1)``) and evaluates its iterate, takes the same trajectory.
+called on its own, which draws with one ``_draw(rng, 1)`` and evaluates
+its iterate, takes the same trajectory.
 
 Inputs are validated at the boundary: ``start_point`` checks the start
 point (``init`` calls it, and the harness before it solves the
 reference), ``build_problem`` the data and the mirror-regularizer pair,
 and the public mirror and regularizer functions their arguments.
 ``step`` calls the unchecked kernels (``_grad``, ``_grad_inverse``,
-``_prox``, ``_value``, and ``sample_subgradient`` or the
-``_batch_subgradient`` behind it) on vectors it made itself, so no check
-runs per step.  An overflowing schedule still fails loudly: a non-finite
-f raises ValueError in ``_objective``, and so does a non-finite dual
-point at the end of ``run``, which catches an overflow at any step.
+``_prox``, ``_draw`` and ``_batch_subgradient``) on vectors it made
+itself, so no check runs per step.  An overflowing schedule still fails
+loudly: a non-finite f raises ValueError in ``_objective``, and so does
+a non-finite dual point at the end of ``run``, which catches an overflow
+at any step.
 """
 
 import math
@@ -103,16 +108,17 @@ class ScheduleError(RuntimeError):
 class SolverState:
     """Everything the iteration carries between steps.
 
-    Single-owner: mutate only through ``step`` / ``run``.  Accumulators
-    hold sums over iterates 1..n: ``s_sum`` = sum s_i, ``weighted_sum``
-    = sum s_i x_i, ``bound_acc`` = sum s_i^2 / alpha_i, ``dual_accum`` =
-    sum s_i g_i + t_i h_i (this last one over steps taken, i.e. 1..n-1).
-    ``last_s`` and ``last_alpha`` are s_n and alpha_n.  ``h`` is derived
-    from ``last_alpha``, ``gamma``, ``x_tilde_half`` and ``x_tilde``, and
-    ``x_tilde`` is ``x`` for the Euclidean mirror.  ``residual``
-    (``CompositeProblem.residual``) and ``f_x`` are those of ``x``, or
-    None while a stochastic ``run`` has not evaluated it; an exact step
-    takes its subgradient from that residual.
+    Single-owner: mutate only through ``step`` / ``run``.  It holds the
+    recursion and what the bound and the trace read, nothing else (the
+    accumulated form's dual sum is carried by ``argmin_form_step``'s
+    caller).  Accumulators hold sums over iterates 1..n: ``s_sum`` = sum
+    s_i, ``weighted_sum`` = sum s_i x_i, ``bound_acc`` = sum s_i^2 /
+    alpha_i.  ``last_s`` and ``last_alpha`` are s_n and alpha_n.  ``h``
+    is derived from ``last_alpha``, ``gamma``, ``x_tilde_half`` and
+    ``x_tilde``, and ``x_tilde`` is ``x`` for the Euclidean mirror.
+    ``residual`` (``CompositeProblem.residual``) and ``f_x`` are those of
+    ``x``, or None while a stochastic ``run`` has not evaluated it; an
+    exact step takes its subgradient from that residual.
     """
 
     schedule: object
@@ -126,7 +132,6 @@ class SolverState:
     s_sum: float
     weighted_sum: np.ndarray
     bound_acc: float
-    dual_accum: np.ndarray
     residual: object
     f_x: float
     best_f: float
@@ -184,7 +189,6 @@ def start_point(problem, x1=None):
 def init(problem, schedule, x1=None):
     """Start a run at ``start_point(problem, x1)``."""
     x1 = start_point(problem, x1)
-    d = problem.d
     s1, alpha1 = _schedule_values(schedule, 0, 0.0, math.inf, 0.0, unsafe=False)[:2]
     xt1 = problem.mirror.grad(x1)
     state = SolverState(
@@ -192,7 +196,6 @@ def init(problem, schedule, x1=None):
         x_tilde=xt1.copy(), x_tilde_half=xt1.copy(), x_tilde_1=xt1.copy(),
         x1=x1.copy(), gamma=0.0,
         s_sum=s1, weighted_sum=s1 * x1, bound_acc=s1 * s1 / alpha1,
-        dual_accum=np.zeros(d),
         residual=None, f_x=None, best_f=math.inf, best_x=None,
         last_s=s1, last_alpha=alpha1)
     _evaluate(state, problem)
@@ -232,30 +235,30 @@ def _schedule_values(schedule, n, gamma_n, s_n, alpha_n, unsafe):
 def step(state, problem, mode="exact", rng=None, unsafe=False, _rows=None):
     """Advance the state by one iteration; mutates and returns it.
 
-    A stochastic step draws its minibatch subgradient from ``rng`` through
-    ``sample_subgradient`` and the new iterate is evaluated at once,
-    unless ``run`` passes the rows and targets it drew for this step as
-    ``_rows``: then ``residual`` and ``f_x`` are set to None, and ``run``
-    evaluates the iterate only if it logs it or stops at it.  An exact
-    step always evaluates at once, as the next one reads its residual.
+    A stochastic step draws its minibatch from ``rng`` with one ``_draw``
+    and the new iterate is evaluated at once, unless ``run`` passes the
+    rows and targets it drew for this step as ``_rows``: then
+    ``residual`` and ``f_x`` are set to None, and ``run`` evaluates the
+    iterate only if it logs it or stops at it.  An exact step always
+    evaluates at once, as the next one reads its residual.
     """
     s_n, alpha_n = state.last_s, state.last_alpha
-    s_next, alpha_next, t_n, mu, gamma_next = _schedule_values(
+    s_next, alpha_next, _, mu, gamma_next = _schedule_values(
         state.schedule, state.n, state.gamma, s_n, alpha_n, unsafe)
     if mode == "exact":
         g = problem.subgradient_at(state.residual)
     elif mode == "stochastic":
         if rng is None:
             raise ValueError("stochastic mode needs a numpy Generator")
-        if _rows is None:
-            g = problem.sample_subgradient(state.x, rng)
-        else:
-            g = problem._batch_subgradient(state.x, *_rows)
+        rows = _rows
+        if rows is None:
+            _, A, b = problem._draw(rng, 1)
+            rows = A[0], b[0]
+        g = problem._batch_subgradient(state.x, *rows)
     else:
         raise ValueError("mode must be 'exact' or 'stochastic', got %r" % (mode,))
 
     # no term of weight exactly 0 (module docstring)
-    sg = s_n * g
     xt_half = state.x_tilde_half
     if mu:
         xt_half = (1.0 - mu) * xt_half + mu * state.x_tilde
@@ -263,7 +266,7 @@ def step(state, problem, mode="exact", rng=None, unsafe=False, _rows=None):
     if ratio != 1.0:
         xt_half = ratio * xt_half + (1.0 - ratio) * state.x_tilde_1
     c = s_n / alpha_next
-    xt_half = xt_half - (sg if c == s_n else c * g)
+    xt_half = xt_half - c * g
     # _prox returns a fresh array, so the identity map needs no copies
     mirror = problem.mirror
     euclidean = mirror.kind == "euclidean"
@@ -271,7 +274,6 @@ def step(state, problem, mode="exact", rng=None, unsafe=False, _rows=None):
     x_next = _prox(problem.reg, mirror, y, gamma_next / alpha_next)
     xt_next = x_next if euclidean else mirror._grad(x_next)
 
-    state.dual_accum += (sg + t_n * state.h) if t_n else sg
     state.x = x_next
     state.x_tilde = xt_next
     state.x_tilde_half = xt_half
@@ -313,11 +315,6 @@ def _evaluate(state, problem):
     state.f_x = f
 
 
-def extract_h(state):
-    """The recovered subgradient of G at the current iterate (zero at init)."""
-    return state.h
-
-
 def averaged_iterate(state):
     """The s-weighted average of iterates 1..n."""
     return state.weighted_sum / state.s_sum
@@ -330,17 +327,20 @@ def theoretical_bound(state, d_star, M, sigma):
     return (state.last_alpha * d_star + M * M / (2.0 * sigma) * state.bound_acc) / state.s_sum
 
 
-def argmin_form_step(state, problem):
-    """Next iterate computed from the accumulated dual sum instead of the
-    forward recursion, for every supported mirror-regularizer pair.
-    Exact-gradient semantics."""
+def argmin_form_step(state, problem, dual_sum):
+    """The next iterate x_{n+1} from the accumulated form instead of the
+    forward recursion, for every supported mirror-regularizer pair, with
+    an exact subgradient g_n.  ``dual_sum`` is sum_{i<n} s_i g_i + t_i h_i
+    over the steps already taken (zeros after ``init``); returns x_{n+1}
+    and the sum with s_n g_n + t_n h_n added, for the caller to pass at
+    the next step.  Neither argument is modified."""
     mirror = problem.mirror
     _, alpha_next, t_n, _, gamma_next = _schedule_values(
         state.schedule, state.n, state.gamma, state.last_s, state.last_alpha, unsafe=False)
     g = problem.subgradient(state.x)
-    dual = state.dual_accum + state.last_s * g + t_n * state.h
-    base = mirror.grad_inverse(state.x_tilde_1 - dual / alpha_next)
-    return mirror_prox(problem.reg, mirror, base, gamma_next / alpha_next)
+    dual_sum = dual_sum + state.last_s * g + t_n * state.h
+    base = mirror.grad_inverse(state.x_tilde_1 - dual_sum / alpha_next)
+    return mirror_prox(problem.reg, mirror, base, gamma_next / alpha_next), dual_sum
 
 
 def trace_row(state, problem, reference=None, d_star=None, t0=None, unsafe=False):

@@ -154,8 +154,9 @@ def crit4_runs(lad20):
         coll = HCollector(500, problem.d, problem.reg)
         errs = []
         st = init(problem, preset_schedule(kind))
+        dual_sum = np.zeros(problem.d)
         for _ in range(500):
-            predicted = argmin_form_step(st, problem)
+            predicted, dual_sum = argmin_form_step(st, problem, dual_sum)
             st = step(st, problem)
             coll(st)
             errs.append(float(np.max(np.abs(st.x - predicted))))

@@ -430,6 +430,32 @@ def test_dimensions_are_checked_against_d(base, old, new, message):
         parse_config(base.replace(old, new))
 
 
+@pytest.mark.parametrize("base, old, new", [
+    (MINIMAL, "regularizer = zero", "regularizer = box\nbox_lo = x\nbox_hi = 1"),
+    (MINIMAL, "regularizer = zero", "regularizer = box\nbox_lo = 0\nbox_hi = x"),
+    (LINEAR, "cost = 1.0 2.0 3.0 4.0", "cost = x"),
+    (LINEAR, "cost = 1.0 2.0 3.0 4.0", "cost = 1 nan"),
+    (LINEAR, "cost = 1.0 2.0 3.0 4.0", "cost ="),
+], ids=["box_lo", "box_hi", "cost", "cost-nan", "cost-empty"])
+def test_an_invalid_list_is_one_error(base, old, new):
+    """A list that is given but invalid is reported as invalid, and not
+    also as missing."""
+    with pytest.raises(ConfigError) as info:
+        parse_config(base.replace(old, new))
+    assert len(info.value.errors) == 1, info.value.errors
+    assert "needs" not in info.value.errors[0]
+
+
+def test_box_bounds_of_two_lengths_are_reported_in_own_words():
+    text = MINIMAL.replace("d = 4", "d = 5").replace(
+        "regularizer = zero", "regularizer = box\nbox_lo = 0 0 0\nbox_hi = 1 1 1 1 1")
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert info.value.errors[0] == ("[problem] box bounds have 3 and 5 entries; "
+                                    "give scalars or vectors of one length")
+    assert not any("broadcast" in e for e in info.value.errors)
+
+
 def test_scalar_and_full_box_bounds_parse():
     for lo, hi in (("0", "1"), ("0 0 0 0", "1"), ("0", "1 1 1 1")):
         cfg = parse_config(MINIMAL.replace(

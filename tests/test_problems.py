@@ -136,6 +136,19 @@ def test_sample_determinism_and_replay(rng):
     assert g.bit_generator.state == g1.bit_generator.state
 
 
+@pytest.mark.parametrize("x, message", [
+    ([np.nan, 0.0, 0.0, 0.0], "non-finite"), ([0.0, 0.0, 0.0], "dimension mismatch")],
+    ids=["nan", "short"])
+def test_a_bad_point_is_rejected_before_the_draw(x, message):
+    A, b, _ = synthetic_sparse_data("lad", d=4, m=10, k=1, noise=0.1, seed=3)
+    p = build_problem("lad", ZeroRegularizer(), EU, A=A, b=b, batch_size=2)
+    rng = np.random.default_rng(4)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=message):
+        p.sample_subgradient(x, rng)
+    assert rng.bit_generator.state == before
+
+
 def test_linear_sample_is_deterministic():
     p = build_problem("linear", ZeroRegularizer(), EU, c=[2.0, -1.0])
     g = np.random.default_rng(0)

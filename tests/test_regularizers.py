@@ -46,6 +46,18 @@ def test_param_validation():
         BoxIndicator(1.0, 0.0)
 
 
+def test_box_bounds_need_one_length():
+    with pytest.raises(ValueError, match=r"^box bounds have 3 and 5 entries; give "
+                                         r"scalars or vectors of one length$"):
+        BoxIndicator([0, 0, 0], [1] * 5)
+    with pytest.raises(ValueError, match="scalars or non-empty vectors"):
+        BoxIndicator(np.zeros((2, 2)), 1.0)
+    with pytest.raises(ValueError, match="scalars or non-empty vectors"):
+        BoxIndicator([], 1.0)
+    for lo, hi in ((0.0, [1] * 5), ([0.0], [1] * 5), ([0] * 5, 1.0), ([0] * 5, [1] * 5)):
+        assert BoxIndicator(lo, hi).value(np.full(5, 0.5)) == 0.0
+
+
 def test_registry():
     assert ("euclidean", "l1") in supported_pairs()
     ensure_supported(EU, L1Penalty(1.0))

@@ -21,8 +21,8 @@ from xrda.schedules import (PRESET_KINDS, Schedule, averaged_leap_frog,
                             constant_backward, constant_steps, forward_backward,
                             leap_frog, power_steps, rda, schedule_preset)
 from xrda.solver import (ScheduleError, _evaluate, argmin_form_step,
-                         averaged_iterate, extract_h, init, run, step,
-                         theoretical_bound, trace_row)
+                         averaged_iterate, init, run, step, theoretical_bound,
+                         trace_row)
 
 EU = EuclideanMirror()
 EN = NegativeEntropyMirror()
@@ -50,7 +50,6 @@ def test_init_state():
     assert st.s_sum == 1.0
     assert np.array_equal(st.weighted_sum, np.zeros(2))
     assert st.bound_acc == 1.0 / 2.0  # s_1^2 / alpha_1
-    assert np.array_equal(st.dual_accum, np.zeros(2))
     assert np.array_equal(st.h, np.zeros(2))
     assert st.best_f == 1.0
     assert st.last_s == 1.0
@@ -224,8 +223,9 @@ def test_forward_matches_accumulated_form(make_sched):
         p = build_problem("lad", regs[kind], EN if mirror == "entropy" else EU, A=A, b=b)
         x1 = np.ones(p.d) if (mirror, kind) == ("entropy", "zero") else None
         st = init(p, make_sched(), x1=x1)
+        dual_sum = np.zeros(p.d)
         for _ in range(100):
-            predicted = argmin_form_step(st, p)
+            predicted, dual_sum = argmin_form_step(st, p, dual_sum)
             st = step(st, p)
             err = float(np.max(np.abs(st.x - predicted)))
             assert err <= 1e-9, (mirror, kind, st.n, err)
@@ -238,12 +238,12 @@ def test_extracted_h_is_a_regularizer_subgradient():
     for _ in range(150):
         st = step(st, p)
         if st.gamma > 0:
-            h = extract_h(st)
+            h = st.h
             assert in_subdifferential(p.reg, h, st.x, 1e-8), st.n
             checked += 1
     assert checked == 150
 
-    h = extract_h(st)
+    h = st.h
     h[:] = 0.0
     assert not np.array_equal(st.h, h) or np.all(st.h == 0.0)  # copy, not view
 
@@ -592,13 +592,32 @@ def test_a_callback_changes_at_most_the_last_bits_of_f(loss, monkeypatch, tmp_pa
     assert observed == plain
 
 
+def sampled_dual_sum(p, sched, states, seed):
+    """sum s_i g_i + t_i h_i over the steps taken from ``states`` (each
+    (n, x_n, s_n, gamma_n, h_n) before a step), with each sampled g_i
+    replayed from a second generator of the run's seed: a block draw uses
+    the generator as that many single draws do."""
+    rng = np.random.default_rng(seed)
+    dual_sum = np.zeros(p.d)
+    for n, x, s, gamma, h in states:
+        dual_sum += s * p.sample_subgradient(x, rng) + sched.t(n, gamma) * h
+    return dual_sum
+
+
+def before_step(st):
+    return st.n, st.x.copy(), st.last_s, st.gamma, st.h
+
+
 def test_exact_step_after_stochastic_run_matches_accumulated_form():
     p, sched = stochastic_setup("lad", 0.1)
-    st = run(p, sched, 33, mode="stochastic", seed=2, stride=10).state
+    states = [before_step(init(p, sched))]
+    st = run(p, sched, 33, mode="stochastic", seed=2, stride=10,
+             callback=lambda st: states.append(before_step(st))).state
     expected = p.residual(st.x)
     np.testing.assert_allclose(st.residual, expected, rtol=1e-13,
                                atol=1e-13 * np.abs(expected).max())
-    predicted = argmin_form_step(st, p)
+    dual_sum = sampled_dual_sum(p, sched, states[:-1], seed=2)
+    predicted = argmin_form_step(st, p, dual_sum)[0]
     st = step(st, p)
     assert float(np.max(np.abs(st.x - predicted))) <= 1e-9
     assert st.f_x == p.objective(st.x)
@@ -668,11 +687,15 @@ def test_residual_blocks_hold_at_most_the_byte_budget(budget, monkeypatch):
 def test_exact_step_after_stochastic_steps_matches_accumulated_form():
     A, b, _ = synthetic_sparse_data("lad", d=5, m=12, k=2, noise=0.1, seed=13)
     p = build_problem("lad", L1Penalty(0.1), EU, A=A, b=b, batch_size=3)
-    st = init(p, leap_frog(power_steps(1.0, 0.5)))
+    sched = leap_frog(power_steps(1.0, 0.5))
+    st = init(p, sched)
     rng = np.random.default_rng(5)
+    states = []
     for _ in range(3):
+        states.append(before_step(st))
         st = step(st, p, mode="stochastic", rng=rng)
-    predicted = argmin_form_step(st, p)
+    dual_sum = sampled_dual_sum(p, sched, states, seed=5)
+    predicted = argmin_form_step(st, p, dual_sum)[0]
     st = step(st, p)
     assert float(np.max(np.abs(st.x - predicted))) <= 1e-9
 
@@ -860,6 +883,22 @@ def test_no_thread_outlives_a_run(schedule, error):
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("mode, batch", [("exact", None), ("stochastic", 1)])
+@pytest.mark.parametrize("kind", PRESET_KINDS)
+def test_a_run_reads_no_h(kind, mode, batch, monkeypatch):
+    """A step computes only the recursion's terms, and h_n enters none of
+    them: no preset's run derives ``SolverState.h``."""
+    reads = []
+    h = solver.SolverState.h
+    monkeypatch.setattr(solver.SolverState, "h",
+                        property(lambda st: reads.append(st.n) or h.fget(st)))
+    A, b, _ = synthetic_sparse_data("logistic", d=6, m=24, k=2, noise=0.3, seed=8)
+    p = build_problem("logistic", L1Penalty(0.1), EU, A=A, b=b, batch_size=batch)
+    mu = 0.5 if kind == "averaged_leap_frog" else None
+    run(p, schedule_preset(kind, mu=mu), 40, mode=mode, seed=3, stride=7)
+    assert reads == []
+
+
 def transcribed_run(p, sched, n_iters, mode, seed, stride, ref):
     """The module docstring's recursion term for term, with h stored, on a
     state from ``init``; it draws, evaluates and logs as ``run`` does.
@@ -885,7 +924,6 @@ def transcribed_run(p, sched, n_iters, mode, seed, stride, ref):
         x_next = solver.mirror_prox(p.reg, p.mirror, p.mirror.grad_inverse(xt_half),
                                     gamma_next / a_next)
         xt_next = p.mirror.grad(x_next)
-        st.dual_accum += s_n * g + t_n * h
         h = (a_next / gamma_next) * (xt_half - xt_next)
         st.x, st.x_tilde, st.x_tilde_half, st.gamma = x_next, xt_next, xt_half, gamma_next
         st.last_s, st.last_alpha, st.n = s_next, a_next, n + 1
@@ -930,6 +968,5 @@ def test_run_is_the_transcribed_recursion_bitwise(pair, mode, batch):
                 assert np.array(astuple(got)).tobytes() == np.array(astuple(want)).tobytes(), \
                     (loss, kind, got.n)
             for got, want in [(res.state.x, st.x), (res.state.x_tilde_half, st.x_tilde_half),
-                              (res.state.weighted_sum, st.weighted_sum),
-                              (res.state.dual_accum, st.dual_accum), (res.state.h, h)]:
+                              (res.state.weighted_sum, st.weighted_sum), (res.state.h, h)]:
                 assert np.array_equal(got + 0.0, want + 0.0), (loss, kind)

@@ -13,7 +13,10 @@ Entropy+zero starts at x1 = 1 with ``reference_tol = inf``, as its data
 reference lies outside the entropy mirror's domain.  Every case runs
 ``xrda run`` (leap_frog) and ``xrda compare`` with the four other
 presets; logistic with the zero regularizer runs both once more with
-``--unsafe``.
+``--unsafe``.  Logistic with the zero regularizer has no finite
+certificate, so without ``--unsafe`` those commands exit 2; every other
+command exits 0.  The sweep prints a line for each command whose exit
+code is not the expected one, and then exits 1.
 Each command gets a directory under OUT_DIR with its config, the trace
 CSVs and ``_refcache`` it writes, its standard output and error and its
 exit code.  OUT_DIR must not exist yet.
@@ -73,18 +76,20 @@ def config_text(loss, pair, mode):
 
 
 def cases():
-    """(directory name, config text, extra CLI flags, command) of every run."""
+    """(directory name, config text, extra CLI flags, command, expected exit
+    code) of every run."""
     for loss in LOSSES:
         for pair in PAIRS:
             for mode in MODES:
-                flag_sets = [[]]
-                if loss == "logistic" and pair in ("zero", "entropy_zero"):
-                    flag_sets.append(["--unsafe"])
+                # no finite certificate: exit 2 unless --unsafe
+                uncertified = loss == "logistic" and pair in ("zero", "entropy_zero")
+                flag_sets = [[], ["--unsafe"]] if uncertified else [[]]
                 for flags in flag_sets:
+                    expected = 2 if uncertified and not flags else 0
                     for command, args in COMMANDS.items():
                         name = "-".join([loss, pair, mode, command]
                                         + [f.strip("-") for f in flags])
-                        yield name, config_text(loss, pair, mode), flags, args
+                        yield name, config_text(loss, pair, mode), flags, args, expected
 
 
 def run_case(case_dir, text, flags, args, env):
@@ -107,13 +112,17 @@ def main(argv):
         sys.exit("%s exists; the sweep writes a new directory" % out)
     env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    codes = {}
-    for name, text, flags, args in cases():
+    codes, mismatches = {}, []
+    for name, text, flags, args, expected in cases():
         codes[name] = run_case(out / name, text, flags, args, env)
         print("%-36s exit %d" % (name, codes[name]))
+        if codes[name] != expected:
+            mismatches.append("%s exited %d, expected %d" % (name, codes[name], expected))
     print("%d commands, %d exited non-zero"
           % (len(codes), sum(code != 0 for code in codes.values())))
-    return 0
+    for line in mismatches:
+        print("MISMATCH: " + line)
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
