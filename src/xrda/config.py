@@ -16,7 +16,7 @@ from pathlib import Path
 from .geometry import make_mirror
 from .problems import build_problem, read_dense_matrix, synthetic_sparse_data
 from .regularizers import (BoxIndicator, L1Penalty, L2BallIndicator,
-                           SimplexIndicator, ZeroRegularizer, ensure_supported)
+                           SimplexIndicator, ZeroRegularizer, ensure_supported_kinds)
 from .schedules import PRESET_KINDS, constant_steps, power_steps, schedule_preset
 
 SPEC_VERSION = 1
@@ -266,6 +266,12 @@ def parse_config(text, base_dir=".", name="experiment"):
         cfg.box_hi = p.take_list("box_hi")
         if absent:
             p.error("box regularizer needs box_lo and box_hi")
+        elif cfg.box_lo is not None and cfg.box_hi is not None:
+            try:
+                BoxIndicator(cfg.box_lo, cfg.box_hi)
+            except ValueError as exc:  # reported here, so not by length again
+                p.error(str(exc))
+                cfg.box_lo = cfg.box_hi = None
     if cfg.loss == "linear":
         absent = "cost" not in p.data
         cfg.cost = p.take_list("cost")
@@ -299,11 +305,9 @@ def parse_config(text, base_dir=".", name="experiment"):
 
     if cfg.mirror is not None and cfg.regularizer is not None:
         try:
-            ensure_supported(make_mirror(cfg.mirror), _make_regularizer(cfg))
+            ensure_supported_kinds(cfg.mirror, cfg.regularizer)
         except ValueError as exc:
             errors.append("[problem] %s" % exc)
-        except TypeError:
-            pass  # regularizer params already reported above
 
     s = _Reader("schedule", sections["schedule"], errors)
     cfg.preset = s.take_choice("preset", PRESET_KINDS, required=True)

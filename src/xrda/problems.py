@@ -15,11 +15,14 @@ Three loss families are supported:
 * ``linear``: F(x) = <c, x>; no data rows.
 
 Each loss depends on x only through the residual r = A x (<c, x> for
-linear): ``residual`` makes the one pass over A, and ``loss_at``,
-``row_weights``, ``curvature`` (logistic only) and ``subgradient_at``
-hold the only copy of each formula.  The solver evaluates one iterate
-at a time, and a stochastic run evaluates only the iterates it logs
-(see ``solver``).
+linear): ``residual`` makes the pass over A for one point, and
+``loss_at``, ``row_weights``, ``curvature`` (logistic only) and
+``subgradient_at`` hold the only copy of each formula.  ``residual`` and
+``loss_at`` take one point.  The solver evaluates an exact run's
+iterates one at a time; a stochastic run evaluates only the points it
+logs, in blocks of up to ``_block_width()`` points (8 at m = 8000), and
+``solver._objective`` takes one product over A per block, then each
+point's ``loss_at`` (see ``solver``).
 
 A is stored column-major (Fortran order), so the columns of x's support
 are contiguous.  When x has at most d/4 nonzeros, as the l1 iterates
@@ -62,6 +65,8 @@ _SUPPORT_FRACTION = 0.25
 # Xeon, 2 MB L2, 1 BLAS thread, 32 columns -> 512 KB per block: m=8000, nnz 50
 # of 200, 561 -> 421 us; m=4000, d=2000, nnz 200, 807 -> 759 us; 256 KB and
 # 1 MB blocks were slower than 512 KB at both sizes
+# The same budget sizes a stochastic run's evaluation blocks: as many points
+# as fit their residuals in it, one product over A per block
 _RESIDUAL_BLOCK = 1 << 19  # bytes of A's columns gathered per product
 # bytes of rows per ``_draw`` call in a stochastic run (``_draw_width``): 65
 # one-row draws at d=200.  The width changes no output, only how many steps
@@ -142,7 +147,7 @@ class CompositeProblem:
         support = np.flatnonzero(x)
         if support.size > _SUPPORT_FRACTION * self.d:
             return self.A @ x
-        chunk = max(1, _RESIDUAL_BLOCK // (8 * self.m))
+        chunk = self._block_width()
         cols = support[:chunk]
         r = self.A[:, cols] @ x[cols]
         for start in range(chunk, support.size, chunk):
@@ -238,6 +243,12 @@ class CompositeProblem:
             idx = np.array([rng.choice(self.m, size=self.batch_size, replace=False)
                             for _ in range(count)])
         return idx, self.A[idx], self.b[idx]
+
+    def _block_width(self):
+        """How many m-vectors fit in ``_RESIDUAL_BLOCK`` bytes, and at least
+        one: the columns of A a sparse ``residual`` gathers per product,
+        and the points a stochastic ``run`` evaluates per product."""
+        return max(1, _RESIDUAL_BLOCK // (8 * self.m))
 
     def _draw_width(self):
         """How many draws a stochastic ``run`` takes at once: as many as

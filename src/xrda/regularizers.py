@@ -55,7 +55,8 @@ class BoxIndicator(_Regularizer):
     """Indicator of the box {x : lo <= x <= hi}, componentwise.
 
     Bounds may be scalars (broadcast against the iterate) or vectors; a
-    vector with more than one entry sets the length of both.
+    vector with more than one entry sets the length of both.  An infinite
+    bound leaves that side open; a nan bound is rejected.
     """
 
     kind = "box"
@@ -68,6 +69,8 @@ class BoxIndicator(_Regularizer):
         if len({self.lo.size, self.hi.size} - {1}) > 1:
             raise ValueError("box bounds have %d and %d entries; give scalars or "
                              "vectors of one length" % (self.lo.size, self.hi.size))
+        if np.isnan(self.lo).any() or np.isnan(self.hi).any():
+            raise ValueError("box bounds must not be nan")
         if np.any(self.lo > self.hi):
             raise ValueError("box has lo > hi in some coordinate")
 
@@ -190,11 +193,16 @@ def supported_pairs():
 
 def ensure_supported(mirror, reg):
     """Raise UnsupportedPairError unless the pair has a backward step."""
-    if (mirror.kind, reg.kind) not in PROX_REGISTRY:
+    ensure_supported_kinds(mirror.kind, reg.kind)
+
+
+def ensure_supported_kinds(mirror_kind, reg_kind):
+    """``ensure_supported`` by the kinds alone, as the config reader
+    checks a pair before it builds the regularizer."""
+    if (mirror_kind, reg_kind) not in PROX_REGISTRY:
         raise UnsupportedPairError(
             "no backward step for mirror %r with regularizer %r; supported pairs: %s"
-            % (mirror.kind, reg.kind,
-               ", ".join("%s+%s" % p for p in supported_pairs())))
+            % (mirror_kind, reg_kind, ", ".join("%s+%s" % p for p in supported_pairs())))
 
 
 def mirror_prox(reg, mirror, y, s):

@@ -46,22 +46,35 @@ alpha_{n+1}, t_n and s_{n+1}, so a violation at index n+1 stops the run
 at step n, before any bound uses it.  (A trace row's backward-step
 column re-evaluates alpha_{n+1} and t_n, unchecked, as a preview.)
 
-``_objective`` is the only code that computes f: the residual, then
-``loss_at`` plus the regularizer's ``_value``, and the check that f is
-finite.  ``_evaluate`` takes it at one iterate and keeps its residual,
-f, and ``best_f`` / ``best_x`` when f improves on them; ``trace_row``
-takes it at the s-weighted average.  An exact step needs the residual
-A x_n for its subgradient, so ``step`` evaluates each new iterate at
-once, and ``best_f`` is the best f of all iterates, x_1 included.  A
-stochastic trajectory never reads f or the residual, and for a sampled g
-the theorem bounds the expected s-weighted mean of f(x_i) - f*, not the
-f of each iterate, so a stochastic ``run`` evaluates f exactly only at
-x_1, at each trace-row iterate and at the last iterate.  Every step in
-between costs a draw, a subgradient of the drawn rows and a backward
-step, and no pass over the data; its ``residual`` and ``f_x`` are None
-until the next evaluation, and ``best_f`` is the best f among the
-evaluated iterates.  A callback changes none of this, so it changes no
-output.
+``_objective`` is the only code that computes f: for a block of points
+it makes one product over A for their residuals, then takes each
+point's ``loss_at`` plus the regularizer's ``_value`` and checks that f
+is finite.  ``_evaluate`` takes it at the one iterate ``state.x`` and
+keeps its residual, f, and ``best_f`` / ``best_x`` when f improves on
+them.  An exact step needs the residual A x_n for its subgradient, so
+``step`` evaluates each new iterate at once, ``trace_row`` evaluates the
+s-weighted average at once, and ``best_f`` is the best f of all
+iterates, x_1 included.
+
+A stochastic trajectory never reads f or the residual, and for a
+sampled g the theorem bounds the expected s-weighted mean of f(x_i) -
+f*, not the f of each iterate, so a stochastic ``run`` evaluates f
+exactly only at x_1 (in ``init``), at each trace-row iterate and its
+averaged iterate, and at the last iterate.  Every step in between costs
+a draw, a subgradient of the drawn rows and a backward step, and no pass
+over the data.  Nor does a logged step pass over the data: ``run`` keeps
+a copy of the iterate and of the averaged iterate, with the row that
+``trace_row`` made of the fields that need no f, and evaluates the kept
+points in iterate order as one ``_objective`` block when their residuals
+would pass ``_RESIDUAL_BLOCK`` bytes (``CompositeProblem._block_width``:
+8 points at m = 8000) and when the run ends.  The block fills each row's
+``f_x``, ``f_avg`` and gaps, with ``best_f`` the best f among the
+evaluated iterates up to the row's.  A product over several points
+rounds differently from a product with one, so a stochastic f can
+differ in its last bits from ``residual(x)``'s; a block of one takes
+``residual(x)`` itself, as ``_evaluate`` does.  A state's ``residual`` and ``f_x`` are None
+inside a stochastic ``run`` but at the last state, and a callback
+changes none of this, so it changes no output.
 
 A stochastic ``run`` draws its minibatches a block at a time: one
 ``CompositeProblem._draw`` call gives the indices and rows of up to
@@ -92,6 +105,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (ENTROPY_DOMAIN_FLOOR, MirrorDomainError, as_vector)
+from .problems import _SUPPORT_FRACTION
 from .regularizers import _prox, canonical_argmin, mirror_prox
 
 NNZ_THRESHOLD = 1e-12
@@ -116,8 +130,8 @@ class SolverState:
     alpha_i.  ``last_s`` and ``last_alpha`` are s_n and alpha_n.  ``h``
     is derived from ``last_alpha``, ``gamma``, ``x_tilde_half`` and
     ``x_tilde``, and ``x_tilde`` is ``x`` for the Euclidean mirror.
-    ``residual`` (``CompositeProblem.residual``) and ``f_x`` are those of
-    ``x``, or None while a stochastic ``run`` has not evaluated it; an
+    ``residual`` (A x, from ``_objective``) and ``f_x`` are those of
+    ``x``, or None inside a stochastic ``run`` but at its last state; an
     exact step takes its subgradient from that residual.
     """
 
@@ -238,9 +252,10 @@ def step(state, problem, mode="exact", rng=None, unsafe=False, _rows=None):
     A stochastic step draws its minibatch from ``rng`` with one ``_draw``
     and the new iterate is evaluated at once, unless ``run`` passes the
     rows and targets it drew for this step as ``_rows``: then
-    ``residual`` and ``f_x`` are set to None, and ``run`` evaluates the
-    iterate only if it logs it or stops at it.  An exact step always
-    evaluates at once, as the next one reads its residual.
+    ``residual`` and ``f_x`` are set to None, and ``run`` keeps the
+    iterate for a block evaluation only if it logs it or stops at it.  An
+    exact step always evaluates at once, as the next one reads its
+    residual.
     """
     s_n, alpha_n = state.last_s, state.last_alpha
     s_next, alpha_next, _, mu, gamma_next = _schedule_values(
@@ -292,27 +307,70 @@ def step(state, problem, mode="exact", rng=None, unsafe=False, _rows=None):
     return state
 
 
-def _objective(problem, x, what, n):
-    """The residual of x and f(x) = ``loss_at(residual) + _value(x)``.  A
+def _objective(problem, points):
+    """The residual and f of each point of a block, ``(x, what, n)``
+    triples in iterate order.  The residuals come from one product: a
+    block of one takes ``residual(x)``; a larger one takes ``A[:, U] @
+    X[U]`` while the union U of its points' supports has at most d/4
+    entries, and ``A @ X`` otherwise.  Then each point in turn takes f =
+    ``loss_at(residual) + _value(x)`` and the check that f is finite: a
     non-finite f, say from an overflowing schedule, is a ValueError that
-    names the point as ``what`` ``n``."""
-    residual = problem.residual(x)
-    f = float(problem.loss_at(residual) + problem.reg._value(x))
-    if not math.isfinite(f):
-        raise ValueError("objective is not finite at %s %d (f = %r)" % (what, n, f))
-    return residual, f
+    names the first such point as ``what`` ``n``.  Returns the (residual,
+    f) pairs in the points' order."""
+    xs = [x for x, _, _ in points]
+    if len(xs) == 1 or problem.A is None:
+        residuals = [problem.residual(x) for x in xs]
+    else:
+        X = np.stack(xs, axis=1)
+        support = np.flatnonzero(X.any(axis=1))
+        if support.size > _SUPPORT_FRACTION * problem.d:
+            residuals = (problem.A @ X).T
+        else:
+            residuals = (problem.A[:, support] @ X[support]).T
+    values = []
+    for (x, what, n), residual in zip(points, residuals):
+        f = float(problem.loss_at(residual) + problem.reg._value(x))
+        if not math.isfinite(f):
+            raise ValueError("objective is not finite at %s %d (f = %r)" % (what, n, f))
+        values.append((residual, f))
+    return values
 
 
 def _evaluate(state, problem):
-    """Objective bookkeeping for the iterate ``state.x``: its residual and
-    f, and ``best_f`` / ``best_x`` when f is below ``best_f`` (so of tied
-    iterates the first is kept)."""
-    residual, f = _objective(problem, state.x, "iterate", state.n)
+    """Objective bookkeeping for the iterate ``state.x``, a block of one:
+    its residual and f, and ``best_f`` / ``best_x`` when f is below
+    ``best_f`` (so of tied iterates the first is kept)."""
+    [(residual, f)] = _objective(problem, [(state.x, "iterate", state.n)])
     if f < state.best_f:
         state.best_f = f
         state.best_x = state.x.copy()
     state.residual = residual
     state.f_x = f
+
+
+def _evaluate_kept(state, problem, kept, reference, last):
+    """Evaluate the points a stochastic ``run`` kept, ``(x, what, n, row)``
+    in iterate order, as one ``_objective`` block, and empty ``kept``.
+    Each iterate's f updates ``best_f`` / ``best_x`` (x is the kept copy)
+    and fills its row's ``f_x``; each averaged iterate's fills its row's
+    ``f_avg`` and both gaps, with ``best_f`` over the iterates up to the
+    row's.  On the ``last`` state it sets the state's own ``residual`` and
+    ``f_x``."""
+    values = _objective(problem, [(x, what, n) for x, what, n, _ in kept])
+    for (x, what, n, row), (residual, f) in zip(kept, values):
+        if what == "averaged iterate":
+            row.f_avg = f
+            row.gap_best, row.gap_avg = _gaps(state.best_f, f, reference)
+            continue
+        if f < state.best_f:
+            state.best_f = f
+            state.best_x = x
+        if row is not None:
+            row.f_x = f
+        if last and n == state.n:
+            state.residual = residual
+            state.f_x = f
+    kept.clear()
 
 
 def averaged_iterate(state):
@@ -343,20 +401,29 @@ def argmin_form_step(state, problem, dual_sum):
     return mirror_prox(problem.reg, mirror, base, gamma_next / alpha_next), dual_sum
 
 
+def _gaps(best_f, f_avg, reference):
+    """``gap_best`` and ``gap_avg`` of a row; nan without a reference."""
+    if reference is None:
+        nan = float("nan")
+        return nan, nan
+    return best_f - reference.f_star, f_avg - reference.f_star
+
+
 def trace_row(state, problem, reference=None, d_star=None, t0=None, unsafe=False):
     """Snapshot the state into a TraceRow; gaps and bound are nan without a
-    reference, and the bound is also nan for unsafe runs."""
-    f_avg = _objective(problem, averaged_iterate(state), "averaged iterate", state.n)[1]
-    nan = float("nan")
-    if reference is not None:
-        gap_best = state.best_f - reference.f_star
-        gap_avg = f_avg - reference.f_star
-    else:
-        gap_best = gap_avg = nan
+    reference, and the bound is also nan for unsafe runs.  A state that
+    is not evaluated yet (``f_x`` None, inside a stochastic ``run``) gives
+    a row whose ``f_x``, ``f_avg`` and gaps are None, which ``run`` fills
+    when it evaluates the row's points."""
+    f_avg = gap_best = gap_avg = None
+    if state.f_x is not None:
+        f_avg = _objective(problem, [(averaged_iterate(state), "averaged iterate",
+                                      state.n)])[0][1]
+        gap_best, gap_avg = _gaps(state.best_f, f_avg, reference)
     if reference is not None and d_star is not None and not unsafe:
         bound = theoretical_bound(state, d_star, problem.M, problem.mirror.sigma)
     else:
-        bound = nan
+        bound = float("nan")
     nnz = int(np.count_nonzero(np.abs(state.x) > NNZ_THRESHOLD))
     elapsed = time.perf_counter() - t0 if t0 is not None else 0.0
     # gamma_{n+1}/alpha_{n+1} as the next step will use it
@@ -372,14 +439,18 @@ def run(problem, schedule, n_iters, mode="exact", seed=None, stride=100,
     multiple of stride.  Exact mode ignores the seed entirely.
 
     A stochastic run evaluates f exactly at x_1, at each logged iterate
-    and at the last iterate, and nowhere in between.  With sampled
-    subgradients the theorem bounds the expected s-weighted mean of
-    f(x_i) - f*, which no single f enters: ``gap_avg`` is f of the
-    s-weighted average, at most that mean by convexity, and the best f
-    of the evaluated iterates, which a stochastic trace's ``gap_best``
-    reports, is at least the best f of all of them.  The callback sees
-    every state; a stochastic one that is neither logged nor the last has
-    ``f_x`` and ``residual`` None.  A callback changes no output."""
+    and its averaged iterate, and at the last iterate, and nowhere in
+    between.  With sampled subgradients the theorem bounds the expected
+    s-weighted mean of f(x_i) - f*, which no single f enters: ``gap_avg``
+    is f of the s-weighted average, at most that mean by convexity, and
+    the best f of the evaluated iterates, which a stochastic trace's
+    ``gap_best`` reports, is at least the best f of all of them.  The
+    logged points are kept and evaluated in blocks (module docstring), so
+    a non-finite f stops the run when its block is evaluated, at the
+    latest at the end, and names the point; no row is returned.  The
+    callback sees every state, after its row is logged; a stochastic one
+    but the last has ``f_x`` and ``residual`` None.  A callback changes no
+    output."""
     if n_iters < 1:
         raise ValueError("need at least one iteration")
     if stride < 1:
@@ -394,7 +465,9 @@ def run(problem, schedule, n_iters, mode="exact", seed=None, stride=100,
     t0 = time.perf_counter() if timing == "wall" else None
     rows = []
     draws = problem._draw_width() if mode == "stochastic" else 0
+    width = problem._block_width()
     drawn = None
+    kept = []  # (x, what, n, row): the points a stochastic run evaluates later
     for i in range(n_iters):
         if draws:
             j = i % draws
@@ -403,12 +476,23 @@ def run(problem, schedule, n_iters, mode="exact", seed=None, stride=100,
             drawn = (A[j], b[j])
         state = step(state, problem, mode=mode, rng=rng, unsafe=unsafe, _rows=drawn)
         logged = state.n % stride == 0
-        if drawn is not None and (logged or i == n_iters - 1):
-            _evaluate(state, problem)
+        last = i == n_iters - 1
+        row = None
+        if logged:
+            row = trace_row(state, problem, reference, d_star, t0, unsafe)
+            rows.append(row)
+        if drawn is not None and (logged or last):
+            points = [(state.x.copy(), "iterate", state.n, row)]
+            if logged:
+                points.append((averaged_iterate(state), "averaged iterate", state.n, row))
+            for point in points:
+                if len(kept) == width:
+                    _evaluate_kept(state, problem, kept, reference, last)
+                kept.append(point)
+            if last:
+                _evaluate_kept(state, problem, kept, reference, last)
         if callback is not None:
             callback(state)
-        if logged:
-            rows.append(trace_row(state, problem, reference, d_star, t0, unsafe))
     # An overflowed dual point stays non-finite (a step scales it by
     # ratio (1 - mu) >= 0, 0 * inf is nan, and subtracting c g keeps an inf
     # or nan entry), though a backward step such as the box clip can still

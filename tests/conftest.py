@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.optimize import NonlinearConstraint, minimize
 
+from xrda import solver
+
 
 def refine_minimize_1d(f, lo, hi, rounds=60, pts=33):
     """Minimize a 1-d convex function on [lo, hi] by repeated grid refinement.
@@ -56,6 +58,46 @@ def simplex_kl_oracle(y):
                        options={"ftol": 1e-16, "maxiter": 500})
     assert res.success, res.message
     return res.x
+
+
+def replay_evaluation(p, state, points, rows, reference):
+    """A stochastic run's evaluation of the points it kept, replayed: the
+    ``(x, what, n)`` points, in iterate order, go through
+    ``solver._objective`` in blocks of ``p._block_width()`` points.  Each
+    iterate's f updates ``state.best_f`` / ``best_x`` by a strict <, so
+    the first of tied iterates is kept, and fills ``f_x`` of the row
+    logged at its n; each averaged iterate's f fills that row's ``f_avg``
+    and both gaps; the last iterate's residual and f become the state's.
+    Returns the blocks, each a list of (what, n)."""
+    width = p._block_width()
+    blocks = [points[start:start + width] for start in range(0, len(points), width)]
+    row_at = {row.n: row for row in rows}
+    for block in blocks:
+        for (x, what, n), (residual, f) in zip(block, solver._objective(p, block)):
+            row = row_at.get(n)
+            if what == "averaged iterate":
+                row.f_avg = f
+                if reference is None:
+                    row.gap_best = row.gap_avg = float("nan")
+                else:
+                    row.gap_best = state.best_f - reference.f_star
+                    row.gap_avg = f - reference.f_star
+                continue
+            if f < state.best_f:
+                state.best_f, state.best_x = f, x
+            if row is not None:
+                row.f_x = f
+            state.residual, state.f_x = residual, f
+    return [[(what, n) for _, what, n in block] for block in blocks]
+
+
+def kept_points(state, logged):
+    """The points a stochastic run keeps at a state: its iterate, and when
+    the state is logged its averaged iterate as well."""
+    points = [(state.x.copy(), "iterate", state.n)]
+    if logged:
+        points.append((solver.averaged_iterate(state), "averaged iterate", state.n))
+    return points
 
 
 @pytest.fixture

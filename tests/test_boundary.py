@@ -7,8 +7,9 @@ bitwise, the public functions still reject bad input, a run's
 validation count does not grow with its length, and an overflowing
 schedule still fails loudly, with exit code 2 from the command line.
 A stochastic run draws its samples a block at a time through
-``_draw``, and replays exactly a loop of single steps that evaluates f
-at the trace rows and the last iterate.
+``_draw``, and replays exactly a loop of single steps that keeps the
+trace rows' points and the last iterate and evaluates them in the run's
+blocks.
 """
 
 import os
@@ -21,6 +22,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import kept_points, replay_evaluation
 from xrda import geometry, problems, regularizers
 from xrda.geometry import EuclideanMirror, NegativeEntropyMirror
 from xrda.problems import CompositeProblem, build_problem, synthetic_sparse_data
@@ -28,7 +30,7 @@ from xrda.regularizers import (BoxIndicator, L1Penalty, L2BallIndicator,
                                SimplexIndicator, ZeroRegularizer, _prox,
                                mirror_prox, supported_pairs)
 from xrda.schedules import leap_frog, power_steps
-from xrda.solver import _evaluate, init, run, step, trace_row
+from xrda.solver import init, run, step, trace_row
 
 EU = EuclideanMirror()
 EN = NegativeEntropyMirror()
@@ -172,20 +174,25 @@ def test_run_replays_a_loop_of_single_steps(loss, batch, callback, monkeypatch):
     assert counts == [65, 65, 20]
     del p._draw
 
-    # one step, and one draw, at a time, evaluating f at each trace row
-    # and at the last iterate, with or without a callback
+    # one step, and one draw, at a time, keeping each trace row's iterate
+    # and averaged iterate and the last iterate, with or without a
+    # callback; the kept points are evaluated in run's blocks
     state = init(p, sched)
     d_star = p.mirror.bregman(reference.x_star, state.x1)
     rng = np.random.default_rng(12)
-    xs, rows = [], []
+    xs, rows, kept = [], [], []
     for i in range(n_iters):
         _, drawn, targets = p._draw(rng, 1)
         state = step(state, p, "stochastic", rng, _rows=(drawn[0], targets[0]))
         xs.append(state.x.copy())
-        if state.n % stride == 0 or i == n_iters - 1:
-            _evaluate(state, p)
-        if state.n % stride == 0:
+        logged = state.n % stride == 0
+        if logged:
             rows.append(trace_row(state, p, reference, d_star))
+        if logged or i == n_iters - 1:
+            kept += kept_points(state, logged)
+    blocks = replay_evaluation(p, state, kept, rows, reference)
+    if loss != "linear":  # 43 points in blocks of 8 at m = 8000
+        assert [len(block) for block in blocks] == [8, 8, 8, 8, 8, 3]
     if loss == "linear":
         assert rng.bit_generator.state == np.random.default_rng(12).bit_generator.state
     assert same(result.state.x, state.x)

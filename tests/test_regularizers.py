@@ -58,6 +58,16 @@ def test_box_bounds_need_one_length():
         assert BoxIndicator(lo, hi).value(np.full(5, 0.5)) == 0.0
 
 
+@pytest.mark.parametrize("lo, hi", [(np.nan, 1.0), (0.0, np.nan), ([0.0, np.nan], 1.0),
+                                    ([0.0, 0.0], [1.0, np.nan])])
+def test_box_bounds_must_not_be_nan(lo, hi):
+    # a nan bound used to pass: its value was inf and its backward step nan
+    with pytest.raises(ValueError, match="^box bounds must not be nan$"):
+        BoxIndicator(lo, hi)
+    box = BoxIndicator(-np.inf, 1.0)  # an infinite bound leaves that side open
+    assert box.value([-1e300, 1.0]) == 0.0
+
+
 def test_registry():
     assert ("euclidean", "l1") in supported_pairs()
     ensure_supported(EU, L1Penalty(1.0))

@@ -8,10 +8,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import kept_points, replay_evaluation
 from xrda.geometry import (EuclideanMirror, MirrorDomainError,
                            NegativeEntropyMirror)
 from xrda import problems, solver
-from xrda.harness import write_trace_csv
+from xrda.config import parse_config
+from xrda.harness import run_experiment, write_trace_csv
 from xrda.problems import build_problem, synthetic_sparse_data
 from xrda.reference import prox_subgradient_iterates, reference_optimum
 from xrda.regularizers import (BoxIndicator, L1Penalty, L2BallIndicator,
@@ -434,18 +436,25 @@ def test_stochastic_step_never_takes_a_full_gradient():
     assert len(tally) == n + 1 + 1
 
 
-def test_stochastic_blocks_end_at_every_trace_row():
+def test_stochastic_blocks_end_at_every_trace_row(monkeypatch):
+    """Each trace row's iterate and averaged iterate and the last iterate
+    are evaluated, with one product over A per block of kept points,
+    whatever the block width, and every row gets its f."""
     A, b, _ = synthetic_sparse_data("logistic", d=5, m=12, k=2, noise=0.1, seed=3)
     p = build_problem("logistic", L1Penalty(0.1), EU, A=A, b=b, batch_size=1)
     tally = count_products(p)
     n, stride = 25, 5
-    res = run(p, leap_frog(power_steps(1.0, 0.5)), n, mode="stochastic", seed=4,
-              stride=stride)
-    rows = n // stride
-    assert [r.n for r in res.rows] == [5, 10, 15, 20, 25]
-    # one per sampled step; per trace row one for its iterate and one for
-    # f_avg; one for the last iterate, n = 26; one in init
-    assert len(tally) == n + 2 * rows + 1 + 1
+    for width in (p._block_width(), 4, 1):
+        monkeypatch.setattr(problems, "_RESIDUAL_BLOCK", 8 * p.m * width)
+        assert p._block_width() == width
+        tally.clear()
+        res = run(p, leap_frog(power_steps(1.0, 0.5)), n, mode="stochastic", seed=4,
+                  stride=stride)
+        assert [r.n for r in res.rows] == [5, 10, 15, 20, 25]
+        assert all(math.isfinite(r.f_x) and math.isfinite(r.f_avg) for r in res.rows)
+        # one per sampled step; one per block of the 11 kept points (two per
+        # trace row, and the last iterate, n = 26); one in init
+        assert len(tally) == n + -(-11 // width) + 1
 
 
 def stochastic_setup(loss, lam):
@@ -463,6 +472,32 @@ def replay(p, sched, n, seed):
         st = step(st, p, mode="stochastic", rng=rng)
         xs.append(st.x.copy())
     return st, xs
+
+
+def replayed_evaluation(p, sched, n, seed, stride, reference=None):
+    """Standalone steps, with the points that a stochastic run of this
+    stride keeps evaluated in its blocks (``replay_evaluation``): the
+    iterates 1..n+1, the rows' f columns, and the ``best_f``, ``best_x``,
+    ``residual`` and ``f_x`` that the run ends with."""
+    st = init(p, sched)
+    ended = SimpleNamespace(best_f=st.best_f, best_x=st.best_x, residual=None, f_x=None)
+    rng = np.random.default_rng(seed)
+    xs, kept, rows = [st.x.copy()], [], []
+    for i in range(n):
+        st = step(st, p, mode="stochastic", rng=rng)
+        xs.append(st.x.copy())
+        logged = st.n % stride == 0
+        if logged:
+            rows.append(SimpleNamespace(n=st.n))
+        if logged or i == n - 1:
+            kept += kept_points(st, logged)
+    replay_evaluation(p, ended, kept, rows, reference)
+    return xs, rows, ended
+
+
+def f_columns(rows):
+    """The bits of each row's f_x, f_avg, gap_best and gap_avg."""
+    return [np.array([r.f_x, r.f_avg, r.gap_best, r.gap_avg]).tobytes() for r in rows]
 
 
 def test_standalone_stochastic_steps_evaluate_every_iterate():
@@ -483,8 +518,9 @@ def test_stochastic_run_evaluates_x1_each_row_and_the_last_iterate(loss, lam, bu
                                                                   monkeypatch):
     """A stochastic run takes the trajectory of standalone steps, bitwise,
     whatever the draw width, and evaluates f at x_1, at each trace row and
-    at the last iterate: ``f_x``, ``best_f``, ``best_x`` and each row's
-    ``gap_best`` are those of its evaluated iterates, bitwise."""
+    at the last iterate: ``f_x``, ``best_f``, ``best_x`` and each row's f
+    columns are those of its evaluated points in the run's blocks,
+    bitwise, and agree with one-point evaluations to rounding."""
     if budget is not None:  # eleven draws per block
         monkeypatch.setattr(problems, "_DRAW_BLOCK", budget)
     p, sched = stochastic_setup(loss, lam)
@@ -494,17 +530,25 @@ def test_stochastic_run_evaluates_x1_each_row_and_the_last_iterate(loss, lam, bu
     st, xs = replay(p, sched, n, seed)
     assert np.array_equal(res.state.x, st.x)
     assert np.array_equal(res.state.weighted_sum, st.weighted_sum)
-    fs = {i: p.objective(xs[i - 1]) for i in [1] + list(range(10, n + 2, 10)) + [n + 1]}
-    assert [r.n for r in res.rows] == list(range(10, n + 2, 10))
+    _, rows, ended = replayed_evaluation(p, sched, n, seed, 10, reference)
+    assert [r.n for r in res.rows] == [r.n for r in rows] == list(range(10, n + 2, 10))
+    assert f_columns(res.rows) == f_columns(rows)
+    assert res.state.best_f == ended.best_f
+    assert np.array_equal(res.state.best_x, ended.best_x)
+    assert res.state.f_x == ended.f_x
+    assert np.array_equal(res.state.residual, ended.residual)
+    evaluated = [1] + [r.n for r in rows] + [n + 1]
+    fs = {i: p.objective(xs[i - 1]) for i in evaluated}
+    np.testing.assert_allclose([r.f_x for r in res.rows], [fs[r.n] for r in rows],
+                               rtol=1e-14, atol=0.0)
+    assert res.state.f_x == pytest.approx(fs[n + 1], rel=1e-14, abs=0.0)
+    best = fs[1]  # x_1, evaluated in init as a block of one
     for r in res.rows:
-        assert r.f_x == fs[r.n]
-        assert r.gap_best == min(f for i, f in fs.items() if i <= r.n) - reference.f_star
-    best = min(fs, key=fs.get)
-    assert res.state.best_f == fs[best]
-    assert np.array_equal(res.state.best_x, xs[best - 1])
-    assert res.state.f_x == fs[n + 1]
-    # standalone steps evaluate every iterate, so their best is no worse
-    assert st.best_f <= res.state.best_f
+        best = min(best, r.f_x)
+        assert r.gap_best == best - reference.f_star
+    # standalone steps evaluate every iterate, one at a time, so their best
+    # is no worse than the best of the same one-point evaluations here
+    assert st.best_f <= min(fs.values())
 
 
 @pytest.mark.parametrize("budget", [None, 8 * 300 * 3])
@@ -514,7 +558,9 @@ def test_stochastic_run_evaluates_every_iterate_in_blocks(loss, lam, budget,
                                                           monkeypatch):
     """At stride 1 every iterate is logged, so a stochastic run that draws
     in blocks evaluates every iterate, as standalone steps do: each row's
-    f, ``best_f``, ``best_x`` and ``f_x`` are bitwise theirs."""
+    f columns, ``best_f``, ``best_x`` and ``f_x`` are bitwise those of the
+    run's evaluation blocks, and each f is the standalone step's to
+    rounding."""
     if budget is not None:  # eleven draws per block
         monkeypatch.setattr(problems, "_DRAW_BLOCK", budget)
     p, sched = stochastic_setup(loss, lam)
@@ -522,32 +568,42 @@ def test_stochastic_run_evaluates_every_iterate_in_blocks(loss, lam, budget,
     res = run(p, sched, n, mode="stochastic", seed=seed, stride=1)
     st, xs = replay(p, sched, n, seed)
     assert np.array_equal(res.state.x, st.x)
+    _, rows, ended = replayed_evaluation(p, sched, n, seed, 1)
+    assert [r.n for r in res.rows] == [r.n for r in rows] == list(range(2, n + 2))
+    assert f_columns(res.rows) == f_columns(rows)
+    assert res.state.best_f == ended.best_f
+    assert np.array_equal(res.state.best_x, ended.best_x)
+    assert res.state.f_x == ended.f_x
     fs = [p.objective(x) for x in xs]
-    assert [r.n for r in res.rows] == list(range(2, n + 2))
-    assert [r.f_x for r in res.rows] == fs[1:]
-    assert res.state.best_f == st.best_f == min(fs)
-    assert np.array_equal(res.state.best_x, st.best_x)
-    assert res.state.f_x == st.f_x == fs[-1]
+    assert st.best_f == min(fs) and st.f_x == fs[-1]
+    np.testing.assert_allclose([r.f_x for r in res.rows], fs[1:], rtol=1e-14, atol=0.0)
+    assert res.state.best_f == pytest.approx(st.best_f, rel=1e-14, abs=0.0)
 
 
 def test_stochastic_run_with_callback_sees_evaluated_states():
-    """The callback sees f and the residual of each iterate a stochastic
-    run evaluates, each logged one and the last, and None in between."""
+    """A stochastic run evaluates its kept points before the callback sees
+    the last state, so the callback sees that state's f and residual,
+    those of the run's last evaluation block, and None at every other
+    state, logged or not."""
     p, sched = stochastic_setup("logistic", 0.01)
     n, stride = 40, 7
     seen = []
 
     def check(st):
-        if st.n % stride == 0 or st.n == n + 1:
-            assert st.f_x == p.objective(st.x)
-            assert np.array_equal(st.residual, p.residual(st.x))
-            seen.append(st.f_x)
+        if st.n == n + 1:
+            seen.append((st.f_x, st.residual))
         else:
             assert st.f_x is None and st.residual is None
+            seen.append(st.n)
 
     res = run(p, sched, n, mode="stochastic", seed=3, stride=stride, callback=check)
-    assert len(seen) == len(res.rows) + 1
-    assert res.state.best_f == min(seen + [p.objective(res.state.x1)])
+    _, rows, ended = replayed_evaluation(p, sched, n, 3, stride)
+    assert seen[:-1] == list(range(2, n + 1))
+    f_x, residual = seen[-1]
+    assert f_x == ended.f_x == res.state.f_x
+    assert np.array_equal(residual, ended.residual)
+    assert f_columns(res.rows) == f_columns(rows)
+    assert res.state.best_f == ended.best_f
 
 
 @pytest.mark.parametrize("loss", ["lad", "logistic"])
@@ -624,64 +680,216 @@ def test_exact_step_after_stochastic_run_matches_accumulated_form():
 
 
 @pytest.mark.parametrize("stride", [1000, 7, 1])
-def test_a_stochastic_run_takes_one_residual_per_evaluated_iterate(stride):
-    """``problem.residual`` is called once for x_1, once for each trace
-    row's iterate and once for the last iterate when no row logs it, and
-    once for each row's averaged iterate; never for any other iterate."""
+def test_a_stochastic_run_takes_one_residual_per_evaluated_iterate(stride, monkeypatch):
+    """Each point a stochastic run evaluates enters one ``_objective``
+    block: x_1 in init, then, in iterate order and in blocks of
+    ``_block_width()`` points (5 here, so a block may end between an
+    iterate and its averaged iterate), each trace row's iterate and
+    averaged iterate and the last iterate when no row logs it; no other
+    iterate is evaluated, and each kept iterate is a copy of the run's."""
     p, sched = stochastic_setup("logistic", 0.01)
-    inputs, iterates = [], {}
-    residual = p.residual
-    p.residual = lambda x: inputs.append(x) or residual(x)
+    monkeypatch.setattr(problems, "_RESIDUAL_BLOCK", 8 * p.m * 5)
+    blocks, iterates = [], {}
+    objective = solver._objective
+    monkeypatch.setattr(solver, "_objective",
+                        lambda q, points: blocks.append(points) or objective(q, points))
     n = 160
     res = run(p, sched, n, mode="stochastic", seed=1, stride=stride,
               callback=lambda st: iterates.__setitem__(st.n, st.x))
-    del p.residual
-    assert np.array_equal(inputs[0], res.state.x1)
-    iterates[1] = inputs[0]
+    iterates[1] = res.state.x1
     logged = [i for i in range(2, n + 2) if i % stride == 0]
-    expected = [1] + logged + ([n + 1] if (n + 1) % stride else [])
-    evaluated = [i for x in inputs for i, y in iterates.items() if x is y]
-    assert evaluated == expected
-    assert len(inputs) == len(expected) + len(res.rows)
+    kept = [(what, i) for i in logged for what in ("iterate", "averaged iterate")]
+    kept += [] if (n + 1) % stride == 0 else [("iterate", n + 1)]
+    expected = [[("iterate", 1)]] + [kept[i:i + 5] for i in range(0, len(kept), 5)]
+    assert [[(what, i) for _, what, i in block] for block in blocks] == expected
+    for block in blocks[1:]:
+        for x, what, i in block:
+            if what == "iterate":
+                assert np.array_equal(x, iterates[i]) and x is not iterates[i]
 
 
 @pytest.mark.parametrize("budget", [None, 8 * 300 * 4 + 7, 8 * 300])
 def test_residual_blocks_hold_at_most_the_byte_budget(budget, monkeypatch):
-    """Each residual a stochastic run takes reads A's support columns in
-    products of at most ``_RESIDUAL_BLOCK`` bytes while the point has at
-    most d/4 nonzeros, and takes one full product when it has more."""
+    """Each product over A that a stochastic run takes holds at most
+    ``_block_width()`` points, whose residuals fit in ``_RESIDUAL_BLOCK``
+    bytes.  A block of several points reads only the union of their
+    supports while it has at most d/4 entries, and all of A otherwise; a
+    block of one is ``residual(x)``, which reads its support columns in
+    products of at most ``_block_width()`` columns while x has at most
+    d/4 nonzeros, and takes one full product when it has more."""
     if budget is not None:
         monkeypatch.setattr(problems, "_RESIDUAL_BLOCK", budget)
     p, sched = stochastic_setup("logistic", 0.03)  # 4 to 38 nonzeros
-    width = max(1, problems._RESIDUAL_BLOCK // (8 * p.m))
-    A, residual = p.A, p.residual
+    width = p._block_width()
+    assert 8 * p.m * width <= problems._RESIDUAL_BLOCK or width == 1
+    A = p.A
     calls = []
 
     class Counting(np.ndarray):
         def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
             if ufunc is np.matmul:
-                calls[-1][1].append(inputs[0].shape[1])
+                points = 1 if inputs[1].ndim == 1 else inputs[1].shape[1]
+                calls[-1][1].append((inputs[0].shape[1], points))
             return getattr(ufunc, method)(*(np.asarray(v) for v in inputs), **kwargs)
 
-    def recording(x):
-        calls.append((np.count_nonzero(x), []))
+    objective = solver._objective
+
+    def recording(q, points):
+        xs = [x for x, _, _ in points]
+        calls.append((np.count_nonzero(np.any(np.array(xs) != 0, axis=0)), []))
         p.A = A.view(Counting)
         try:
-            return residual(x)
+            return objective(q, points)
         finally:
             p.A = A
 
-    p.residual = recording
+    monkeypatch.setattr(solver, "_objective", recording)
     run(p, sched, 160, mode="stochastic", seed=1, stride=1)
-    del p.residual
-    sparse = [(nnz, widths) for nnz, widths in calls if 4 * nnz <= p.d]
-    assert 0 < len(sparse) < len(calls)
-    assert all(widths == [p.d] for nnz, widths in calls if 4 * nnz > p.d)
+    assert all(sum(k for _, k in products) <= width * len(products)
+               for _, products in calls)
+    singles = [(nnz, products) for nnz, products in calls if products[0][1] == 1]
+    blocks = [(nnz, products) for nnz, products in calls if products[0][1] > 1]
+    assert len(singles) + len(blocks) == len(calls) == 1 + -(-320 // width)
+    for nnz, products in blocks:
+        assert products == [(nnz if 4 * nnz <= p.d else p.d, products[0][1])]
+    sparse = [(nnz, [c for c, _ in products]) for nnz, products in singles
+              if 4 * nnz <= p.d]
+    assert all(products == [(p.d, 1)] for nnz, products in singles if 4 * nnz > p.d)
     for nnz, widths in sparse:
         assert max(widths) <= width and sum(widths) == nnz
         assert len(widths) == max(1, -(-nnz // width))
-    if width < p.d // 4:  # the budget splits some product
+    if width == 1:  # every point is a block of one
+        assert 0 < len(sparse) < len(singles)
         assert any(len(widths) > 1 for _, widths in sparse)
+    else:
+        assert blocks
+
+
+@pytest.mark.parametrize("width", [2, 3, 8])
+def test_each_evaluation_block_takes_one_product_within_the_byte_budget(width,
+                                                                       monkeypatch):
+    """A stochastic run evaluates its kept points in blocks whose
+    residuals fit in ``_RESIDUAL_BLOCK`` bytes, and takes one product over
+    A per block: the budget here is one byte short of width + 1
+    residuals."""
+    A, b, _ = synthetic_sparse_data("logistic", d=6, m=8000, k=2, noise=0.3, seed=4)
+    p = build_problem("logistic", L1Penalty(0.05), EU, A=A, b=b, batch_size=1)
+    monkeypatch.setattr(problems, "_RESIDUAL_BLOCK", 8 * p.m * (width + 1) - 1)
+    assert p._block_width() == width
+    tally = count_products(p)
+    objective = solver._objective
+    blocks = []
+
+    def counted(q, points):
+        before = len(tally)
+        out = objective(q, points)
+        blocks.append((len(points), len(tally) - before))
+        return out
+
+    monkeypatch.setattr(solver, "_objective", counted)
+    n, stride = 60, 7
+    run(p, leap_frog(power_steps(0.5, 0.5)), n, mode="stochastic", seed=12, stride=stride)
+    kept = 2 * (n // stride) + 1  # two per row, and the last iterate, n = 61
+    sizes = [size for size, _ in blocks[1:]]  # blocks[0] is x_1, in init
+    assert sizes == [width] * (kept // width) + ([kept % width] if kept % width else [])
+    assert all(8 * p.m * size <= problems._RESIDUAL_BLOCK for size in sizes)
+    assert [products for _, products in blocks] == [1] * len(blocks)
+
+
+@pytest.mark.parametrize("lam, sparse", [(0.05, True), (0.001, False)])
+def test_a_sparse_stochastic_run_reads_only_the_union_support_columns(lam, sparse,
+                                                                      monkeypatch):
+    """While the union U of a block's supports has at most d/4 entries, the
+    block's one product is ``A[:, U] @ X[U]``: it reads exactly the union
+    columns of A, bitwise, and no other; a block with a wider union
+    reads all of A.  Columns 6 to 39 of A are scaled by 0.01, so at lam =
+    0.05 they never enter an iterate, and at lam = 0.001 they do."""
+    rng = np.random.default_rng(21)
+    A = rng.standard_normal((300, 40))
+    A[:, 6:] *= 0.01
+    b = np.sign(A[:, :3] @ np.array([1.0, -2.0, 1.5]) + 0.3 * rng.standard_normal(300))
+    p = build_problem("logistic", L1Penalty(lam), EU, A=A, b=b, batch_size=2)
+    monkeypatch.setattr(problems, "_RESIDUAL_BLOCK", 8 * p.m * 4)
+    A = p.A
+    products = []
+
+    class Reading(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                products[-1][1].append(np.array(inputs[0]))
+            return getattr(ufunc, method)(*(np.asarray(v) for v in inputs), **kwargs)
+
+    objective = solver._objective
+
+    def reading(q, points):
+        union = np.flatnonzero(np.any([x != 0 for x, _, _ in points], axis=0))
+        products.append((union, []))
+        p.A = A.view(Reading)
+        try:
+            return objective(q, points)
+        finally:
+            p.A = A
+
+    monkeypatch.setattr(solver, "_objective", reading)
+    run(p, leap_frog(power_steps(2.0, 0.5)), 60, mode="stochastic", seed=1, stride=3)
+    blocks = products[1:-1]  # x_1's in init, and the last iterate alone
+    assert len(blocks) == 10
+    for union, read in blocks:
+        assert len(read) == 1 and union.size > 0
+        assert (4 * union.size <= p.d) == sparse
+        want = A[:, union] if sparse else A
+        assert read[0].tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("loss", ["lad", "logistic", "linear"])
+def test_a_block_of_one_point_is_the_residual_bitwise(loss):
+    """``_objective`` on a block of one point takes ``residual(x)`` and
+    gives its bits, and f is ``objective(x)``'s, for a sparse and a dense
+    point; ``_evaluate`` is that block."""
+    if loss == "linear":
+        p = build_problem("linear", L1Penalty(0.05), EU, c=np.linspace(-1.0, 1.0, 40))
+    else:
+        A, b, _ = synthetic_sparse_data(loss, d=40, m=300, k=3, noise=0.3, seed=21)
+        p = build_problem(loss, L1Penalty(0.05), EU, A=A, b=b)
+    rng = np.random.default_rng(5)
+    sparse = np.zeros(p.d)
+    sparse[[3, 17, 31]] = rng.standard_normal(3)
+    for x in (sparse, rng.standard_normal(p.d)):
+        [(residual, f)] = solver._objective(p, [(x, "iterate", 4)])
+        assert np.asarray(residual).tobytes() == np.asarray(p.residual(x)).tobytes()
+        assert np.float64(f).tobytes() == np.float64(p.objective(x)).tobytes()
+        st = init(p, leap_frog(power_steps(1.0, 0.5)))
+        st.x = x
+        _evaluate(st, p)
+        assert st.f_x == f and np.array_equal(st.residual, residual)
+
+
+def test_a_non_finite_f_inside_a_block_names_its_iterate_and_writes_no_trace(
+        tmp_path, monkeypatch):
+    """Iterate 8 of a stride-1 run is the middle point of the third block
+    of five kept points (kept indices 10-14, iterate 8 at 12): its nan f
+    stops the run when that block is evaluated, the error names iterate
+    8, not the block's first or last point, and no trace is written."""
+    cfg = parse_config("\n".join([
+        "spec_version = 1", "[problem]", "loss = logistic", "mirror = euclidean",
+        "regularizer = l1", "lambda = 0.05", "d = 6", "m = 40", "k = 2",
+        "noise = 0.3", "data_seed = 4", "[schedule]", "preset = leap_frog",
+        "[run]", "iterations = 30", "mode = stochastic", "batch_size = 1",
+        "seeds = 3", "reference_tol = inf", "[output]", "stride = 1"]) + "\n",
+        name="spoiled")
+    monkeypatch.setattr(problems, "_RESIDUAL_BLOCK", 8 * 40 * 5)
+    real_step = solver.step
+
+    def spoiling_step(*args, **kwargs):
+        state = real_step(*args, **kwargs)
+        if state.n == 8:
+            state.x = np.full(6, np.nan)
+        return state
+
+    monkeypatch.setattr(solver, "step", spoiling_step)
+    with pytest.raises(ValueError, match="objective is not finite at iterate 8 "):
+        run_experiment(cfg, out_dir=tmp_path)
+    assert list(tmp_path.glob("*.csv")) == []
 
 
 def test_exact_step_after_stochastic_steps_matches_accumulated_form():
@@ -779,8 +987,8 @@ def replay_best(best_f, best_x, xs, fs):
 def test_evaluate_keeps_the_earliest_of_tied_minima(K):
     """Integer data and iterates in eighths make every residual exact, so
     the lad loss with b = 0 takes the same bits at c x and -c x: of K
-    iterates evaluated in turn, the first of tied minima is kept, and a
-    tie with the best so far keeps that."""
+    iterates evaluated in turn, or in one block, the first of tied minima
+    is kept, and a tie with the best so far keeps that."""
     rng = np.random.default_rng(K)
     A = rng.integers(-3, 4, (30, 4)).astype(float)
     p = build_problem("lad", ZeroRegularizer(), EU, A=A, b=np.zeros(30))
@@ -808,6 +1016,14 @@ def test_evaluate_keeps_the_earliest_of_tied_minima(K):
     evaluate_in_turn([-x for x in xs])
     assert st.best_x.tobytes() == xs[K // 3].tobytes()
 
+    # so does a stochastic run's block evaluation of kept iterates
+    st = init(p, leap_frog(power_steps(1.0, 0.5)), x1=np.full(4, 4.0))
+    for block in (xs, [-x for x in xs]):
+        kept = [(x.copy(), "iterate", st.n + 1 + j, None) for j, x in enumerate(block)]
+        solver._evaluate_kept(st, p, kept, None, False)
+        assert st.best_f == fs[K - 1]
+        assert st.best_x.tobytes() == xs[K // 3].tobytes()
+
 
 @pytest.mark.parametrize("bad", [2.0, np.nan], ids=["inf", "nan"])
 @pytest.mark.parametrize("K, first, later",
@@ -834,10 +1050,13 @@ def test_evaluate_names_the_first_iterate_whose_f_is_not_finite(K, first, later,
                                              (65, 40, 64), (65, 3, 40)])
 def test_a_split_block_names_the_first_iterate_whose_f_is_not_finite(K, first, later,
                                                                     monkeypatch):
-    """A stochastic run that stops partway through a block of K draws, at
-    a non-finite f, names the iterate by its index, not by the block's
-    end: step ``first`` of the second block is made to leave a nan
-    iterate, and a later one (outside the box, f = inf) is never reached."""
+    """A stochastic run whose iterate is not finite partway through a block
+    of K draws names that iterate by its index, not by the end of a draw
+    block or of an evaluation block: step ``first`` of the second draw
+    block is made to leave a nan iterate, and a later one leaves the box
+    (f = inf).  At m = 3 all the kept points form one evaluation block at
+    the end of the run, so every draw is taken, and the block names the
+    first point whose f is not finite."""
     p = build_problem("lad", BoxIndicator(-1.0, 1.0), EU, A=np.eye(3), b=np.zeros(3),
                       batch_size=1)
     monkeypatch.setattr(problems, "_DRAW_BLOCK", K * 8 * p.d)
@@ -860,7 +1079,7 @@ def test_a_split_block_names_the_first_iterate_whose_f_is_not_finite(K, first, l
         run(p, leap_frog(power_steps(1.0, 0.5)), 3 * K, mode="stochastic", seed=5,
             stride=1)
     del p._draw
-    assert counts == [K, K]
+    assert counts == [K, K, K]
 
 
 @pytest.mark.parametrize("schedule, error", [
@@ -901,13 +1120,15 @@ def test_a_run_reads_no_h(kind, mode, batch, monkeypatch):
 
 def transcribed_run(p, sched, n_iters, mode, seed, stride, ref):
     """The module docstring's recursion term for term, with h stored, on a
-    state from ``init``; it draws, evaluates and logs as ``run`` does.
+    state from ``init``; it draws, evaluates and logs as ``run`` does: an
+    exact run evaluates each iterate and row at once, a stochastic one
+    keeps the rows' points and the last iterate for its evaluation blocks.
     Returns the final state, the last h and the trace rows."""
     rng = np.random.default_rng(seed)
     st = init(p, sched)
     d_star = p.mirror.bregman(ref.x_star, st.x1)
     h = np.zeros(p.d)
-    rows = []
+    rows, kept = [], []
     for i in range(n_iters):
         n, s_n, a_n, gamma_n = st.n, st.last_s, st.last_alpha, st.gamma
         s_next, a_next, t_n = sched.s(n + 1), sched.alpha(n + 1), sched.t(n, gamma_n)
@@ -931,10 +1152,15 @@ def transcribed_run(p, sched, n_iters, mode, seed, stride, ref):
         st.weighted_sum += s_next * x_next
         st.bound_acc += s_next * s_next / a_next
         logged = st.n % stride == 0
-        if mode == "exact" or logged or i == n_iters - 1:
+        if mode == "exact":
             _evaluate(st, p)
+        else:
+            st.residual = st.f_x = None
+            if logged or i == n_iters - 1:
+                kept += kept_points(st, logged)
         if logged:
             rows.append(trace_row(st, p, ref, d_star))
+    replay_evaluation(p, st, kept, rows, ref)
     return st, h, rows
 
 

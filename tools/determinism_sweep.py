@@ -13,7 +13,11 @@ Entropy+zero starts at x1 = 1 with ``reference_tol = inf``, as its data
 reference lies outside the entropy mirror's domain.  Every case runs
 ``xrda run`` (leap_frog) and ``xrda compare`` with the four other
 presets; logistic with the zero regularizer runs both once more with
-``--unsafe``.  Logistic with the zero regularizer has no finite
+``--unsafe``.  One more case, logistic+l1 with batch 1 at m = 9000,
+runs both commands on data large enough that a stochastic run evaluates
+its logged points in several blocks (7 points a block, 17 points), so
+the sweep covers a block boundary and a partial last block.  Logistic
+with the zero regularizer has no finite
 certificate, so without ``--unsafe`` those commands exit 2; every other
 command exits 0.  The sweep prints a line for each command whose exit
 code is not the expected one, and then exits 1.
@@ -50,6 +54,8 @@ MODES = {
     "b1": "mode = stochastic\nbatch_size = 1\nseeds = 1 2",
     "b3": "mode = stochastic\nbatch_size = 3\nseeds = 3 4",
 }
+# (loss, pair, mode, m) of the cases on more data rows than the matrix's 30
+BLOCK_CASES = [("logistic", "l1", "b1", 9000)]
 COMMANDS = {
     "run": ["run"],
     "compare": ["compare", "--presets",
@@ -57,13 +63,13 @@ COMMANDS = {
 }
 
 
-def config_text(loss, pair, mode):
+def config_text(loss, pair, mode, m=30):
     return "\n".join([
         "spec_version = 1",
         "[problem]",
         "loss = %s" % loss,
         PAIRS[pair],
-        "d = 8", "m = 30", "k = 2", "noise = 0.3", "data_seed = 5",
+        "d = 8", "m = %d" % m, "k = 2", "noise = 0.3", "data_seed = 5",
         "[schedule]",
         "preset = leap_frog",
         "[run]",
@@ -90,6 +96,10 @@ def cases():
                         name = "-".join([loss, pair, mode, command]
                                         + [f.strip("-") for f in flags])
                         yield name, config_text(loss, pair, mode), flags, args, expected
+    for loss, pair, mode, m in BLOCK_CASES:
+        for command, args in COMMANDS.items():
+            name = "-".join([loss, pair, mode, "m%d" % m, command])
+            yield name, config_text(loss, pair, mode, m), [], args, 0
 
 
 def run_case(case_dir, text, flags, args, env):
