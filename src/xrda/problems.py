@@ -18,11 +18,13 @@ Each loss depends on x only through the residual r = A x (<c, x> for
 linear): ``residual`` makes the pass over A for one point, and
 ``loss_at``, ``row_weights``, ``curvature`` (logistic only) and
 ``subgradient_at`` hold the only copy of each formula.  ``residual`` and
-``loss_at`` take one point.  The solver evaluates an exact run's
-iterates one at a time; a stochastic run evaluates only the points it
-logs, in blocks of up to ``_block_width()`` points (8 at m = 8000), and
-``solver._objective`` takes one product over A per block, then each
-point's ``loss_at`` (see ``solver``).
+``loss_at`` take one point; ``_residuals`` takes the residuals of a
+block of points from one product, ``residual(x)`` for a block of one
+and ``A @ X`` for more.  The solver evaluates an exact run's iterates
+one at a time; a stochastic run evaluates only the points it logs, in
+blocks of up to ``_evaluation_width()`` points (8 at m = 8000, d = 200;
+one for the linear loss), and ``solver._objective`` takes each block's
+``_residuals``, then each point's ``loss_at`` (see ``solver``).
 
 A is stored column-major (Fortran order), so the columns of x's support
 are contiguous.  When x has at most d/4 nonzeros, as the l1 iterates
@@ -65,8 +67,9 @@ _SUPPORT_FRACTION = 0.25
 # Xeon, 2 MB L2, 1 BLAS thread, 32 columns -> 512 KB per block: m=8000, nnz 50
 # of 200, 561 -> 421 us; m=4000, d=2000, nnz 200, 807 -> 759 us; 256 KB and
 # 1 MB blocks were slower than 512 KB at both sizes
-# The same budget sizes a stochastic run's evaluation blocks: as many points
-# as fit their residuals in it, one product over A per block
+# The same budget sizes a stochastic run's evaluation blocks
+# (``_evaluation_width``): as many points as fit their residuals, and their
+# kept copies, in it, one product over A per block
 _RESIDUAL_BLOCK = 1 << 19  # bytes of A's columns gathered per product
 # bytes of rows per ``_draw`` call in a stochastic run (``_draw_width``): 65
 # one-row draws at d=200.  The width changes no output, only how many steps
@@ -154,6 +157,14 @@ class CompositeProblem:
             cols = support[start:start + chunk]
             r += self.A[:, cols] @ x[cols]
         return r
+
+    def _residuals(self, xs):
+        """The residuals of the points xs, in order, from one product: a
+        single point takes ``residual(x)``, so its bits are those of one
+        evaluation; several take ``A @ X``, one row of the result each."""
+        if len(xs) == 1 or self.loss == "linear":
+            return [self.residual(x) for x in xs]
+        return (self.A @ np.stack(xs, axis=1)).T
 
     def row_weights(self, r, b):
         if self.loss == "lad":
@@ -246,9 +257,18 @@ class CompositeProblem:
 
     def _block_width(self):
         """How many m-vectors fit in ``_RESIDUAL_BLOCK`` bytes, and at least
-        one: the columns of A a sparse ``residual`` gathers per product,
-        and the points a stochastic ``run`` evaluates per product."""
+        one: the columns of A a sparse ``residual`` gathers per product."""
         return max(1, _RESIDUAL_BLOCK // (8 * self.m))
+
+    def _evaluation_width(self):
+        """How many points a stochastic ``run`` keeps before it evaluates
+        them with one ``_residuals`` product: as many as fit in
+        ``_RESIDUAL_BLOCK`` bytes both their residuals (m each) and their
+        kept copies (d each), and at least one.  The linear loss keeps one,
+        as its f makes no pass over data."""
+        if self.loss == "linear":
+            return 1
+        return max(1, _RESIDUAL_BLOCK // (8 * max(self.m, self.d)))
 
     def _draw_width(self):
         """How many draws a stochastic ``run`` takes at once: as many as

@@ -47,9 +47,9 @@ at step n, before any bound uses it.  (A trace row's backward-step
 column re-evaluates alpha_{n+1} and t_n, unchecked, as a preview.)
 
 ``_objective`` is the only code that computes f: for a block of points
-it makes one product over A for their residuals, then takes each
-point's ``loss_at`` plus the regularizer's ``_value`` and checks that f
-is finite.  ``_evaluate`` takes it at the one iterate ``state.x`` and
+it takes their residuals from one product (``CompositeProblem._residuals``),
+then each point's ``loss_at`` plus the regularizer's ``_value``, and
+checks that f is finite.  ``_evaluate`` takes it at the one iterate ``state.x`` and
 keeps its residual, f, and ``best_f`` / ``best_x`` when f improves on
 them.  An exact step needs the residual A x_n for its subgradient, so
 ``step`` evaluates each new iterate at once, ``trace_row`` evaluates the
@@ -65,16 +65,22 @@ a draw, a subgradient of the drawn rows and a backward step, and no pass
 over the data.  Nor does a logged step pass over the data: ``run`` keeps
 a copy of the iterate and of the averaged iterate, with the row that
 ``trace_row`` made of the fields that need no f, and evaluates the kept
-points in iterate order as one ``_objective`` block when their residuals
-would pass ``_RESIDUAL_BLOCK`` bytes (``CompositeProblem._block_width``:
-8 points at m = 8000) and when the run ends.  The block fills each row's
-``f_x``, ``f_avg`` and gaps, with ``best_f`` the best f among the
+points in iterate order as one ``_objective`` block when they fill
+``CompositeProblem._evaluation_width()`` points (their residuals and
+copies within ``_RESIDUAL_BLOCK`` bytes: 8 points at m = 8000, d = 200;
+one for the linear loss) and when the run ends.  The block fills each
+row's ``f_x``, ``f_avg`` and gaps, with ``best_f`` the best f among the
 evaluated iterates up to the row's.  A product over several points
 rounds differently from a product with one, so a stochastic f can
 differ in its last bits from ``residual(x)``'s; a block of one takes
-``residual(x)`` itself, as ``_evaluate`` does.  A state's ``residual`` and ``f_x`` are None
-inside a stochastic ``run`` but at the last state, and a callback
-changes none of this, so it changes no output.
+``residual(x)`` itself, as ``_evaluate`` does.  A kept point whose x is
+not finite has no finite f, so it is evaluated at once, with the points
+kept before it, and stops the run at the step that makes it; the run
+never steps on from a non-finite logged iterate.  A finite x whose f is
+not finite (its residual overflows, say) waits for its block.  A
+state's ``residual`` and ``f_x`` are None inside a stochastic ``run``
+but at the last state, and a callback changes none of this, so it
+changes no output.
 
 A stochastic ``run`` draws its minibatches a block at a time: one
 ``CompositeProblem._draw`` call gives the indices and rows of up to
@@ -105,7 +111,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (ENTROPY_DOMAIN_FLOOR, MirrorDomainError, as_vector)
-from .problems import _SUPPORT_FRACTION
 from .regularizers import _prox, canonical_argmin, mirror_prox
 
 NNZ_THRESHOLD = 1e-12
@@ -309,24 +314,14 @@ def step(state, problem, mode="exact", rng=None, unsafe=False, _rows=None):
 
 def _objective(problem, points):
     """The residual and f of each point of a block, ``(x, what, n)``
-    triples in iterate order.  The residuals come from one product: a
-    block of one takes ``residual(x)``; a larger one takes ``A[:, U] @
-    X[U]`` while the union U of its points' supports has at most d/4
-    entries, and ``A @ X`` otherwise.  Then each point in turn takes f =
-    ``loss_at(residual) + _value(x)`` and the check that f is finite: a
-    non-finite f, say from an overflowing schedule, is a ValueError that
-    names the first such point as ``what`` ``n``.  Returns the (residual,
-    f) pairs in the points' order."""
-    xs = [x for x, _, _ in points]
-    if len(xs) == 1 or problem.A is None:
-        residuals = [problem.residual(x) for x in xs]
-    else:
-        X = np.stack(xs, axis=1)
-        support = np.flatnonzero(X.any(axis=1))
-        if support.size > _SUPPORT_FRACTION * problem.d:
-            residuals = (problem.A @ X).T
-        else:
-            residuals = (problem.A[:, support] @ X[support]).T
+    triples in iterate order.  The residuals come from one product,
+    ``CompositeProblem._residuals`` (``residual(x)`` for a block of one).
+    Then each point in turn takes f = ``loss_at(residual) + _value(x)``
+    and the check that f is finite: a non-finite f, say from an
+    overflowing schedule, is a ValueError that names the first such point
+    as ``what`` ``n``.  Returns the (residual, f) pairs in the points'
+    order."""
+    residuals = problem._residuals([x for x, _, _ in points])
     values = []
     for (x, what, n), residual in zip(points, residuals):
         f = float(problem.loss_at(residual) + problem.reg._value(x))
@@ -356,6 +351,8 @@ def _evaluate_kept(state, problem, kept, reference, last):
     ``f_avg`` and both gaps, with ``best_f`` over the iterates up to the
     row's.  On the ``last`` state it sets the state's own ``residual`` and
     ``f_x``."""
+    if not kept:
+        return
     values = _objective(problem, [(x, what, n) for x, what, n, _ in kept])
     for (x, what, n, row), (residual, f) in zip(kept, values):
         if what == "averaged iterate":
@@ -371,6 +368,17 @@ def _evaluate_kept(state, problem, kept, reference, last):
             state.residual = residual
             state.f_x = f
     kept.clear()
+
+
+def _keep(state, problem, kept, point, width, reference, last):
+    """Keep a point ``(x, what, n, row)`` for a stochastic ``run``'s block
+    evaluation, and evaluate the kept block when it holds ``width``
+    points.  A point whose x is not finite has no finite f, so the block
+    is evaluated at once and names it, or a point kept before it whose f
+    is not finite either."""
+    kept.append(point)
+    if len(kept) == width or not np.isfinite(point[0]).all():
+        _evaluate_kept(state, problem, kept, reference, last)
 
 
 def averaged_iterate(state):
@@ -445,9 +453,10 @@ def run(problem, schedule, n_iters, mode="exact", seed=None, stride=100,
     is f of the s-weighted average, at most that mean by convexity, and
     the best f of the evaluated iterates, which a stochastic trace's
     ``gap_best`` reports, is at least the best f of all of them.  The
-    logged points are kept and evaluated in blocks (module docstring), so
-    a non-finite f stops the run when its block is evaluated, at the
-    latest at the end, and names the point; no row is returned.  The
+    logged points are kept and evaluated in blocks (module docstring): a
+    non-finite x stops the run at the step that makes it, another
+    non-finite f when its block is evaluated, at the latest at the end;
+    the error names the point, and no row is returned.  The
     callback sees every state, after its row is logged; a stochastic one
     but the last has ``f_x`` and ``residual`` None.  A callback changes no
     output."""
@@ -465,7 +474,7 @@ def run(problem, schedule, n_iters, mode="exact", seed=None, stride=100,
     t0 = time.perf_counter() if timing == "wall" else None
     rows = []
     draws = problem._draw_width() if mode == "stochastic" else 0
-    width = problem._block_width()
+    width = problem._evaluation_width()
     drawn = None
     kept = []  # (x, what, n, row): the points a stochastic run evaluates later
     for i in range(n_iters):
@@ -486,9 +495,7 @@ def run(problem, schedule, n_iters, mode="exact", seed=None, stride=100,
             if logged:
                 points.append((averaged_iterate(state), "averaged iterate", state.n, row))
             for point in points:
-                if len(kept) == width:
-                    _evaluate_kept(state, problem, kept, reference, last)
-                kept.append(point)
+                _keep(state, problem, kept, point, width, reference, last)
             if last:
                 _evaluate_kept(state, problem, kept, reference, last)
         if callback is not None:

@@ -63,13 +63,13 @@ def simplex_kl_oracle(y):
 def replay_evaluation(p, state, points, rows, reference):
     """A stochastic run's evaluation of the points it kept, replayed: the
     ``(x, what, n)`` points, in iterate order, go through
-    ``solver._objective`` in blocks of ``p._block_width()`` points.  Each
+    ``solver._objective`` in blocks of ``p._evaluation_width()`` points.  Each
     iterate's f updates ``state.best_f`` / ``best_x`` by a strict <, so
     the first of tied iterates is kept, and fills ``f_x`` of the row
     logged at its n; each averaged iterate's f fills that row's ``f_avg``
     and both gaps; the last iterate's residual and f become the state's.
     Returns the blocks, each a list of (what, n)."""
-    width = p._block_width()
+    width = p._evaluation_width()
     blocks = [points[start:start + width] for start in range(0, len(points), width)]
     row_at = {row.n: row for row in rows}
     for block in blocks:

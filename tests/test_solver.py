@@ -444,9 +444,9 @@ def test_stochastic_blocks_end_at_every_trace_row(monkeypatch):
     p = build_problem("logistic", L1Penalty(0.1), EU, A=A, b=b, batch_size=1)
     tally = count_products(p)
     n, stride = 25, 5
-    for width in (p._block_width(), 4, 1):
+    for width in (p._evaluation_width(), 4, 1):
         monkeypatch.setattr(problems, "_RESIDUAL_BLOCK", 8 * p.m * width)
-        assert p._block_width() == width
+        assert p._evaluation_width() == width
         tally.clear()
         res = run(p, leap_frog(power_steps(1.0, 0.5)), n, mode="stochastic", seed=4,
                   stride=stride)
@@ -683,7 +683,7 @@ def test_exact_step_after_stochastic_run_matches_accumulated_form():
 def test_a_stochastic_run_takes_one_residual_per_evaluated_iterate(stride, monkeypatch):
     """Each point a stochastic run evaluates enters one ``_objective``
     block: x_1 in init, then, in iterate order and in blocks of
-    ``_block_width()`` points (5 here, so a block may end between an
+    ``_evaluation_width()`` points (5 here, so a block may end between an
     iterate and its averaged iterate), each trace row's iterate and
     averaged iterate and the last iterate when no row logs it; no other
     iterate is evaluated, and each kept iterate is a copy of the run's."""
@@ -711,16 +711,15 @@ def test_a_stochastic_run_takes_one_residual_per_evaluated_iterate(stride, monke
 @pytest.mark.parametrize("budget", [None, 8 * 300 * 4 + 7, 8 * 300])
 def test_residual_blocks_hold_at_most_the_byte_budget(budget, monkeypatch):
     """Each product over A that a stochastic run takes holds at most
-    ``_block_width()`` points, whose residuals fit in ``_RESIDUAL_BLOCK``
-    bytes.  A block of several points reads only the union of their
-    supports while it has at most d/4 entries, and all of A otherwise; a
-    block of one is ``residual(x)``, which reads its support columns in
-    products of at most ``_block_width()`` columns while x has at most
-    d/4 nonzeros, and takes one full product when it has more."""
+    ``_evaluation_width()`` points, whose residuals fit in
+    ``_RESIDUAL_BLOCK`` bytes.  A block of several points takes one full
+    product; a block of one is ``residual(x)``, which reads its support
+    columns in products of at most ``_block_width()`` columns while x has
+    at most d/4 nonzeros, and takes one full product when it has more."""
     if budget is not None:
         monkeypatch.setattr(problems, "_RESIDUAL_BLOCK", budget)
     p, sched = stochastic_setup("logistic", 0.03)  # 4 to 38 nonzeros
-    width = p._block_width()
+    width, chunk = p._evaluation_width(), p._block_width()
     assert 8 * p.m * width <= problems._RESIDUAL_BLOCK or width == 1
     A = p.A
     calls = []
@@ -735,8 +734,7 @@ def test_residual_blocks_hold_at_most_the_byte_budget(budget, monkeypatch):
     objective = solver._objective
 
     def recording(q, points):
-        xs = [x for x, _, _ in points]
-        calls.append((np.count_nonzero(np.any(np.array(xs) != 0, axis=0)), []))
+        calls.append((np.count_nonzero(points[0][0]), [], len(points)))
         p.A = A.view(Counting)
         try:
             return objective(q, points)
@@ -745,19 +743,18 @@ def test_residual_blocks_hold_at_most_the_byte_budget(budget, monkeypatch):
 
     monkeypatch.setattr(solver, "_objective", recording)
     run(p, sched, 160, mode="stochastic", seed=1, stride=1)
-    assert all(sum(k for _, k in products) <= width * len(products)
-               for _, products in calls)
-    singles = [(nnz, products) for nnz, products in calls if products[0][1] == 1]
-    blocks = [(nnz, products) for nnz, products in calls if products[0][1] > 1]
-    assert len(singles) + len(blocks) == len(calls) == 1 + -(-320 // width)
-    for nnz, products in blocks:
-        assert products == [(nnz if 4 * nnz <= p.d else p.d, products[0][1])]
+    assert len(calls) == 1 + -(-320 // width)
+    assert all(size <= width for _, _, size in calls)
+    blocks = [(products, size) for _, products, size in calls if size > 1]
+    for products, size in blocks:
+        assert products == [(p.d, size)]
+    singles = [(nnz, products) for nnz, products, size in calls if size == 1]
     sparse = [(nnz, [c for c, _ in products]) for nnz, products in singles
               if 4 * nnz <= p.d]
     assert all(products == [(p.d, 1)] for nnz, products in singles if 4 * nnz > p.d)
     for nnz, widths in sparse:
-        assert max(widths) <= width and sum(widths) == nnz
-        assert len(widths) == max(1, -(-nnz // width))
+        assert max(widths) <= chunk and sum(widths) == nnz
+        assert len(widths) == max(1, -(-nnz // chunk))
     if width == 1:  # every point is a block of one
         assert 0 < len(sparse) < len(singles)
         assert any(len(widths) > 1 for _, widths in sparse)
@@ -775,7 +772,7 @@ def test_each_evaluation_block_takes_one_product_within_the_byte_budget(width,
     A, b, _ = synthetic_sparse_data("logistic", d=6, m=8000, k=2, noise=0.3, seed=4)
     p = build_problem("logistic", L1Penalty(0.05), EU, A=A, b=b, batch_size=1)
     monkeypatch.setattr(problems, "_RESIDUAL_BLOCK", 8 * p.m * (width + 1) - 1)
-    assert p._block_width() == width
+    assert p._evaluation_width() == width
     tally = count_products(p)
     objective = solver._objective
     blocks = []
@@ -794,51 +791,6 @@ def test_each_evaluation_block_takes_one_product_within_the_byte_budget(width,
     assert sizes == [width] * (kept // width) + ([kept % width] if kept % width else [])
     assert all(8 * p.m * size <= problems._RESIDUAL_BLOCK for size in sizes)
     assert [products for _, products in blocks] == [1] * len(blocks)
-
-
-@pytest.mark.parametrize("lam, sparse", [(0.05, True), (0.001, False)])
-def test_a_sparse_stochastic_run_reads_only_the_union_support_columns(lam, sparse,
-                                                                      monkeypatch):
-    """While the union U of a block's supports has at most d/4 entries, the
-    block's one product is ``A[:, U] @ X[U]``: it reads exactly the union
-    columns of A, bitwise, and no other; a block with a wider union
-    reads all of A.  Columns 6 to 39 of A are scaled by 0.01, so at lam =
-    0.05 they never enter an iterate, and at lam = 0.001 they do."""
-    rng = np.random.default_rng(21)
-    A = rng.standard_normal((300, 40))
-    A[:, 6:] *= 0.01
-    b = np.sign(A[:, :3] @ np.array([1.0, -2.0, 1.5]) + 0.3 * rng.standard_normal(300))
-    p = build_problem("logistic", L1Penalty(lam), EU, A=A, b=b, batch_size=2)
-    monkeypatch.setattr(problems, "_RESIDUAL_BLOCK", 8 * p.m * 4)
-    A = p.A
-    products = []
-
-    class Reading(np.ndarray):
-        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-            if ufunc is np.matmul:
-                products[-1][1].append(np.array(inputs[0]))
-            return getattr(ufunc, method)(*(np.asarray(v) for v in inputs), **kwargs)
-
-    objective = solver._objective
-
-    def reading(q, points):
-        union = np.flatnonzero(np.any([x != 0 for x, _, _ in points], axis=0))
-        products.append((union, []))
-        p.A = A.view(Reading)
-        try:
-            return objective(q, points)
-        finally:
-            p.A = A
-
-    monkeypatch.setattr(solver, "_objective", reading)
-    run(p, leap_frog(power_steps(2.0, 0.5)), 60, mode="stochastic", seed=1, stride=3)
-    blocks = products[1:-1]  # x_1's in init, and the last iterate alone
-    assert len(blocks) == 10
-    for union, read in blocks:
-        assert len(read) == 1 and union.size > 0
-        assert (4 * union.size <= p.d) == sparse
-        want = A[:, union] if sparse else A
-        assert read[0].tobytes() == np.asarray(want).tobytes()
 
 
 @pytest.mark.parametrize("loss", ["lad", "logistic", "linear"])
@@ -864,12 +816,17 @@ def test_a_block_of_one_point_is_the_residual_bitwise(loss):
         assert st.f_x == f and np.array_equal(st.residual, residual)
 
 
+@pytest.mark.parametrize("spoiled, stops_at", [(np.nan, 8), (1.5e308, 9)],
+                         ids=["nan", "overflow"])
 def test_a_non_finite_f_inside_a_block_names_its_iterate_and_writes_no_trace(
-        tmp_path, monkeypatch):
+        spoiled, stops_at, tmp_path, monkeypatch):
     """Iterate 8 of a stride-1 run is the middle point of the third block
-    of five kept points (kept indices 10-14, iterate 8 at 12): its nan f
-    stops the run when that block is evaluated, the error names iterate
-    8, not the block's first or last point, and no trace is written."""
+    of five kept points (kept indices 10-14, iterate 8 at 12).  A nan
+    iterate has no finite f, so the run stops at step 8.  An iterate of
+    one entry 1.5e308 has a finite x and G, but its residual overflows,
+    so its f = inf stops the run when the block is evaluated, after
+    step 9.  Either way the error names iterate 8, not the block's first
+    or last point, and no trace is written."""
     cfg = parse_config("\n".join([
         "spec_version = 1", "[problem]", "loss = logistic", "mirror = euclidean",
         "regularizer = l1", "lambda = 0.05", "d = 6", "m = 40", "k = 2",
@@ -879,17 +836,63 @@ def test_a_non_finite_f_inside_a_block_names_its_iterate_and_writes_no_trace(
         name="spoiled")
     monkeypatch.setattr(problems, "_RESIDUAL_BLOCK", 8 * 40 * 5)
     real_step = solver.step
+    steps = []
 
     def spoiling_step(*args, **kwargs):
         state = real_step(*args, **kwargs)
+        steps.append(state.n)
         if state.n == 8:
-            state.x = np.full(6, np.nan)
+            state.x = np.zeros(6)
+            state.x[0] = spoiled
         return state
 
     monkeypatch.setattr(solver, "step", spoiling_step)
-    with pytest.raises(ValueError, match="objective is not finite at iterate 8 "):
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="objective is not finite at iterate 8 "):
         run_experiment(cfg, out_dir=tmp_path)
+    assert steps[-1] == stops_at
     assert list(tmp_path.glob("*.csv")) == []
+
+
+@pytest.mark.parametrize("loss", ["logistic", "linear"])
+def test_kept_points_fit_the_byte_budget_when_d_exceeds_m(loss, monkeypatch):
+    """A stochastic run keeps at most ``_RESIDUAL_BLOCK`` bytes of points,
+    counting their own copies as well as their residuals: at d = 400 and
+    m = 10 the copies bound a block to 3 points, where the residuals alone
+    would allow 120.  The linear loss makes no pass over data, and
+    evaluates each point at the step that keeps it, a block of one."""
+    if loss == "linear":
+        p = build_problem("linear", L1Penalty(0.05), EU, c=np.linspace(-1.0, 1.0, 400))
+    else:
+        A, b, _ = synthetic_sparse_data(loss, d=400, m=10, k=3, noise=0.3, seed=4)
+        p = build_problem(loss, L1Penalty(0.05), EU, A=A, b=b, batch_size=1)
+    monkeypatch.setattr(problems, "_RESIDUAL_BLOCK", 8 * 400 * 3)
+    width = 1 if loss == "linear" else 3
+    assert p._evaluation_width() == width
+    real_step, objective = solver.step, solver._objective
+    steps, blocks = [], []
+
+    def recording_step(*args, **kwargs):
+        state = real_step(*args, **kwargs)
+        steps.append(state.n)
+        return state
+
+    def recording(q, points):
+        blocks.append((steps[-1] if steps else 1, points))
+        return objective(q, points)
+
+    monkeypatch.setattr(solver, "step", recording_step)
+    monkeypatch.setattr(solver, "_objective", recording)
+    n, stride = 60, 7
+    run(p, leap_frog(power_steps(0.5, 0.5)), n, mode="stochastic", seed=12, stride=stride)
+    kept = 2 * (n // stride) + 1  # two per row, and the last iterate, n = 61
+    sizes = [len(points) for _, points in blocks[1:]]  # blocks[0] is x_1, in init
+    assert sizes == [width] * (kept // width) + ([kept % width] if kept % width else [])
+    for at, points in blocks[1:]:
+        assert sum(x.nbytes for x, _, _ in points) <= problems._RESIDUAL_BLOCK
+        assert 8 * p.m * len(points) <= problems._RESIDUAL_BLOCK
+        if width == 1:
+            assert points[0][2] == at
 
 
 def test_exact_step_after_stochastic_steps_matches_accumulated_form():
@@ -1050,13 +1053,10 @@ def test_evaluate_names_the_first_iterate_whose_f_is_not_finite(K, first, later,
                                              (65, 40, 64), (65, 3, 40)])
 def test_a_split_block_names_the_first_iterate_whose_f_is_not_finite(K, first, later,
                                                                     monkeypatch):
-    """A stochastic run whose iterate is not finite partway through a block
-    of K draws names that iterate by its index, not by the end of a draw
-    block or of an evaluation block: step ``first`` of the second draw
-    block is made to leave a nan iterate, and a later one leaves the box
-    (f = inf).  At m = 3 all the kept points form one evaluation block at
-    the end of the run, so every draw is taken, and the block names the
-    first point whose f is not finite."""
+    """A stochastic run that stops partway through a block of K draws, at
+    a non-finite f, names the iterate by its index, not by the block's
+    end: step ``first`` of the second block is made to leave a nan
+    iterate, and a later one (outside the box, f = inf) is never reached."""
     p = build_problem("lad", BoxIndicator(-1.0, 1.0), EU, A=np.eye(3), b=np.zeros(3),
                       batch_size=1)
     monkeypatch.setattr(problems, "_DRAW_BLOCK", K * 8 * p.d)
@@ -1079,7 +1079,36 @@ def test_a_split_block_names_the_first_iterate_whose_f_is_not_finite(K, first, l
         run(p, leap_frog(power_steps(1.0, 0.5)), 3 * K, mode="stochastic", seed=5,
             stride=1)
     del p._draw
-    assert counts == [K, K, K]
+    assert counts == [K, K]
+
+
+@pytest.mark.parametrize("bad, stops_at", [(np.nan, 10), (np.inf, 10), (3.0, 41)],
+                         ids=["nan", "inf", "outside"])
+def test_a_point_without_finite_x_stops_a_stochastic_run_at_its_step(bad, stops_at,
+                                                                     monkeypatch):
+    """A kept point whose x is not finite has no finite f, so a stochastic
+    run evaluates it at once, though its block could hold thousands of
+    points, and stops at the step that makes it.  A finite x outside the
+    box (f = inf) waits for its block, here the one the run ends with;
+    either way the error names the point."""
+    p = build_problem("lad", BoxIndicator(-1.0, 1.0), EU, A=np.eye(3), b=np.zeros(3),
+                      batch_size=1)
+    assert p._evaluation_width() > 40
+    real_step = solver.step
+    steps = []
+
+    def spoiling_step(*args, **kwargs):
+        state = real_step(*args, **kwargs)
+        steps.append(state.n)
+        if state.n == 10:
+            state.x = np.array([bad, 0.0, 0.0])
+        return state
+
+    monkeypatch.setattr(solver, "step", spoiling_step)
+    with np.errstate(all="ignore"), pytest.raises(ValueError,
+                                                  match="not finite at iterate 10 "):
+        run(p, leap_frog(power_steps(1.0, 0.5)), 40, mode="stochastic", seed=5, stride=1)
+    assert steps[-1] == stops_at
 
 
 @pytest.mark.parametrize("schedule, error", [

@@ -17,9 +17,8 @@ presets; logistic with the zero regularizer runs both once more with
 runs both commands on data large enough that a stochastic run evaluates
 its logged points in several blocks (7 points a block, 17 points), so
 the sweep covers a block boundary and a partial last block.  Logistic
-with the zero regularizer has no finite
-certificate, so without ``--unsafe`` those commands exit 2; every other
-command exits 0.  The sweep prints a line for each command whose exit
+with the zero regularizer has no finite certificate, so without
+``--unsafe`` those commands exit 2; every other command exits 0.  The sweep prints a line for each command whose exit
 code is not the expected one, and then exits 1.
 Each command gets a directory under OUT_DIR with its config, the trace
 CSVs and ``_refcache`` it writes, its standard output and error and its
@@ -54,8 +53,6 @@ MODES = {
     "b1": "mode = stochastic\nbatch_size = 1\nseeds = 1 2",
     "b3": "mode = stochastic\nbatch_size = 3\nseeds = 3 4",
 }
-# (loss, pair, mode, m) of the cases on more data rows than the matrix's 30
-BLOCK_CASES = [("logistic", "l1", "b1", 9000)]
 COMMANDS = {
     "run": ["run"],
     "compare": ["compare", "--presets",
@@ -96,10 +93,10 @@ def cases():
                         name = "-".join([loss, pair, mode, command]
                                         + [f.strip("-") for f in flags])
                         yield name, config_text(loss, pair, mode), flags, args, expected
-    for loss, pair, mode, m in BLOCK_CASES:
-        for command, args in COMMANDS.items():
-            name = "-".join([loss, pair, mode, "m%d" % m, command])
-            yield name, config_text(loss, pair, mode, m), [], args, 0
+    # more data rows than the matrix's 30: several evaluation blocks
+    for command, args in COMMANDS.items():
+        yield ("logistic-l1-b1-m9000-" + command,
+               config_text("logistic", "l1", "b1", m=9000), [], args, 0)
 
 
 def run_case(case_dir, text, flags, args, env):
