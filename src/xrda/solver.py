@@ -47,12 +47,13 @@ at step n, before any bound uses it.  (A trace row's backward-step
 column re-evaluates alpha_{n+1} and t_n, unchecked, as a preview.)
 
 ``_objective`` is the only code that computes f: for a block of points
-it takes their residuals from one product (``CompositeProblem._residuals``),
-then each point's ``loss_at`` plus the regularizer's ``_value``, and
-checks that f is finite.  ``_evaluate`` takes it at the one iterate ``state.x`` and
-keeps its residual, f, and ``best_f`` / ``best_x`` when f improves on
-them.  An exact step needs the residual A x_n for its subgradient, so
-``step`` evaluates each new iterate at once, ``trace_row`` evaluates the
+it takes their residuals from one product
+(``CompositeProblem._residuals``), then each point's ``loss_at`` plus
+the regularizer's ``_value``, and checks that f is finite.
+``_evaluate`` takes it at the one iterate ``state.x`` and keeps its
+residual, f, and ``best_f`` / ``best_x`` when f improves on them.  An
+exact step needs the residual A x_n for its subgradient, so ``step``
+evaluates each new iterate at once, ``trace_row`` evaluates the
 s-weighted average at once, and ``best_f`` is the best f of all
 iterates, x_1 included.
 
@@ -370,17 +371,6 @@ def _evaluate_kept(state, problem, kept, reference, last):
     kept.clear()
 
 
-def _keep(state, problem, kept, point, width, reference, last):
-    """Keep a point ``(x, what, n, row)`` for a stochastic ``run``'s block
-    evaluation, and evaluate the kept block when it holds ``width``
-    points.  A point whose x is not finite has no finite f, so the block
-    is evaluated at once and names it, or a point kept before it whose f
-    is not finite either."""
-    kept.append(point)
-    if len(kept) == width or not np.isfinite(point[0]).all():
-        _evaluate_kept(state, problem, kept, reference, last)
-
-
 def averaged_iterate(state):
     """The s-weighted average of iterates 1..n."""
     return state.weighted_sum / state.s_sum
@@ -495,7 +485,11 @@ def run(problem, schedule, n_iters, mode="exact", seed=None, stride=100,
             if logged:
                 points.append((averaged_iterate(state), "averaged iterate", state.n, row))
             for point in points:
-                _keep(state, problem, kept, point, width, reference, last)
+                kept.append(point)
+                # a non-finite x has no finite f: name it, or an earlier
+                # kept point, now rather than step on from it
+                if len(kept) == width or not np.isfinite(point[0]).all():
+                    _evaluate_kept(state, problem, kept, reference, last)
             if last:
                 _evaluate_kept(state, problem, kept, reference, last)
         if callback is not None:

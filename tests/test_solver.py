@@ -1082,35 +1082,6 @@ def test_a_split_block_names_the_first_iterate_whose_f_is_not_finite(K, first, l
     assert counts == [K, K]
 
 
-@pytest.mark.parametrize("bad, stops_at", [(np.nan, 10), (np.inf, 10), (3.0, 41)],
-                         ids=["nan", "inf", "outside"])
-def test_a_point_without_finite_x_stops_a_stochastic_run_at_its_step(bad, stops_at,
-                                                                     monkeypatch):
-    """A kept point whose x is not finite has no finite f, so a stochastic
-    run evaluates it at once, though its block could hold thousands of
-    points, and stops at the step that makes it.  A finite x outside the
-    box (f = inf) waits for its block, here the one the run ends with;
-    either way the error names the point."""
-    p = build_problem("lad", BoxIndicator(-1.0, 1.0), EU, A=np.eye(3), b=np.zeros(3),
-                      batch_size=1)
-    assert p._evaluation_width() > 40
-    real_step = solver.step
-    steps = []
-
-    def spoiling_step(*args, **kwargs):
-        state = real_step(*args, **kwargs)
-        steps.append(state.n)
-        if state.n == 10:
-            state.x = np.array([bad, 0.0, 0.0])
-        return state
-
-    monkeypatch.setattr(solver, "step", spoiling_step)
-    with np.errstate(all="ignore"), pytest.raises(ValueError,
-                                                  match="not finite at iterate 10 "):
-        run(p, leap_frog(power_steps(1.0, 0.5)), 40, mode="stochastic", seed=5, stride=1)
-    assert steps[-1] == stops_at
-
-
 @pytest.mark.parametrize("schedule, error", [
     (leap_frog(power_steps(1.0, 0.5)), None), (jump_schedule(), ScheduleError)])
 def test_no_thread_outlives_a_run(schedule, error):

@@ -18,8 +18,9 @@ runs both commands on data large enough that a stochastic run evaluates
 its logged points in several blocks (7 points a block, 17 points), so
 the sweep covers a block boundary and a partial last block.  Logistic
 with the zero regularizer has no finite certificate, so without
-``--unsafe`` those commands exit 2; every other command exits 0.  The sweep prints a line for each command whose exit
-code is not the expected one, and then exits 1.
+``--unsafe`` those commands exit 2; every other command exits 0.  The
+sweep prints a line for each command whose exit code is not the
+expected one, and then exits 1.
 Each command gets a directory under OUT_DIR with its config, the trace
 CSVs and ``_refcache`` it writes, its standard output and error and its
 exit code.  OUT_DIR must not exist yet.
