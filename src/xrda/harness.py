@@ -169,19 +169,18 @@ def run_experiment(cfg, out_dir=None, unsafe=False):
 
     Exact mode ignores seed values, so listed seeds produce identical
     traces: it runs the trajectory once and writes it to every seed's
-    file.  The reference optimum is computed once and cached.
+    file.  Every seed's run ends before any trace is written, so a run
+    that fails leaves no trace of an earlier seed behind.  The reference
+    optimum is computed once and cached.
     """
     out, problem, reference = _setup(cfg, out_dir, unsafe)
     schedule = build_schedule_from_config(cfg)
-    paths = []
-    rows = None
+    traces = []
     for seed in cfg.seeds:
-        if rows is None or cfg.mode == "stochastic":
+        if not traces or cfg.mode == "stochastic":
             rows = _trace(cfg, problem, schedule, seed, reference, unsafe)
-        path = out / ("%s_seed%d.csv" % (cfg.name, seed))
-        write_trace_csv(rows, path)
-        paths.append(path)
-    return paths
+        traces.append((out / ("%s_seed%d.csv" % (cfg.name, seed)), rows))
+    return [write_trace_csv(rows, path) for path, rows in traces]
 
 
 class BoundCheckReport:

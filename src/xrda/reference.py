@@ -37,6 +37,8 @@ gradient on the simplex and the l2 ball.  Linear objectives are
 analytic.  A method that stops short reports the gap it reached.
 """
 
+import math
+
 import numpy as np
 from scipy.optimize import linprog, minimize
 from scipy.special import xlogy
@@ -77,7 +79,10 @@ def _support_min(reg, g, dim):
     """min_{z in C} <g, z> for the indicator regularizers."""
     if reg.kind == "box":
         lo, hi = reg.bounds(dim)
-        return float(np.sum(np.minimum(g * lo, g * hi)))
+        with np.errstate(invalid="ignore"):
+            terms = np.minimum(g * lo, g * hi)
+        terms[(g == 0) & np.isnan(terms)] = 0.0  # 0 * inf: a zero g_j adds 0
+        return float(np.sum(terms))
     if reg.kind == "simplex":
         return float(np.min(g))
     if reg.kind == "l2ball":
@@ -131,8 +136,10 @@ def lower_bound_certificate(problem, x):
 
 
 def _finish(problem, x_star, lower, method, tol):
+    """The ReferenceSolution of x_star with the lower bound ``lower`` on
+    f*; a nan bound is no bound, so its gap is inf."""
     f_star = problem.objective(x_star)
-    gap = max(0.0, f_star - lower)
+    gap = math.inf if math.isnan(lower) else max(0.0, f_star - lower)
     return ReferenceSolution(x_star, f_star, gap, gap <= tol, method)
 
 

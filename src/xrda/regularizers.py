@@ -273,7 +273,11 @@ def canonical_argmin(reg, dim):
         lo, hi = reg.bounds(dim)
         if np.all(lo <= 0.0) and np.all(hi >= 0.0):
             return np.zeros(dim)
-        return 0.5 * (lo + hi)
+        # the midpoint where both bounds are finite, else 0 clipped into the box
+        x = np.clip(0.0, lo, hi)
+        finite = np.isfinite(lo) & np.isfinite(hi)
+        x[finite] = 0.5 * (lo[finite] + hi[finite])
+        return x
     if reg.kind == "simplex":
         return np.full(dim, 1.0 / dim)
     if reg.kind == "l2ball":

@@ -50,11 +50,15 @@ column re-evaluates alpha_{n+1} and t_n, unchecked, as a preview.)
 it takes their residuals from one product
 (``CompositeProblem._residuals``), then each point's ``loss_at`` plus
 the regularizer's ``_value``, and checks that f is finite.
-``_evaluate`` takes it at the one iterate ``state.x`` and keeps its
-residual, f, and ``best_f`` / ``best_x`` when f improves on them.  An
-exact step needs the residual A x_n for its subgradient, so ``step``
-evaluates each new iterate at once, ``trace_row`` evaluates the
-s-weighted average at once, and ``best_f`` is the best f of all
+``_evaluate`` is the only code that keeps the books of f: it takes
+``(x, what, n, row)`` points in iterate order as one ``_objective``
+block.  An iterate updates ``best_f`` / ``best_x`` and fills its row's
+``f_x``, and the iterate of ``state.n`` sets the state's ``residual``
+and ``f_x``; an averaged iterate fills its row's ``f_avg`` and gaps.
+``init`` and an exact or standalone ``step`` pass their own iterate, a
+block of one, and ``trace_row`` of an evaluated state passes its
+averaged iterate.  An exact step needs the residual A x_n for its
+subgradient, so ``best_f`` of an exact run is the best f of all
 iterates, x_1 included.
 
 A stochastic trajectory never reads f or the residual, and for a
@@ -65,23 +69,23 @@ averaged iterate, and at the last iterate.  Every step in between costs
 a draw, a subgradient of the drawn rows and a backward step, and no pass
 over the data.  Nor does a logged step pass over the data: ``run`` keeps
 a copy of the iterate and of the averaged iterate, with the row that
-``trace_row`` made of the fields that need no f, and evaluates the kept
-points in iterate order as one ``_objective`` block when they fill
+``trace_row`` made of the fields that need no f, and passes the kept
+points to ``_evaluate`` when they fill
 ``CompositeProblem._evaluation_width()`` points (their residuals and
 copies within ``_RESIDUAL_BLOCK`` bytes: 8 points at m = 8000, d = 200;
-one for the linear loss) and when the run ends.  The block fills each
-row's ``f_x``, ``f_avg`` and gaps, with ``best_f`` the best f among the
-evaluated iterates up to the row's.  A product over several points
-rounds differently from a product with one, so a stochastic f can
-differ in its last bits from ``residual(x)``'s; a block of one takes
-``residual(x)`` itself, as ``_evaluate`` does.  A kept point whose x is
-not finite has no finite f, so it is evaluated at once, with the points
-kept before it, and stops the run at the step that makes it; the run
-never steps on from a non-finite logged iterate.  A finite x whose f is
-not finite (its residual overflows, say) waits for its block.  A
-state's ``residual`` and ``f_x`` are None inside a stochastic ``run``
-but at the last state, and a callback changes none of this, so it
-changes no output.
+one for the linear loss) and after the last point of the last step.
+So each row's ``best_f`` is the best f among the evaluated iterates up
+to the row's.  A product over several points rounds differently from a
+product with one, so a stochastic f can differ in its last bits from
+``residual(x)``'s; a block of one takes ``residual(x)`` itself.  A kept
+point whose x is not finite has no finite f, so it is evaluated at once,
+with the points kept before it, and stops the run at the step that
+makes it; the run never steps on from a non-finite logged iterate.  A
+finite x whose f is not finite (its residual overflows, say) waits for
+its block.  A state's ``residual`` and ``f_x`` are those of ``state.x``
+once it has been evaluated, and None before: inside a stochastic
+``run`` they are set only at a state whose block closes at its step.
+No output reads them there, so a callback changes no output.
 
 A stochastic ``run`` draws its minibatches a block at a time: one
 ``CompositeProblem._draw`` call gives the indices and rows of up to
@@ -137,8 +141,8 @@ class SolverState:
     is derived from ``last_alpha``, ``gamma``, ``x_tilde_half`` and
     ``x_tilde``, and ``x_tilde`` is ``x`` for the Euclidean mirror.
     ``residual`` (A x, from ``_objective``) and ``f_x`` are those of
-    ``x``, or None inside a stochastic ``run`` but at its last state; an
-    exact step takes its subgradient from that residual.
+    ``x`` once ``_evaluate`` has evaluated it, and None before; an exact
+    step takes its subgradient from that residual.
     """
 
     schedule: object
@@ -218,7 +222,7 @@ def init(problem, schedule, x1=None):
         s_sum=s1, weighted_sum=s1 * x1, bound_acc=s1 * s1 / alpha1,
         residual=None, f_x=None, best_f=math.inf, best_x=None,
         last_s=s1, last_alpha=alpha1)
-    _evaluate(state, problem)
+    _evaluate(state, problem, [(state.x, "iterate", state.n, None)])
     return state
 
 
@@ -307,7 +311,7 @@ def step(state, problem, mode="exact", rng=None, unsafe=False, _rows=None):
     state.bound_acc += s_next * s_next / alpha_next
 
     if _rows is None:
-        _evaluate(state, problem)
+        _evaluate(state, problem, [(state.x, "iterate", state.n, None)])
     else:
         state.residual = state.f_x = None
     return state
@@ -332,43 +336,33 @@ def _objective(problem, points):
     return values
 
 
-def _evaluate(state, problem):
-    """Objective bookkeeping for the iterate ``state.x``, a block of one:
-    its residual and f, and ``best_f`` / ``best_x`` when f is below
-    ``best_f`` (so of tied iterates the first is kept)."""
-    [(residual, f)] = _objective(problem, [(state.x, "iterate", state.n)])
-    if f < state.best_f:
-        state.best_f = f
-        state.best_x = state.x.copy()
-    state.residual = residual
-    state.f_x = f
-
-
-def _evaluate_kept(state, problem, kept, reference, last):
-    """Evaluate the points a stochastic ``run`` kept, ``(x, what, n, row)``
-    in iterate order, as one ``_objective`` block, and empty ``kept``.
-    Each iterate's f updates ``best_f`` / ``best_x`` (x is the kept copy)
-    and fills its row's ``f_x``; each averaged iterate's fills its row's
+def _evaluate(state, problem, points, reference=None):
+    """The objective bookkeeping of ``points``, ``(x, what, n, row)`` in
+    iterate order, evaluated as one ``_objective`` block.  An iterate's f
+    updates ``best_f`` / ``best_x`` (a copy of x) when it is below
+    ``best_f``, so of tied iterates the first is kept, and fills its
+    row's ``f_x``; the iterate of ``state.n`` also sets the state's
+    ``residual`` and ``f_x``.  An averaged iterate's f fills its row's
     ``f_avg`` and both gaps, with ``best_f`` over the iterates up to the
-    row's.  On the ``last`` state it sets the state's own ``residual`` and
-    ``f_x``."""
-    if not kept:
-        return
-    values = _objective(problem, [(x, what, n) for x, what, n, _ in kept])
-    for (x, what, n, row), (residual, f) in zip(kept, values):
+    row's; the gaps are nan without a reference."""
+    values = _objective(problem, [(x, what, n) for x, what, n, _ in points])
+    for (x, what, n, row), (residual, f) in zip(points, values):
         if what == "averaged iterate":
             row.f_avg = f
-            row.gap_best, row.gap_avg = _gaps(state.best_f, f, reference)
+            if reference is None:
+                row.gap_best = row.gap_avg = float("nan")
+            else:
+                row.gap_best = state.best_f - reference.f_star
+                row.gap_avg = f - reference.f_star
             continue
         if f < state.best_f:
             state.best_f = f
-            state.best_x = x
+            state.best_x = x.copy()
         if row is not None:
             row.f_x = f
-        if last and n == state.n:
+        if n == state.n:
             state.residual = residual
             state.f_x = f
-    kept.clear()
 
 
 def averaged_iterate(state):
@@ -399,25 +393,15 @@ def argmin_form_step(state, problem, dual_sum):
     return mirror_prox(problem.reg, mirror, base, gamma_next / alpha_next), dual_sum
 
 
-def _gaps(best_f, f_avg, reference):
-    """``gap_best`` and ``gap_avg`` of a row; nan without a reference."""
-    if reference is None:
-        nan = float("nan")
-        return nan, nan
-    return best_f - reference.f_star, f_avg - reference.f_star
-
-
 def trace_row(state, problem, reference=None, d_star=None, t0=None, unsafe=False):
     """Snapshot the state into a TraceRow; gaps and bound are nan without a
-    reference, and the bound is also nan for unsafe runs.  A state that
-    is not evaluated yet (``f_x`` None, inside a stochastic ``run``) gives
-    a row whose ``f_x``, ``f_avg`` and gaps are None, which ``run`` fills
-    when it evaluates the row's points."""
-    f_avg = gap_best = gap_avg = None
-    if state.f_x is not None:
-        f_avg = _objective(problem, [(averaged_iterate(state), "averaged iterate",
-                                      state.n)])[0][1]
-        gap_best, gap_avg = _gaps(state.best_f, f_avg, reference)
+    reference, and the bound is also nan for unsafe runs.  The row is
+    built with the state's ``f_x`` and no other f field; for an evaluated
+    state ``_evaluate`` then fills ``f_avg`` and the gaps from the
+    averaged iterate.  A state that is not evaluated yet (``f_x`` None,
+    inside a stochastic ``run``) gives a row whose ``f_x``, ``f_avg`` and
+    gaps are None, which ``run`` fills when it evaluates the row's
+    points."""
     if reference is not None and d_star is not None and not unsafe:
         bound = theoretical_bound(state, d_star, problem.M, problem.mirror.sigma)
     else:
@@ -427,8 +411,12 @@ def trace_row(state, problem, reference=None, d_star=None, t0=None, unsafe=False
     # gamma_{n+1}/alpha_{n+1} as the next step will use it
     _, alpha_next, _, _, gamma_next = _schedule_values(
         state.schedule, state.n, state.gamma, state.last_s, state.last_alpha, unsafe=True)
-    return TraceRow(state.n, state.f_x, f_avg, gap_best, gap_avg, bound,
-                    gamma_next / alpha_next, nnz, elapsed)
+    row = TraceRow(state.n, state.f_x, None, None, None, bound,
+                   gamma_next / alpha_next, nnz, elapsed)
+    if state.f_x is not None:
+        _evaluate(state, problem,
+                  [(averaged_iterate(state), "averaged iterate", state.n, row)], reference)
+    return row
 
 
 def run(problem, schedule, n_iters, mode="exact", seed=None, stride=100,
@@ -443,12 +431,13 @@ def run(problem, schedule, n_iters, mode="exact", seed=None, stride=100,
     is f of the s-weighted average, at most that mean by convexity, and
     the best f of the evaluated iterates, which a stochastic trace's
     ``gap_best`` reports, is at least the best f of all of them.  The
-    logged points are kept and evaluated in blocks (module docstring): a
-    non-finite x stops the run at the step that makes it, another
-    non-finite f when its block is evaluated, at the latest at the end;
-    the error names the point, and no row is returned.  The
-    callback sees every state, after its row is logged; a stochastic one
-    but the last has ``f_x`` and ``residual`` None.  A callback changes no
+    logged points are kept and passed to ``_evaluate`` in blocks (module
+    docstring): a non-finite x stops the run at the step that makes it,
+    another non-finite f when its block is evaluated, at the latest after
+    the last step; the error names the point, and no row is returned.
+    The callback sees every state, after its row is logged; a stochastic
+    state has ``f_x`` and ``residual`` only when its block closed at its
+    step, as at the last state, and None otherwise.  A callback changes no
     output."""
     if n_iters < 1:
         raise ValueError("need at least one iteration")
@@ -488,10 +477,10 @@ def run(problem, schedule, n_iters, mode="exact", seed=None, stride=100,
                 kept.append(point)
                 # a non-finite x has no finite f: name it, or an earlier
                 # kept point, now rather than step on from it
-                if len(kept) == width or not np.isfinite(point[0]).all():
-                    _evaluate_kept(state, problem, kept, reference, last)
-            if last:
-                _evaluate_kept(state, problem, kept, reference, last)
+                if (len(kept) == width or not np.isfinite(point[0]).all()
+                        or (last and point is points[-1])):
+                    _evaluate(state, problem, kept, reference)
+                    kept = []
         if callback is not None:
             callback(state)
     # An overflowed dual point stays non-finite (a step scales it by

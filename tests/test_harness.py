@@ -124,6 +124,24 @@ def test_run_experiment_runs_exact_mode_once(tmp_path, monkeypatch):
     assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
 
 
+def test_a_failing_seed_leaves_no_trace_of_an_earlier_one(tmp_path, monkeypatch, capsys):
+    """Every seed's run ends before any trace is written: a stochastic
+    config whose seed-4 run fails exits 2 and leaves no seed-3 CSV."""
+    original = harness.run
+
+    def fail_seed_4(*args, **kwargs):
+        if kwargs["seed"] == 4:
+            raise ValueError("objective is not finite at iterate 8 (f = nan)")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run", fail_seed_4)
+    out = tmp_path / "o"
+    cfg = write_cfg(tmp_path, STOCH_CFG.replace("seeds = 4 9", "seeds = 3 4"))
+    assert main(["--config", cfg, "--out", str(out), "run"]) == 2
+    assert "not finite at iterate 8" in capsys.readouterr().err
+    assert out.is_dir() and list(out.glob("*_seed*.csv")) == []
+
+
 def test_run_experiment_is_byte_reproducible(tmp_path):
     cfg = parse_config(BASE_CFG, name="exp")
     first = run_experiment(cfg, out_dir=tmp_path / "a")[0].read_bytes()

@@ -2,8 +2,9 @@
 module-level constant is read somewhere in the package, only
 ``solver._schedule_values`` calls a schedule's ``s``, ``alpha`` or ``t``,
 only ``solver._objective`` calls ``residual``, ``loss_at``, ``_value`` or
-``objective`` in the solver, only ``problems._draw`` draws from a run's random
-generator, no module starts threads or processes or pins a CPU, and
+``objective`` in the solver, only ``solver._evaluate`` assigns ``best_f``,
+``best_x``, ``f_avg``, ``gap_best`` or ``gap_avg``, only ``problems._draw``
+draws from a run's random generator, no module starts threads or processes or pins a CPU, and
 ``residual``, ``loss_at`` and ``_value`` take one point, not a stack.
 
 No linter ships with the test environment, so this walks each module's
@@ -168,6 +169,48 @@ def test_the_walk_finds_an_objective_call():
 
 def test_only_the_evaluator_computes_f_in_the_solver():
     assert objective_calls((PACKAGE / "solver.py").read_text()) == []
+
+
+BOOKKEEPING_ATTRS = ("best_f", "best_x", "f_avg", "gap_best", "gap_avg")
+BOOKKEEPER = ("solver.py", "_evaluate")
+
+
+def bookkeeping_assignments(sources):
+    """"module line N: .name" for each assignment to an attribute named
+    best_f, best_x, f_avg, gap_best or gap_avg outside ``solver._evaluate``,
+    so that the best iterate and each row's f of the averaged iterate and
+    gaps are kept in one place."""
+    found = []
+    for module, source in sorted(sources.items()):
+        tree = ast.parse(source)
+        allowed = {id(node) for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef) and (module, fn.name) == BOOKKEEPER
+                   for node in ast.walk(fn)}
+        found += ["%s line %d: .%s" % (module, node.lineno, node.attr)
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                  and node.attr in BOOKKEEPING_ATTRS and id(node) not in allowed]
+    return found
+
+
+def test_the_walk_finds_a_bookkeeping_assignment():
+    sources = {"solver.py": "def _evaluate(state, row, f):\n"
+                            "    state.best_f = row.gap_best = f\n\n"
+                            "def _evaluate_kept(state, row, f, x):\n"
+                            "    row.f_avg, row.gap_avg = f, f\n"
+                            "    state.best_x = x\n"
+                            "    return state.best_f, row.f_x\n",
+               "harness.py": "def tamper(row):\n    row.gap_best += 1.0\n"
+                             "    row.bound = row.gap_best\n"}
+    assert sorted(bookkeeping_assignments(sources)) == ["harness.py line 2: .gap_best",
+                                                        "solver.py line 5: .f_avg",
+                                                        "solver.py line 5: .gap_avg",
+                                                        "solver.py line 6: .best_x"]
+
+
+def test_only_the_evaluator_keeps_the_objective_books():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert bookkeeping_assignments(sources) == []
 
 
 # every public method of numpy's Generator that draws from its stream

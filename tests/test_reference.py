@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -416,3 +419,28 @@ def test_logistic_simplex_certifies_on_scaled_data(scale):
     ref = reference_optimum(p, tol=1e-8)
     assert ref.converged and ref.certified_gap <= 1e-8
 
+
+def test_a_zero_subgradient_on_an_open_box_side_is_no_certificate():
+    """On BoxIndicator(-inf, 1) with data column 2 zeroed, g_2 = 0 meets
+    the infinite bound: it adds 0 to the box's support, with no warning,
+    while the g_j > 0 of the other columns reach the open side, so the
+    certificate at x = 0 is -inf and its gap inf, not 0 (f(0) = 0.693,
+    f* = 0.3996).  A nan bound is no bound either."""
+    A, b, _ = synthetic_sparse_data("logistic", d=4, m=40, k=1, noise=0.5, seed=3)
+    A[:, 2] = 0.0
+    p = build_problem("logistic", BoxIndicator(-np.inf, 1.0), EU, A=A, b=b)
+    x = np.zeros(4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lower = lower_bound_certificate(p, x)
+        ref = reference._finish(p, x, lower, "test", 1e-8)
+    assert lower == -math.inf
+    assert (ref.certified_gap, ref.converged) == (math.inf, False)
+    ref = reference._finish(p, x, math.nan, "test", 1e-8)
+    assert (ref.certified_gap, ref.converged) == (math.inf, False)
+
+    box = BoxIndicator([-np.inf, 1.0, 0.0], [1.0, np.inf, 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert reference._support_min(box, np.array([0.0, 2.0, -1.0]), 3) == -1.0
+        assert reference._support_min(box, np.array([0.0, -2.0, -1.0]), 3) == -math.inf

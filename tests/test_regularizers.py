@@ -7,11 +7,14 @@ import pytest
 from conftest import l2ball_projection_oracle, refine_minimize_1d, simplex_kl_oracle
 from xrda.geometry import (EuclideanMirror, MirrorDomainError,
                            NegativeEntropyMirror)
+from xrda.problems import build_problem, synthetic_sparse_data
 from xrda.regularizers import (MEMBERSHIP_TOL, BoxIndicator, L1Penalty,
                                L2BallIndicator, SimplexIndicator, UnsupportedPairError,
                                ZeroRegularizer, canonical_argmin,
                                ensure_supported, in_subdifferential,
                                mirror_prox, supported_pairs)
+from xrda.schedules import leap_frog, power_steps
+from xrda.solver import run
 
 EU = EuclideanMirror()
 EN = NegativeEntropyMirror()
@@ -240,6 +243,22 @@ def test_canonical_argmin():
     assert np.array_equal(canonical_argmin(L2BallIndicator(2.0), 3), np.zeros(3))
     with pytest.raises(ValueError):
         canonical_argmin(L1Penalty(1.0), 0)
+
+
+def test_a_half_open_box_has_a_finite_canonical_argmin_and_runs():
+    """The midpoint where both bounds are finite, 0 clipped into the box
+    elsewhere: no inf or nan, no warning, and a run starts there."""
+    box = BoxIndicator([1.0, -np.inf, -np.inf, 2.0], [np.inf, np.inf, -3.0, 4.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x1 = canonical_argmin(box, 4)
+        assert np.array_equal(x1, [1.0, 0.0, -3.0, 3.0])
+        A, b, _ = synthetic_sparse_data("lad", d=4, m=20, k=2, noise=0.1, seed=5)
+        p = build_problem("lad", box, EU, A=A, b=b)
+        res = run(p, leap_frog(power_steps(0.5, 0.5)), 30, stride=10)
+    assert np.array_equal(res.state.x1, x1)
+    assert len(res.rows) == 3 and np.isfinite(res.state.x).all()
+    assert box.value(res.state.x) == 0.0
 
 
 def test_canonical_argmin_minimizes(rng):

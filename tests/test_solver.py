@@ -580,26 +580,37 @@ def test_stochastic_run_evaluates_every_iterate_in_blocks(loss, lam, budget,
     assert res.state.best_f == pytest.approx(st.best_f, rel=1e-14, abs=0.0)
 
 
-def test_stochastic_run_with_callback_sees_evaluated_states():
-    """A stochastic run evaluates its kept points before the callback sees
-    the last state, so the callback sees that state's f and residual,
-    those of the run's last evaluation block, and None at every other
-    state, logged or not."""
+def test_stochastic_run_with_callback_sees_evaluated_states(monkeypatch):
+    """A state's f and residual are those of its iterate once the run has
+    evaluated it, and None before.  In blocks of three kept points (rows
+    at 7, 14, ..., 35, each an iterate and its averaged iterate, then the
+    last iterate 41), the blocks that close at steps 14, 21, 35 and 41
+    hold that step's iterate, so the callback sees f_x there, equal to
+    its row's f_x (the last state's is the run's last block's), and None
+    at every other state, logged or not."""
     p, sched = stochastic_setup("logistic", 0.01)
+    monkeypatch.setattr(problems, "_RESIDUAL_BLOCK", 8 * p.m * 3)
+    assert p._evaluation_width() == 3
     n, stride = 40, 7
-    seen = []
+    seen = {}
 
     def check(st):
-        if st.n == n + 1:
-            seen.append((st.f_x, st.residual))
-        else:
-            assert st.f_x is None and st.residual is None
-            seen.append(st.n)
+        assert st.n not in seen
+        seen[st.n] = st.f_x, st.residual, st.x
 
     res = run(p, sched, n, mode="stochastic", seed=3, stride=stride, callback=check)
     _, rows, ended = replayed_evaluation(p, sched, n, 3, stride)
-    assert seen[:-1] == list(range(2, n + 1))
-    f_x, residual = seen[-1]
+    assert list(seen) == list(range(2, n + 2))
+    evaluated = {k for k, (f_x, _, _) in seen.items() if f_x is not None}
+    assert evaluated == {14, 21, 35, n + 1}
+    row_f = {r.n: r.f_x for r in res.rows}
+    for k, (f_x, residual, x) in seen.items():
+        if k in evaluated:
+            assert f_x == row_f.get(k, ended.f_x)
+            assert f_x == float(p.loss_at(residual) + p.reg._value(x))
+        else:
+            assert residual is None
+    f_x, residual, _ = seen[n + 1]
     assert f_x == ended.f_x == res.state.f_x
     assert np.array_equal(residual, ended.residual)
     assert f_columns(res.rows) == f_columns(rows)
@@ -812,7 +823,7 @@ def test_a_block_of_one_point_is_the_residual_bitwise(loss):
         assert np.float64(f).tobytes() == np.float64(p.objective(x)).tobytes()
         st = init(p, leap_frog(power_steps(1.0, 0.5)))
         st.x = x
-        _evaluate(st, p)
+        _evaluate(st, p, [(x, "iterate", st.n, None)])
         assert st.f_x == f and np.array_equal(st.residual, residual)
 
 
@@ -1007,7 +1018,7 @@ def test_evaluate_keeps_the_earliest_of_tied_minima(K):
         for x in xs:
             st.n += 1
             st.x = x
-            _evaluate(st, p)
+            _evaluate(st, p, [(x, "iterate", st.n, None)])
 
     evaluate_in_turn(xs)
     assert st.best_f == best_f == min(fs) == fs[K - 1]
@@ -1023,7 +1034,7 @@ def test_evaluate_keeps_the_earliest_of_tied_minima(K):
     st = init(p, leap_frog(power_steps(1.0, 0.5)), x1=np.full(4, 4.0))
     for block in (xs, [-x for x in xs]):
         kept = [(x.copy(), "iterate", st.n + 1 + j, None) for j, x in enumerate(block)]
-        solver._evaluate_kept(st, p, kept, None, False)
+        _evaluate(st, p, kept)
         assert st.best_f == fs[K - 1]
         assert st.best_x.tobytes() == xs[K // 3].tobytes()
 
@@ -1046,7 +1057,7 @@ def test_evaluate_names_the_first_iterate_whose_f_is_not_finite(K, first, later,
         for x in xs:
             st.n += 1
             st.x = x
-            _evaluate(st, p)
+            _evaluate(st, p, [(x, "iterate", st.n, None)])
 
 
 @pytest.mark.parametrize("K, first, later", [(4, 2, 3), (9, 5, None), (9, 8, None),
@@ -1153,7 +1164,7 @@ def transcribed_run(p, sched, n_iters, mode, seed, stride, ref):
         st.bound_acc += s_next * s_next / a_next
         logged = st.n % stride == 0
         if mode == "exact":
-            _evaluate(st, p)
+            _evaluate(st, p, [(st.x, "iterate", st.n, None)])
         else:
             st.residual = st.f_x = None
             if logged or i == n_iters - 1:
