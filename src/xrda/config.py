@@ -319,10 +319,12 @@ def parse_config(text, base_dir=".", name="experiment"):
             s.error("mu = %g must lie in [0, 1]" % cfg.mu)
     if cfg.preset is not None and cfg.preset != "rda":
         cfg.step_kind = s.take_choice("step_kind", ("power", "constant"),
-                                      default="power")
-        cfg.step_scale = s.take_number("step_scale", default=1.0, strict_min=0.0)
+                                      default=cfg.step_kind)
+        cfg.step_scale = s.take_number("step_scale", default=cfg.step_scale,
+                                       strict_min=0.0)
         if cfg.step_kind == "power":
-            cfg.step_exponent = s.take_number("step_exponent", default=0.5)
+            cfg.step_exponent = s.take_number("step_exponent",
+                                              default=cfg.step_exponent)
             if cfg.step_exponent is not None and cfg.step_exponent < 0:
                 s.error("step_exponent = %g must be >= 0: forward steps s must be "
                         "non-increasing" % cfg.step_exponent)
@@ -330,15 +332,15 @@ def parse_config(text, base_dir=".", name="experiment"):
 
     r = _Reader("run", sections["run"], errors)
     cfg.iterations = r.take_number("iterations", int, required=True, minimum=1)
-    cfg.mode = r.take_choice("mode", ("exact", "stochastic"), default="exact")
+    cfg.mode = r.take_choice("mode", ("exact", "stochastic"), default=cfg.mode)
     cfg.seeds = r.take_list("seeds", int) or cfg.seeds
     if min(cfg.seeds) < 0:
         r.error("seeds = %s: every seed must be >= 0" % " ".join(map(str, cfg.seeds)))
     if cfg.mode == "stochastic":
         cfg.batch_size = r.take_number("batch_size", int, minimum=1)
     # inf asks for no solve: the reference is the canonical start
-    cfg.reference_tol = r.take_number("reference_tol", default=1e-8, strict_min=0.0,
-                                      allow_inf=True)
+    cfg.reference_tol = r.take_number("reference_tol", default=cfg.reference_tol,
+                                      strict_min=0.0, allow_inf=True)
     cfg.x1 = r.take_list("x1")
     if cfg.m is not None and cfg.batch_size is not None and cfg.batch_size > cfg.m:
         r.error("batch_size = %d exceeds m = %d" % (cfg.batch_size, cfg.m))
@@ -347,9 +349,9 @@ def parse_config(text, base_dir=".", name="experiment"):
     if "output" in sections:
         o = _Reader("output", sections["output"], errors)
         cfg.directory = o.take("directory") or cfg.directory
-        cfg.stride = _take_stride(o, cfg.iterations)
+        cfg.stride = _take_stride(o, cfg)
         cfg.timing = o.take_choice("timing", ("deterministic", "wall"),
-                                   default="deterministic")
+                                   default=cfg.timing)
         o.finish()
 
     d = cfg.d if cfg.cost is None else len(cfg.cost)
@@ -366,24 +368,23 @@ def parse_config(text, base_dir=".", name="experiment"):
     return cfg
 
 
-def _take_stride(reader, iterations):
-    """The stride (default 100); one that is given must be >= 1 and log
-    at least one row, and a run's iterates after x_1 are numbered 2 to
-    iterations + 1."""
+def _take_stride(reader, cfg):
+    """The stride, or cfg's when none is given; one that is given must be
+    >= 1 and log at least one row, and a run's iterates after x_1 are
+    numbered 2 to iterations + 1."""
     stride = reader.take_number("stride", int, minimum=1)
     if stride is None:  # not given, or already reported
-        return 100
-    if iterations is not None and stride > iterations + 1:
+        return cfg.stride
+    if cfg.iterations is not None and stride > cfg.iterations + 1:
         reader.error("stride = %d exceeds iterations + 1 = %d, so no trace row "
-                     "would be logged" % (stride, iterations + 1))
+                     "would be logged" % (stride, cfg.iterations + 1))
     return stride
 
 
 def with_stride(cfg, stride):
     """cfg with its [output] stride replaced, checked by the config's rule."""
     errors = []
-    stride = _take_stride(_Reader("output", {"stride": str(stride)}, errors),
-                          cfg.iterations)
+    stride = _take_stride(_Reader("output", {"stride": str(stride)}, errors), cfg)
     if errors:
         raise ConfigError(["--stride: %s" % e for e in errors])
     return replace(cfg, stride=stride)

@@ -11,7 +11,8 @@ and repeated invocations produce byte-identical files.
 ``run_experiment`` and ``compare`` share one setup (``_setup``), which
 checks the start point, a config error, before it writes anything or
 solves the reference, and one runner (``_trace``), which refuses a run
-that logs no trace row.
+that logs no trace row or whose rows prove the reference's certificate
+false.
 """
 
 import hashlib
@@ -152,15 +153,25 @@ def _setup(cfg, out_dir, unsafe):
 
 
 def _trace(cfg, problem, schedule, seed, reference, unsafe):
-    """The trace rows of one run of the config's [run] settings; a run
-    that logs no row (a stride above iterations + 1) is refused once it
-    ends."""
+    """The trace rows of one run of the config's [run] settings, refused
+    once the run ends if it logs no row (a stride above iterations + 1),
+    or if a row's gap_best is below -certified_gap by more than 1e-9 *
+    max(1, |f_star|): f(x_star) - f* <= certified_gap for an honest
+    certificate, so no iterate's f is below f_star - certified_gap."""
     rows = run(problem, schedule, cfg.iterations, mode=cfg.mode, seed=seed,
                stride=cfg.stride, x1=cfg.x1, reference=reference, unsafe=unsafe,
                timing=cfg.timing).rows
     if not rows:
         raise RuntimeError("preset %s logged no rows; lower the stride"
                            % schedule.name)
+    floor = -(reference.certified_gap + 1e-9 * max(1.0, abs(reference.f_star)))
+    for row in rows:
+        if row.gap_best < floor:
+            raise RuntimeError(
+                "preset %s: gap_best = %.12g at n=%d is below -(certified_gap = "
+                "%.12g), so the reference's certificate is false (an edited _refcache "
+                "entry?); delete the entry and rerun"
+                % (schedule.name, row.gap_best, row.n, reference.certified_gap))
     return rows
 
 

@@ -12,19 +12,21 @@ Three loss families are supported:
   1 ulp of 200-bit mpmath for |z| from 1e-300 to 1e6.  At m=8000 it takes
   57-79 us where ``np.logaddexp(0, z)`` took 300-400 us.  The subgradient
   weights use ``expit``.
-* ``linear``: F(x) = <c, x>; no data rows.
+* ``linear``: F(x) = <c, x>, stored as the one-row data loss A = c',
+  b = 0 (m = 1), whose row weight is 1.
 
-Each loss depends on x only through the residual r = A x (<c, x> for
-linear): ``residual`` makes the pass over A for one point, and
-``loss_at``, ``row_weights``, ``curvature`` (logistic only) and
-``subgradient_at`` hold the only copy of each formula.  ``residual`` and
-``loss_at`` take one point; ``_residuals`` takes the residuals of a
-block of points from one product, ``residual(x)`` for a block of one
-and ``A @ X`` for more.  The solver evaluates an exact run's iterates
-one at a time; a stochastic run evaluates only the points it logs, in
-blocks of up to ``_evaluation_width()`` points (8 at m = 8000, d = 200;
-one for the linear loss), and ``solver._objective`` takes each block's
-``_residuals``, then each point's ``loss_at`` (see ``solver``).
+Each loss depends on x only through the residual r = A x: ``residual``
+makes the pass over A for one point, and ``loss_at``, ``row_weights``,
+``curvature`` (logistic only) and ``subgradient_at`` hold the only copy
+of each formula; the loss kinds differ only in ``row_weights`` and
+``loss_at``.  ``residual`` and ``loss_at`` take one point;
+``_residuals`` takes the residuals of a block of points from one
+product, ``residual(x)`` for a block of one and ``A @ X`` for more.  The
+solver evaluates an exact run's iterates one at a time; a stochastic
+run evaluates only the points it logs, in blocks of up to
+``_evaluation_width()`` points (8 at m = 8000, d = 200), and
+``solver._objective`` takes each block's ``_residuals``, then each
+point's ``loss_at`` (see ``solver``).
 
 A is stored column-major (Fortran order), so the columns of x's support
 are contiguous.  When x has at most d/4 nonzeros, as the l1 iterates
@@ -57,7 +59,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import expit
 
-from .geometry import as_vector, dual_norm, pairing
+from .geometry import as_vector
 from .regularizers import ensure_supported
 
 LOSS_KINDS = ("lad", "logistic", "linear")
@@ -100,28 +102,22 @@ class CompositeProblem:
                 raise ValueError("linear loss needs a cost vector c")
             if A is not None or b is not None:
                 raise ValueError("linear loss takes no data matrix or targets")
-            self.c = as_vector(c)
-            self.A = None
-            self.b = None
-            self.d = self.c.size
-            self.m = 1
-        else:
-            if A is None or b is None:
-                raise ValueError("%s loss needs a data matrix A and targets b" % loss)
-            A = np.asarray(A, dtype=float, order="F")
-            if A.ndim != 2:
-                raise ValueError("data matrix must be 2-d, got shape %s" % (A.shape,))
-            b = as_vector(b, dim=A.shape[0])
-            if not np.all(np.isfinite(A)):
-                raise ValueError("data matrix has non-finite entries")
-            if loss == "logistic" and not np.all(np.abs(b) == 1.0):
-                raise ValueError("logistic targets must be +1/-1 labels")
-            self.A = A
-            self.b = b
-            self.c = None
-            self.m, self.d = A.shape
-            if self.m < 1 or self.d < 1:
-                raise ValueError("data matrix must have at least one row and column")
+            A, b = as_vector(c)[None, :], [0.0]  # <c, x> is the one-row residual
+        elif A is None or b is None:
+            raise ValueError("%s loss needs a data matrix A and targets b" % loss)
+        A = np.asarray(A, dtype=float, order="F")
+        if A.ndim != 2:
+            raise ValueError("data matrix must be 2-d, got shape %s" % (A.shape,))
+        b = as_vector(b, dim=A.shape[0])
+        if not np.all(np.isfinite(A)):
+            raise ValueError("data matrix has non-finite entries")
+        if loss == "logistic" and not np.all(np.abs(b) == 1.0):
+            raise ValueError("logistic targets must be +1/-1 labels")
+        self.A = A
+        self.b = b
+        self.m, self.d = A.shape
+        if self.m < 1 or self.d < 1:
+            raise ValueError("data matrix must have at least one row and column")
         if batch_size is None:
             batch_size = self.m
         if not 1 <= batch_size <= self.m:
@@ -131,8 +127,6 @@ class CompositeProblem:
 
     def _lipschitz_bound(self):
         kind = self.mirror.dual_norm
-        if self.loss == "linear":
-            return dual_norm(self.c, kind)
         # per-row maxima by reductions that allocate no m x d temporary
         A = self.A
         if kind == "l2":
@@ -142,11 +136,9 @@ class CompositeProblem:
         raise ValueError("unknown norm tag %r" % (kind,))
 
     def residual(self, x):
-        """A x, or <c, x> for the linear loss: F depends on x only through
-        it.  While x has at most d/4 nonzeros the product reads only the
-        support columns of A, ``_RESIDUAL_BLOCK`` bytes of them at a time."""
-        if self.loss == "linear":
-            return pairing(self.c, x)
+        """A x: F depends on x only through it.  While x has at most d/4
+        nonzeros the product reads only the support columns of A,
+        ``_RESIDUAL_BLOCK`` bytes of them at a time."""
         support = np.flatnonzero(x)
         if support.size > _SUPPORT_FRACTION * self.d:
             return self.A @ x
@@ -162,13 +154,15 @@ class CompositeProblem:
         """The residuals of the points xs, in order, from one product: a
         single point takes ``residual(x)``, so its bits are those of one
         evaluation; several take ``A @ X``, one row of the result each."""
-        if len(xs) == 1 or self.loss == "linear":
+        if len(xs) == 1:
             return [self.residual(x) for x in xs]
         return (self.A @ np.stack(xs, axis=1)).T
 
     def row_weights(self, r, b):
         if self.loss == "lad":
             return np.sign(r - b)
+        if self.loss == "linear":
+            return np.ones_like(r)
         return -b * expit(-b * r)
 
     def curvature(self, r):
@@ -179,11 +173,10 @@ class CompositeProblem:
 
     def loss_at(self, r):
         """F at the residual r = ``residual(x)``; r is left as it is."""
-        if self.loss == "linear":
-            return r
-        if self.loss == "lad":
+        if self.loss != "logistic":  # lad, and linear: b = 0, one row
             z = r - self.b
-            np.abs(z, out=z)
+            if self.loss == "lad":
+                np.abs(z, out=z)
             return float(z.sum()) / self.m
         # softplus(z) = max(z, 0) + log1p(exp(-|z|)) at z = -b r, taken as
         # t - min(w, 0) at w = b r: bitwise max(-w, 0) + t, one pass fewer
@@ -197,8 +190,6 @@ class CompositeProblem:
         return float(w.sum()) / self.m
 
     def subgradient_at(self, r):
-        if self.loss == "linear":
-            return self.c.copy()
         return (self.A.T @ self.row_weights(r, self.b)) / self.m
 
     def loss_value(self, x):
@@ -231,8 +222,6 @@ class CompositeProblem:
 
     def _batch_subgradient(self, x, A, b):
         """The minibatch subgradient at x of the drawn rows A and targets b."""
-        if self.loss == "linear":
-            return self.c.copy()
         if self.batch_size == 1:
             return self._row_subgradient(x, A, b)
         return self._rows_subgradient(x, A, b)
@@ -244,10 +233,7 @@ class CompositeProblem:
         batch of one is drawn with ``integers(m, size=count)``, which gives
         the indices and generator state of ``count`` calls of ``choice(m,
         size=1, replace=False)``; a larger batch stacks ``count`` such
-        ``choice`` calls.  The linear loss draws nothing."""
-        if self.loss == "linear":
-            return (np.zeros((count, 0), dtype=np.int64), np.zeros((count, 0, self.d)),
-                    np.zeros((count, 0)))
+        ``choice`` calls."""
         if self.batch_size == 1:
             idx = rng.integers(self.m, size=(count, 1))
         else:
@@ -264,10 +250,7 @@ class CompositeProblem:
         """How many points a stochastic ``run`` keeps before it evaluates
         them with one ``_residuals`` product: as many as fit in
         ``_RESIDUAL_BLOCK`` bytes both their residuals (m each) and their
-        kept copies (d each), and at least one.  The linear loss keeps one,
-        as its f makes no pass over data."""
-        if self.loss == "linear":
-            return 1
+        kept copies (d each), and at least one."""
         return max(1, _RESIDUAL_BLOCK // (8 * max(self.m, self.d)))
 
     def _draw_width(self):

@@ -108,10 +108,10 @@ def lower_bound_certificate(problem, x):
         r = problem.residual(x)
         g = problem.subgradient_at(r)
         return problem.loss_at(r) + _support_min(reg, g, problem.d) - pairing(g, x)
-    if problem.loss == "linear":
+    if problem.loss == "linear":  # the cost is A's one row
         if reg.kind == "l1":
-            return 0.0 if dual_norm(problem.c, "linf") <= reg.lam else float("-inf")
-        return 0.0 if np.all(problem.c == 0.0) else float("-inf")
+            return 0.0 if dual_norm(problem.A[0], "linf") <= reg.lam else float("-inf")
+        return 0.0 if np.all(problem.A[0] == 0.0) else float("-inf")
     A, b, m = problem.A, problem.b, problem.m
     u = problem.row_weights(problem.residual(x), b) / m
     if reg.kind == "zero":
@@ -367,7 +367,7 @@ def _accelerated_projected_gradient(problem, tol):
 
 
 def _solve_linear(problem, tol):
-    c = problem.c
+    c = problem.A[0]
     reg = problem.reg
     d = problem.d
     if reg.kind == "simplex":

@@ -72,8 +72,8 @@ a copy of the iterate and of the averaged iterate, with the row that
 ``trace_row`` made of the fields that need no f, and passes the kept
 points to ``_evaluate`` when they fill
 ``CompositeProblem._evaluation_width()`` points (their residuals and
-copies within ``_RESIDUAL_BLOCK`` bytes: 8 points at m = 8000, d = 200;
-one for the linear loss) and after the last point of the last step.
+copies within ``_RESIDUAL_BLOCK`` bytes: 8 points at m = 8000, d = 200)
+and after the last point of the last step.
 So each row's ``best_f`` is the best f among the evaluated iterates up
 to the row's.  A product over several points rounds differently from a
 product with one, so a stochastic f can differ in its last bits from
@@ -445,6 +445,8 @@ def run(problem, schedule, n_iters, mode="exact", seed=None, stride=100,
         raise ValueError("stride must be >= 1")
     if timing not in ("deterministic", "wall"):
         raise ValueError("timing must be 'deterministic' or 'wall', got %r" % (timing,))
+    if mode not in ("exact", "stochastic"):
+        raise ValueError("mode must be 'exact' or 'stochastic', got %r" % (mode,))
     rng = np.random.default_rng(seed) if mode == "stochastic" else None
     state = init(problem, schedule, x1=x1)
     d_star = None

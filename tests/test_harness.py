@@ -622,6 +622,49 @@ def test_invalid_reference_cache_is_recomputed(tmp_path, tamper):
     assert cache.read_text() == cold_cache
 
 
+SWEEP_LAD_L1 = """\
+spec_version = 1
+[problem]
+loss = lad
+mirror = euclidean
+regularizer = l1
+lambda = 0.1
+d = 8
+m = 30
+k = 2
+noise = 0.3
+data_seed = 5
+[schedule]
+preset = leap_frog
+[run]
+iterations = 200
+[output]
+stride = 25
+"""
+
+
+@pytest.mark.parametrize("command", [["run"],
+                                     ["compare", "--presets", "rda,leap_frog"]])
+def test_a_false_certificate_stops_the_run(tmp_path, capsys, command):
+    """A cache entry that passes ``_load_reference`` (f_star = f(x_star),
+    certified_gap >= 0) but claims x_star = 0 optimal with certified_gap
+    = 0: the iterates reach gap_best = -1.08, which proves the
+    certificate false, so the command exits 2 and writes no trace."""
+    path = write_cfg(tmp_path, SWEEP_LAD_L1, name="sweep.ini")
+    cfg = parse_config(SWEEP_LAD_L1, name="sweep")
+    problem = build_problem_from_config(cfg)
+    out = tmp_path / "o"
+    cache = out / "_refcache" / ("%s.json" % cfg.problem_key)
+    cache.parent.mkdir(parents=True)
+    cache.write_text(json.dumps({"x_star": [0.0] * 8,
+                                 "f_star": problem.objective(np.zeros(8)),
+                                 "certified_gap": 0.0, "converged": True,
+                                 "method": "lad_lp"}))
+    assert main(["--config", path, "--out", str(out)] + command) == 2
+    assert "certificate is false" in capsys.readouterr().err
+    assert list(out.glob("*.csv")) == []
+
+
 def test_data_file_cache_key_hashes_row_major_bytes(tmp_path):
     """The key streams A in row blocks: it equals the sha256 of the whole
     C-ordered bytes, so keys written before A was stored F-ordered still hit."""

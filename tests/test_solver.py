@@ -367,6 +367,17 @@ def test_run_argument_validation():
         run(p, sched, n_iters=10, timing="cpu")
 
 
+def test_run_rejects_a_mode_before_it_evaluates_anything():
+    """An unknown mode is refused with stride and timing, before ``init``
+    evaluates the schedule or f(x_1)."""
+    def untouched(*args):
+        pytest.fail("the schedule was evaluated")
+
+    p = random_lad(seed=53)
+    with pytest.raises(ValueError, match="mode must be 'exact' or 'stochastic'"):
+        run(p, Schedule("untouched", untouched, untouched, untouched), 10, mode="Exact")
+
+
 def test_callback_sees_every_step():
     p = random_lad(seed=59)
     seen = []
@@ -870,15 +881,15 @@ def test_kept_points_fit_the_byte_budget_when_d_exceeds_m(loss, monkeypatch):
     """A stochastic run keeps at most ``_RESIDUAL_BLOCK`` bytes of points,
     counting their own copies as well as their residuals: at d = 400 and
     m = 10 the copies bound a block to 3 points, where the residuals alone
-    would allow 120.  The linear loss makes no pass over data, and
-    evaluates each point at the step that keeps it, a block of one."""
+    would allow 120.  The linear loss is one data row, and its copies
+    bound it to 3 points as well."""
     if loss == "linear":
         p = build_problem("linear", L1Penalty(0.05), EU, c=np.linspace(-1.0, 1.0, 400))
     else:
         A, b, _ = synthetic_sparse_data(loss, d=400, m=10, k=3, noise=0.3, seed=4)
         p = build_problem(loss, L1Penalty(0.05), EU, A=A, b=b, batch_size=1)
     monkeypatch.setattr(problems, "_RESIDUAL_BLOCK", 8 * 400 * 3)
-    width = 1 if loss == "linear" else 3
+    width = 3
     assert p._evaluation_width() == width
     real_step, objective = solver.step, solver._objective
     steps, blocks = [], []
@@ -899,11 +910,34 @@ def test_kept_points_fit_the_byte_budget_when_d_exceeds_m(loss, monkeypatch):
     kept = 2 * (n // stride) + 1  # two per row, and the last iterate, n = 61
     sizes = [len(points) for _, points in blocks[1:]]  # blocks[0] is x_1, in init
     assert sizes == [width] * (kept // width) + ([kept % width] if kept % width else [])
-    for at, points in blocks[1:]:
+    for _, points in blocks[1:]:
         assert sum(x.nbytes for x, _, _ in points) <= problems._RESIDUAL_BLOCK
         assert 8 * p.m * len(points) <= problems._RESIDUAL_BLOCK
-        if width == 1:
-            assert points[0][2] == at
+
+
+@pytest.mark.parametrize("reg, mirror", [(L1Penalty(0.05), EU),
+                                         (BoxIndicator(-0.5, 0.5), EU),
+                                         (SimplexIndicator(), EN)],
+                         ids=["l1", "box", "simplex"])
+def test_a_linear_stochastic_run_takes_the_exact_iterates(reg, mirror):
+    """The linear loss is one data row, so a batch of one draws that row
+    and its subgradient is the cost c: a stochastic run takes the exact
+    run's iterates, bitwise, and logs the same n, nnz, backward steps and
+    bounds."""
+    p = build_problem("linear", reg, mirror, c=np.linspace(-1.0, 1.0, 40) ** 3)
+    sched = leap_frog(power_steps(0.5, 0.5))
+    reference = SimpleNamespace(f_star=-1.0, x_star=np.full(p.d, 1.0 / p.d))
+    exact = run(p, sched, 150, stride=7, reference=reference)
+    sampled = run(p, sched, 150, mode="stochastic", seed=3, stride=7,
+                  reference=reference)
+    assert exact.state.x.tobytes() == sampled.state.x.tobytes()
+
+    def columns(rows):
+        return np.array([(r.n, r.nnz, r.backward_step, r.bound)
+                         for r in rows]).tobytes()
+
+    assert len(exact.rows) == 150 // 7
+    assert columns(exact.rows) == columns(sampled.rows)
 
 
 def test_exact_step_after_stochastic_steps_matches_accumulated_form():

@@ -15,8 +15,9 @@ def load_sweep():
 
 def test_only_uncertified_logistic_commands_expect_exit_2():
     expected = {name: code for name, _, _, _, code in load_sweep().cases()}
-    assert len(expected) == 86
+    assert len(expected) == 102
     assert expected["logistic-l1-b1-m9000-run"] == 0
+    assert expected["linear-simplex-b1-compare"] == 0
     assert sorted(name for name, code in expected.items() if code) == sorted(
         "logistic-%s-%s-%s" % (pair, mode, command)
         for pair in ("zero", "entropy_zero") for mode in ("exact", "b1", "b3")

@@ -16,7 +16,10 @@ presets; logistic with the zero regularizer runs both once more with
 ``--unsafe``.  One more case, logistic+l1 with batch 1 at m = 9000,
 runs both commands on data large enough that a stochastic run evaluates
 its logged points in several blocks (7 points a block, 17 points), so
-the sweep covers a block boundary and a partial last block.  Logistic
+the sweep covers a block boundary and a partial last block.  The linear
+cost (``COST``, d = 8) runs on the simplex (entropy mirror), box, l2ball
+and l1 pairs, the l1 weight at least max |cost| so that f is bounded
+below, each in exact mode and with batch 1, with both commands.  Logistic
 with the zero regularizer has no finite certificate, so without
 ``--unsafe`` those commands exit 2; every other command exits 0.  The
 sweep prints a line for each command whose exit code is not the
@@ -54,6 +57,8 @@ MODES = {
     "b1": "mode = stochastic\nbatch_size = 1\nseeds = 1 2",
     "b3": "mode = stochastic\nbatch_size = 3\nseeds = 3 4",
 }
+COST = "cost = 0.5 -1.2 0.3 0.9 -0.4 1.1 -0.7 0.2"
+LINEAR_PAIRS = dict(PAIRS, l1="mirror = euclidean\nregularizer = l1\nlambda = 1.5")
 COMMANDS = {
     "run": ["run"],
     "compare": ["compare", "--presets",
@@ -62,12 +67,16 @@ COMMANDS = {
 
 
 def config_text(loss, pair, mode, m=30):
+    if loss == "linear":
+        problem = [LINEAR_PAIRS[pair], COST]
+    else:
+        problem = [PAIRS[pair], "d = 8", "m = %d" % m, "k = 2", "noise = 0.3",
+                   "data_seed = 5"]
     return "\n".join([
         "spec_version = 1",
         "[problem]",
         "loss = %s" % loss,
-        PAIRS[pair],
-        "d = 8", "m = %d" % m, "k = 2", "noise = 0.3", "data_seed = 5",
+    ] + problem + [
         "[schedule]",
         "preset = leap_frog",
         "[run]",
@@ -98,6 +107,11 @@ def cases():
     for command, args in COMMANDS.items():
         yield ("logistic-l1-b1-m9000-" + command,
                config_text("logistic", "l1", "b1", m=9000), [], args, 0)
+    for pair in ("simplex", "box", "l2ball", "l1"):
+        for mode in ("exact", "b1"):
+            for command, args in COMMANDS.items():
+                yield ("-".join(["linear", pair, mode, command]),
+                       config_text("linear", pair, mode), [], args, 0)
 
 
 def run_case(case_dir, text, flags, args, env):
