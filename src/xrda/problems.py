@@ -21,12 +21,14 @@ makes the pass over A for one point, and ``loss_at``, ``row_weights``,
 of each formula; the loss kinds differ only in ``row_weights`` and
 ``loss_at``.  ``residual`` and ``loss_at`` take one point;
 ``_residuals`` takes the residuals of a block of points from one
-product, ``residual(x)`` for a block of one and ``A @ X`` for more.  The
-solver evaluates an exact run's iterates one at a time; a stochastic
-run evaluates only the points it logs, in blocks of up to
-``_evaluation_width()`` points (8 at m = 8000, d = 200), and
-``solver._objective`` takes each block's ``_residuals``, then each
-point's ``loss_at`` (see ``solver``).
+product, ``residual(x)`` for a block of one and ``X @ A'`` for more,
+with one point a row of X: a C-ordered (K, m) block whose rows are the
+points' contiguous residuals.  The solver evaluates an exact run's
+iterates one at a time; a stochastic run evaluates only the points it
+logs, in blocks of up to ``_evaluation_width()`` points, as many as fit
+their residuals and kept copies in ``_EVALUATION_BLOCK`` (1 MB: 16 at
+m = 8000, d = 200), and ``solver._objective`` takes each block's
+``_residuals``, then each point's ``loss_at`` (see ``solver``).
 
 A is stored column-major (Fortran order), so the columns of x's support
 are contiguous.  When x has at most d/4 nonzeros, as the l1 iterates
@@ -48,8 +50,8 @@ leave it.  ``sample_subgradient`` takes one ``_draw(rng, 1)`` and
 returns the subgradient array of its rows, and ``step`` called on its
 own draws through it, so both replay a run's stream; a caller that
 wants to replay one draw saves ``rng.bit_generator.state`` before it.
-A batch of one takes its subgradient a_i w_i elementwise, bitwise the
-(1, d) product's.
+A batch of one takes its residual as the 1-d dot product a_i'x and its
+subgradient a_i w_i elementwise, bitwise the (1, d) products'.
 """
 
 import os
@@ -69,10 +71,13 @@ _SUPPORT_FRACTION = 0.25
 # Xeon, 2 MB L2, 1 BLAS thread, 32 columns -> 512 KB per block: m=8000, nnz 50
 # of 200, 561 -> 421 us; m=4000, d=2000, nnz 200, 807 -> 759 us; 256 KB and
 # 1 MB blocks were slower than 512 KB at both sizes
-# The same budget sizes a stochastic run's evaluation blocks
-# (``_evaluation_width``): as many points as fit their residuals, and their
-# kept copies, in it, one product over A per block
 _RESIDUAL_BLOCK = 1 << 19  # bytes of A's columns gathered per product
+# bytes of residuals (and of kept copies) per stochastic evaluation block
+# (``_evaluation_width``): 16 points at m=8000.  Xeon, 1 BLAS thread, logistic
+# b1, m=8000, d=200, two seeds of 2000 steps: the runs' peak RSS above set-up
+# was 0.5 MB at 8 points, 1.4 at 16, 2.6 at 32 and 3.0 at 65, and 32 or 65
+# points were no faster than 16 (medians of 30 interleaved runs)
+_EVALUATION_BLOCK = 1 << 20
 # bytes of rows per ``_draw`` call in a stochastic run (``_draw_width``): 65
 # one-row draws at d=200.  The width changes no output, only how many steps
 # share one gather.  Xeon, 1 BLAS thread, logistic d=200, m=8000, batch 1:
@@ -105,11 +110,14 @@ class CompositeProblem:
             A, b = as_vector(c)[None, :], [0.0]  # <c, x> is the one-row residual
         elif A is None or b is None:
             raise ValueError("%s loss needs a data matrix A and targets b" % loss)
+        elif c is not None:
+            raise ValueError("%s loss takes no cost vector c" % loss)
         A = np.asarray(A, dtype=float, order="F")
         if A.ndim != 2:
             raise ValueError("data matrix must be 2-d, got shape %s" % (A.shape,))
         b = as_vector(b, dim=A.shape[0])
-        if not np.all(np.isfinite(A)):
+        # max and min propagate nan and inf, and need no m x d temporary
+        if A.size and not (np.isfinite(A.max()) and np.isfinite(A.min())):
             raise ValueError("data matrix has non-finite entries")
         if loss == "logistic" and not np.all(np.abs(b) == 1.0):
             raise ValueError("logistic targets must be +1/-1 labels")
@@ -153,10 +161,16 @@ class CompositeProblem:
     def _residuals(self, xs):
         """The residuals of the points xs, in order, from one product: a
         single point takes ``residual(x)``, so its bits are those of one
-        evaluation; several take ``A @ X``, one row of the result each."""
+        evaluation; several take ``X @ A'`` with the points as the rows of
+        X, a C-ordered (K, m) block with one contiguous residual per row.
+        Xeon, 1 BLAS thread, m=8000, d=200, median of 300: 1.13 ms at K=8,
+        1.45 at K=16 and 2.60 at K=43, where ``(A @ X').T`` took 1.97,
+        1.74 and 3.90; at that shape and at d=8, m=30 or 9000 the rows are
+        bitwise that product's columns (not at every shape: m=300, d=40
+        rounds differently)."""
         if len(xs) == 1:
             return [self.residual(x) for x in xs]
-        return (self.A @ np.stack(xs, axis=1)).T
+        return np.stack(xs) @ self.A.T
 
     def row_weights(self, r, b):
         if self.loss == "lad":
@@ -203,10 +217,14 @@ class CompositeProblem:
 
     def _row_subgradient(self, x, a, b):
         """``_rows_subgradient`` of the one row a (a (1, d) array) and its
-        target b, bitwise: the weight is worked out on scalars, the product
-        a' w elementwise, and ``+ 0.0`` gives the +0 that the product's
-        accumulation from zero gives where a_j w is -0."""
-        return a[0] * self.row_weights((a @ x)[0], b[0]) + 0.0
+        target b, bitwise, as a fresh array: the residual is the 1-d dot
+        product a_i'x, the weight is worked out on scalars, the product
+        a_i w elementwise, and adding 0 gives the +0 that the product's
+        accumulation from zero gives where a_ij w is -0."""
+        a = a[0]
+        g = a * self.row_weights(a @ x, b[0])
+        g += 0.0
+        return g
 
     def objective(self, x):
         return self.loss_value(x) + self.reg.value(x)
@@ -249,9 +267,9 @@ class CompositeProblem:
     def _evaluation_width(self):
         """How many points a stochastic ``run`` keeps before it evaluates
         them with one ``_residuals`` product: as many as fit in
-        ``_RESIDUAL_BLOCK`` bytes both their residuals (m each) and their
+        ``_EVALUATION_BLOCK`` bytes both their residuals (m each) and their
         kept copies (d each), and at least one."""
-        return max(1, _RESIDUAL_BLOCK // (8 * max(self.m, self.d)))
+        return max(1, _EVALUATION_BLOCK // (8 * max(self.m, self.d)))
 
     def _draw_width(self):
         """How many draws a stochastic ``run`` takes at once: as many as

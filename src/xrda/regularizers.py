@@ -131,11 +131,12 @@ class ZeroRegularizer(_Regularizer):
 
 
 def _prox_euclid_l1(reg, y, s):
-    # max(|y| - s lam, 0) * sign(y), in one fresh array
-    out = np.abs(y)
-    out -= s * reg.lam
-    np.maximum(out, 0.0, out=out)
-    out *= np.sign(y)
+    # sign(y) max(|y| - s lam, 0) as y - clip(y, -s lam, s lam), in one fresh
+    # array and 2 passes where that formula takes 5: the same bits up to the
+    # sign of a zero (this gives +0), and the same at +-inf and nan
+    theta = s * reg.lam
+    out = y.clip(-theta, theta)
+    np.subtract(y, out, out=out)
     return out
 
 

@@ -38,7 +38,13 @@ multiplies by no factor of exactly 1.  A left-out term is a signed zero
 (or nan at an already overflowed dual point), so only the sign of a zero
 entry can change, and no output reads it.  h is derived from the state
 (``SolverState.h``), not stored, and no step reads it; for the Euclidean
-mirror xt_{n+1} is x_{n+1} itself.
+mirror xt_{n+1} is x_{n+1} itself.  The fresh subgradient array g is
+scaled in place and xt_{n+1/2} formed in it, so a batch-1 step of the
+leap-frog schedule on the Euclidean l1 pair makes one dot product
+a_i'x_n and eight elementwise passes over d-vectors: a_i w_i and its +0
+(``CompositeProblem._row_subgradient``), the scaling and the
+subtraction, a clip and a subtraction for the soft threshold
+(``regularizers``), and two for ``weighted_sum``.
 
 Only ``_schedule_values`` calls the schedule, and unless ``unsafe`` it
 checks each value once, when it is first evaluated: step n evaluates
@@ -72,8 +78,9 @@ a copy of the iterate and of the averaged iterate, with the row that
 ``trace_row`` made of the fields that need no f, and passes the kept
 points to ``_evaluate`` when they fill
 ``CompositeProblem._evaluation_width()`` points (their residuals and
-copies within ``_RESIDUAL_BLOCK`` bytes: 8 points at m = 8000, d = 200)
-and after the last point of the last step.
+copies within ``_EVALUATION_BLOCK`` bytes: 16 points at m = 8000,
+d = 200), one row-major ``X @ A'`` product per block, and after the last
+point of the last step.
 So each row's ``best_f`` is the best f among the evaluated iterates up
 to the row's.  A product over several points rounds differently from a
 product with one, so a stochastic f can differ in its last bits from
@@ -236,9 +243,11 @@ def _schedule_values(schedule, n, gamma_n, s_n, alpha_n, unsafe):
     alpha_next = schedule.alpha(n + 1)
     t_n = schedule.t(n, gamma_n) if n else 0.0
     if not unsafe:
+        # each slack is positive, so a value within its plain bounds needs
+        # no slack worked out
         if not s_next > 0:
             raise ScheduleError("s_%d = %g is not positive" % (n + 1, s_next))
-        if s_next > s_n + _SCHED_EPS * max(1.0, abs(s_n)):
+        if s_next > s_n and s_next > s_n + _SCHED_EPS * max(1.0, abs(s_n)):
             raise ScheduleError(
                 "forward steps must be non-increasing: s_%d = %.17g exceeds s_%d = %.17g"
                 % (n + 1, s_next, n, s_n))
@@ -248,10 +257,11 @@ def _schedule_values(schedule, n, gamma_n, s_n, alpha_n, unsafe):
             raise ScheduleError(
                 "alpha must be non-decreasing: alpha_%d = %.17g is below alpha_%d = %.17g"
                 % (n + 1, alpha_next, n, alpha_n))
-        tslack = _SCHED_EPS * max(1.0, abs(gamma_n))
-        if not -tslack <= t_n <= gamma_n + tslack:
-            raise ScheduleError(
-                "t_%d = %.17g outside [0, gamma_%d] = [0, %.17g]" % (n, t_n, n, gamma_n))
+        if not 0.0 <= t_n <= gamma_n:
+            tslack = _SCHED_EPS * max(1.0, abs(gamma_n))
+            if not -tslack <= t_n <= gamma_n + tslack:
+                raise ScheduleError("t_%d = %.17g outside [0, gamma_%d] = [0, %.17g]"
+                                    % (n, t_n, n, gamma_n))
     mu = t_n / gamma_n if gamma_n > 0 else 0.0
     return s_next, alpha_next, t_n, mu, (1.0 - mu) * gamma_n + s_n
 
@@ -279,7 +289,7 @@ def step(state, problem, mode="exact", rng=None, unsafe=False, _rows=None):
         if rows is None:
             _, A, b = problem._draw(rng, 1)
             rows = A[0], b[0]
-        g = problem._batch_subgradient(state.x, *rows)
+        g = problem._batch_subgradient(state.x, rows[0], rows[1])
     else:
         raise ValueError("mode must be 'exact' or 'stochastic', got %r" % (mode,))
 
@@ -290,8 +300,9 @@ def step(state, problem, mode="exact", rng=None, unsafe=False, _rows=None):
     ratio = alpha_n / alpha_next
     if ratio != 1.0:
         xt_half = ratio * xt_half + (1.0 - ratio) * state.x_tilde_1
-    c = s_n / alpha_next
-    xt_half = xt_half - c * g
+    # g is a fresh array: xt_half - (s_n / alpha_next) g is formed in it
+    g *= s_n / alpha_next
+    xt_half = np.subtract(xt_half, g, out=g)
     # _prox returns a fresh array, so the identity map needs no copies
     mirror = problem.mirror
     euclidean = mirror.kind == "euclidean"

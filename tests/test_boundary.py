@@ -191,8 +191,8 @@ def test_run_replays_a_loop_of_single_steps(loss, batch, callback, monkeypatch):
         if logged or i == n_iters - 1:
             kept += kept_points(state, logged)
     blocks = replay_evaluation(p, state, kept, rows, reference)
-    if loss != "linear":  # 43 points in blocks of 8 at m = 8000
-        assert [len(block) for block in blocks] == [8, 8, 8, 8, 8, 3]
+    if loss != "linear":  # 43 points in blocks of 16 at m = 8000
+        assert [len(block) for block in blocks] == [16, 16, 11]
     if loss == "linear":
         assert rng.bit_generator.state == np.random.default_rng(12).bit_generator.state
     assert same(result.state.x, state.x)

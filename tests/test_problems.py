@@ -263,6 +263,25 @@ def test_problem_validation():
         build_problem("lad", SimplexIndicator(), EU, A=np.eye(2), b=np.zeros(2))
 
 
+@pytest.mark.parametrize("loss", ["lad", "logistic"])
+def test_a_data_loss_refuses_a_cost_vector(loss):
+    """A cost vector belongs to the linear loss alone; given with a data
+    loss it is refused, not dropped."""
+    with pytest.raises(ValueError, match="%s loss takes no cost vector" % loss):
+        build_problem(loss, ZeroRegularizer(), EU, A=np.eye(2), b=np.ones(2),
+                      c=[5.0, 5.0])
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_a_non_finite_entry_of_a_large_matrix_is_refused(bad):
+    """The finiteness check finds one inf or nan among 8 million entries
+    (A is 4000 x 2000, as in the d = 2000 benchmark)."""
+    A = np.zeros((4000, 2000), order="F")
+    A[1234, 1999] = bad
+    with pytest.raises(ValueError, match="data matrix has non-finite entries"):
+        build_problem("lad", ZeroRegularizer(), EU, A=A, b=np.zeros(4000))
+
+
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         build_problem("lad", ZeroRegularizer(), EU, A=np.eye(2), b=np.zeros(3))
@@ -413,6 +432,25 @@ def test_loss_at_of_a_stack_is_each_row_bitwise(loss, K):
     if loss != "linear":
         assert all(type(v) is float for v in per_row)
         assert bitwise(per_row, [one_row_loss(loss, r, p.b) for r in rows])
+
+
+@pytest.mark.parametrize("m, d", [(30, 8), (9000, 8), (8000, 200)])
+def test_block_residuals_are_the_column_block_product_bitwise(m, d):
+    """``_residuals`` of K >= 2 points is ``X @ A'`` with one point a row
+    of X: a C-ordered (K, m) block, one contiguous residual per row.  At
+    the shapes of the determinism sweep (m = 30 and 9000, d = 8) and of
+    the stochastic benchmark (m = 8000, d = 200) its rows are bitwise the
+    columns of ``A @ X'``, the product of the same points as columns.
+    (This is OpenBLAS's rounding, not a law: at m = 300, d = 40 the two
+    orders differ in last bits.)"""
+    A, b, _ = synthetic_sparse_data("logistic", d=d, m=m, k=2, noise=0.3, seed=m)
+    p = build_problem("logistic", L1Penalty(0.1), EU, A=A, b=b)
+    rng = np.random.default_rng(d)
+    for K in (2, 3, 8, 14, 16, 17, 43):
+        xs = [rng.standard_normal(d) * (rng.random(d) < 0.5) for _ in range(K)]
+        got = p._residuals(xs)
+        assert got.flags.c_contiguous
+        assert bitwise(got, (p.A @ np.stack(xs, axis=1)).T)
 
 
 def one_row_loss(loss, r, b):

@@ -10,7 +10,7 @@ from xrda.geometry import (EuclideanMirror, MirrorDomainError,
 from xrda.problems import build_problem, synthetic_sparse_data
 from xrda.regularizers import (MEMBERSHIP_TOL, BoxIndicator, L1Penalty,
                                L2BallIndicator, SimplexIndicator, UnsupportedPairError,
-                               ZeroRegularizer, canonical_argmin,
+                               ZeroRegularizer, _prox_euclid_l1, canonical_argmin,
                                ensure_supported, in_subdifferential,
                                mirror_prox, supported_pairs)
 from xrda.schedules import leap_frog, power_steps
@@ -111,6 +111,24 @@ def test_prox_entropy_simplex_example():
 def test_prox_negative_step_rejected():
     with pytest.raises(ValueError, match="nonnegative"):
         mirror_prox(L1Penalty(1.0), EU, np.zeros(2), -0.1)
+
+
+@pytest.mark.parametrize("theta", [0.37, 2.0, 1e-300, 1e300])
+def test_soft_threshold_equals_sign_times_shrink(theta):
+    """The l1 backward step y - clip(y, -theta, theta) equals sign(y)
+    max(|y| - theta, 0) under == for random y of many scales, zeros,
+    +-theta and their neighbours, +-inf and nan; only the sign of a zero
+    can differ, and the clip form gives +0."""
+    rng = np.random.default_rng(11)
+    y = np.concatenate([
+        rng.standard_normal(5000) * 10.0 ** rng.integers(-8, 8, 5000),
+        [0.0, -0.0, theta, -theta, np.nextafter(theta, 0.0), np.nextafter(theta, np.inf),
+         -np.nextafter(theta, 0.0), -np.nextafter(theta, np.inf),
+         np.inf, -np.inf, np.nan]])
+    got = _prox_euclid_l1(L1Penalty(theta), y, 1.0)
+    want = np.sign(y) * np.maximum(np.abs(y) - theta, 0.0)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert not np.signbit(got[got == 0.0]).any()
 
 
 def test_soft_threshold_vs_numeric_oracle():

@@ -456,7 +456,7 @@ def test_stochastic_blocks_end_at_every_trace_row(monkeypatch):
     tally = count_products(p)
     n, stride = 25, 5
     for width in (p._evaluation_width(), 4, 1):
-        monkeypatch.setattr(problems, "_RESIDUAL_BLOCK", 8 * p.m * width)
+        monkeypatch.setattr(problems, "_EVALUATION_BLOCK", 8 * p.m * width)
         assert p._evaluation_width() == width
         tally.clear()
         res = run(p, leap_frog(power_steps(1.0, 0.5)), n, mode="stochastic", seed=4,
@@ -600,7 +600,7 @@ def test_stochastic_run_with_callback_sees_evaluated_states(monkeypatch):
     its row's f_x (the last state's is the run's last block's), and None
     at every other state, logged or not."""
     p, sched = stochastic_setup("logistic", 0.01)
-    monkeypatch.setattr(problems, "_RESIDUAL_BLOCK", 8 * p.m * 3)
+    monkeypatch.setattr(problems, "_EVALUATION_BLOCK", 8 * p.m * 3)
     assert p._evaluation_width() == 3
     n, stride = 40, 7
     seen = {}
@@ -710,7 +710,7 @@ def test_a_stochastic_run_takes_one_residual_per_evaluated_iterate(stride, monke
     averaged iterate and the last iterate when no row logs it; no other
     iterate is evaluated, and each kept iterate is a copy of the run's."""
     p, sched = stochastic_setup("logistic", 0.01)
-    monkeypatch.setattr(problems, "_RESIDUAL_BLOCK", 8 * p.m * 5)
+    monkeypatch.setattr(problems, "_EVALUATION_BLOCK", 8 * p.m * 5)
     blocks, iterates = [], {}
     objective = solver._objective
     monkeypatch.setattr(solver, "_objective",
@@ -734,23 +734,25 @@ def test_a_stochastic_run_takes_one_residual_per_evaluated_iterate(stride, monke
 def test_residual_blocks_hold_at_most_the_byte_budget(budget, monkeypatch):
     """Each product over A that a stochastic run takes holds at most
     ``_evaluation_width()`` points, whose residuals fit in
-    ``_RESIDUAL_BLOCK`` bytes.  A block of several points takes one full
+    ``_EVALUATION_BLOCK`` bytes.  A block of several points takes one full
     product; a block of one is ``residual(x)``, which reads its support
     columns in products of at most ``_block_width()`` columns while x has
     at most d/4 nonzeros, and takes one full product when it has more."""
     if budget is not None:
         monkeypatch.setattr(problems, "_RESIDUAL_BLOCK", budget)
+        monkeypatch.setattr(problems, "_EVALUATION_BLOCK", budget)
     p, sched = stochastic_setup("logistic", 0.03)  # 4 to 38 nonzeros
     width, chunk = p._evaluation_width(), p._block_width()
-    assert 8 * p.m * width <= problems._RESIDUAL_BLOCK or width == 1
+    assert 8 * p.m * width <= problems._EVALUATION_BLOCK or width == 1
     A = p.A
     calls = []
 
     class Counting(np.ndarray):
         def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
             if ufunc is np.matmul:
-                points = 1 if inputs[1].ndim == 1 else inputs[1].shape[1]
-                calls[-1][1].append((inputs[0].shape[1], points))
+                # a block is X @ A' with one point a row of X
+                points = inputs[0].shape[0] if isinstance(inputs[1], Counting) else 1
+                calls[-1][1].append((inputs[0].shape[-1], points))
             return getattr(ufunc, method)(*(np.asarray(v) for v in inputs), **kwargs)
 
     objective = solver._objective
@@ -788,12 +790,12 @@ def test_residual_blocks_hold_at_most_the_byte_budget(budget, monkeypatch):
 def test_each_evaluation_block_takes_one_product_within_the_byte_budget(width,
                                                                        monkeypatch):
     """A stochastic run evaluates its kept points in blocks whose
-    residuals fit in ``_RESIDUAL_BLOCK`` bytes, and takes one product over
+    residuals fit in ``_EVALUATION_BLOCK`` bytes, and takes one product over
     A per block: the budget here is one byte short of width + 1
     residuals."""
     A, b, _ = synthetic_sparse_data("logistic", d=6, m=8000, k=2, noise=0.3, seed=4)
     p = build_problem("logistic", L1Penalty(0.05), EU, A=A, b=b, batch_size=1)
-    monkeypatch.setattr(problems, "_RESIDUAL_BLOCK", 8 * p.m * (width + 1) - 1)
+    monkeypatch.setattr(problems, "_EVALUATION_BLOCK", 8 * p.m * (width + 1) - 1)
     assert p._evaluation_width() == width
     tally = count_products(p)
     objective = solver._objective
@@ -811,7 +813,7 @@ def test_each_evaluation_block_takes_one_product_within_the_byte_budget(width,
     kept = 2 * (n // stride) + 1  # two per row, and the last iterate, n = 61
     sizes = [size for size, _ in blocks[1:]]  # blocks[0] is x_1, in init
     assert sizes == [width] * (kept // width) + ([kept % width] if kept % width else [])
-    assert all(8 * p.m * size <= problems._RESIDUAL_BLOCK for size in sizes)
+    assert all(8 * p.m * size <= problems._EVALUATION_BLOCK for size in sizes)
     assert [products for _, products in blocks] == [1] * len(blocks)
 
 
@@ -856,7 +858,7 @@ def test_a_non_finite_f_inside_a_block_names_its_iterate_and_writes_no_trace(
         "[run]", "iterations = 30", "mode = stochastic", "batch_size = 1",
         "seeds = 3", "reference_tol = inf", "[output]", "stride = 1"]) + "\n",
         name="spoiled")
-    monkeypatch.setattr(problems, "_RESIDUAL_BLOCK", 8 * 40 * 5)
+    monkeypatch.setattr(problems, "_EVALUATION_BLOCK", 8 * 40 * 5)
     real_step = solver.step
     steps = []
 
@@ -878,7 +880,7 @@ def test_a_non_finite_f_inside_a_block_names_its_iterate_and_writes_no_trace(
 
 @pytest.mark.parametrize("loss", ["logistic", "linear"])
 def test_kept_points_fit_the_byte_budget_when_d_exceeds_m(loss, monkeypatch):
-    """A stochastic run keeps at most ``_RESIDUAL_BLOCK`` bytes of points,
+    """A stochastic run keeps at most ``_EVALUATION_BLOCK`` bytes of points,
     counting their own copies as well as their residuals: at d = 400 and
     m = 10 the copies bound a block to 3 points, where the residuals alone
     would allow 120.  The linear loss is one data row, and its copies
@@ -888,7 +890,7 @@ def test_kept_points_fit_the_byte_budget_when_d_exceeds_m(loss, monkeypatch):
     else:
         A, b, _ = synthetic_sparse_data(loss, d=400, m=10, k=3, noise=0.3, seed=4)
         p = build_problem(loss, L1Penalty(0.05), EU, A=A, b=b, batch_size=1)
-    monkeypatch.setattr(problems, "_RESIDUAL_BLOCK", 8 * 400 * 3)
+    monkeypatch.setattr(problems, "_EVALUATION_BLOCK", 8 * 400 * 3)
     width = 3
     assert p._evaluation_width() == width
     real_step, objective = solver.step, solver._objective
@@ -911,8 +913,8 @@ def test_kept_points_fit_the_byte_budget_when_d_exceeds_m(loss, monkeypatch):
     sizes = [len(points) for _, points in blocks[1:]]  # blocks[0] is x_1, in init
     assert sizes == [width] * (kept // width) + ([kept % width] if kept % width else [])
     for _, points in blocks[1:]:
-        assert sum(x.nbytes for x, _, _ in points) <= problems._RESIDUAL_BLOCK
-        assert 8 * p.m * len(points) <= problems._RESIDUAL_BLOCK
+        assert sum(x.nbytes for x, _, _ in points) <= problems._EVALUATION_BLOCK
+        assert 8 * p.m * len(points) <= problems._EVALUATION_BLOCK
 
 
 @pytest.mark.parametrize("reg, mirror", [(L1Penalty(0.05), EU),

@@ -3,6 +3,9 @@
 import importlib.util
 from pathlib import Path
 
+from xrda import solver
+from xrda.config import build_problem_from_config, build_schedule_from_config, parse_config
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "determinism_sweep.py"
 
 
@@ -36,3 +39,23 @@ def test_an_unexpected_exit_code_fails_the_sweep(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(sweep, "run_case", lambda case_dir, *args: codes[case_dir.name])
     assert sweep.main([str(tmp_path / "expected")]) == 0
     assert "MISMATCH" not in capsys.readouterr().out
+
+
+def test_the_large_case_spans_several_evaluation_blocks(monkeypatch):
+    """The m = 9000 case logs 8 rows (200 iterations, stride 25), so a
+    stochastic run keeps 17 points: each row's iterate and averaged
+    iterate, and the last iterate.  They must fill at least two
+    evaluation blocks, the last one partial, for the sweep to cover a
+    block boundary; a change of the block width that drops it fails
+    here."""
+    cfg = parse_config(load_sweep().config_text("logistic", "l1", "b1", m=9000),
+                       name="m9000")
+    sizes = []
+    objective = solver._objective
+    monkeypatch.setattr(solver, "_objective",
+                        lambda q, points: sizes.append(len(points)) or objective(q, points))
+    solver.run(build_problem_from_config(cfg), build_schedule_from_config(cfg),
+               cfg.iterations, mode=cfg.mode, seed=cfg.seeds[0], stride=cfg.stride)
+    blocks = sizes[1:]  # sizes[0] is x_1, in init
+    assert sum(blocks) == 17
+    assert len(blocks) >= 2 and blocks[-1] < blocks[0]

@@ -15,15 +15,16 @@ reference lies outside the entropy mirror's domain.  Every case runs
 presets; logistic with the zero regularizer runs both once more with
 ``--unsafe``.  One more case, logistic+l1 with batch 1 at m = 9000,
 runs both commands on data large enough that a stochastic run evaluates
-its logged points in several blocks (7 points a block, 17 points), so
-the sweep covers a block boundary and a partial last block.  The linear
-cost (``COST``, d = 8) runs on the simplex (entropy mirror), box, l2ball
-and l1 pairs, the l1 weight at least max |cost| so that f is bounded
-below, each in exact mode and with batch 1, with both commands.  Logistic
-with the zero regularizer has no finite certificate, so without
-``--unsafe`` those commands exit 2; every other command exits 0.  The
-sweep prints a line for each command whose exit code is not the
-expected one, and then exits 1.
+its logged points in several blocks (17 points in blocks of 14 and 3),
+so the sweep covers a block boundary and a partial last block;
+``tests/test_sweep.py`` fails if a change of the block width drops
+that.  The linear cost (``COST``, d = 8) runs on the simplex (entropy
+mirror), box, l2ball and l1 pairs, the l1 weight at least max |cost| so
+that f is bounded below, each in exact mode and with batch 1, with both
+commands.  Logistic with the zero regularizer has no finite
+certificate, so without ``--unsafe`` those commands exit 2; every other
+command exits 0.  The sweep prints a line for each command whose exit
+code is not the expected one, and then exits 1.
 Each command gets a directory under OUT_DIR with its config, the trace
 CSVs and ``_refcache`` it writes, its standard output and error and its
 exit code.  OUT_DIR must not exist yet.
