@@ -27,7 +27,7 @@ import numpy as np
 from .config import ConfigError, build_problem_from_config, build_schedule_from_config
 from .geometry import MirrorDomainError
 from .problems import _write_atomic
-from .reference import ReferenceSolution, reference_optimum
+from .reference import ReferenceSolution, recertify, reference_optimum
 from .schedules import PRESET_KINDS, schedule_preset
 from .solver import TraceRow, run, start_point
 
@@ -87,7 +87,10 @@ def _reference_cache_key(cfg, problem):
 def _load_reference(cache, problem):
     """The cached ReferenceSolution, or None if the entry is missing,
     unreadable or invalid: x_star not a finite d-vector, a negative or NaN
-    certified_gap, or f_star off f(x_star) by over 1e-12 * max(1, |f|)."""
+    certified_gap, f_star off f(x_star) by over 1e-12 * max(1, |f|), or a
+    certified_gap that the entry's x_star does not certify again: below
+    f(x_star) - ``recertify(problem, x_star)`` by over the same tolerance,
+    where a nan bound is no bound, as in ``reference._finish``."""
     try:
         data = json.loads(cache.read_text())
         ref = ReferenceSolution(np.asarray(data["x_star"], dtype=float),
@@ -96,7 +99,10 @@ def _load_reference(cache, problem):
         f = problem.objective(ref.x_star)  # ValueError unless a finite d-vector
     except (OSError, ValueError, KeyError, TypeError):
         return None
-    if ref.certified_gap >= 0 and abs(ref.f_star - f) <= 1e-12 * max(1.0, abs(f)):
+    lower = recertify(problem, ref.x_star)
+    gap = math.inf if math.isnan(lower) else f - lower
+    tol = 1e-12 * max(1.0, abs(f))
+    if ref.certified_gap >= max(0.0, gap - tol) and abs(ref.f_star - f) <= tol:
         return ref
     return None
 
@@ -169,8 +175,7 @@ def _trace(cfg, problem, schedule, seed, reference, unsafe):
         if row.gap_best < floor:
             raise RuntimeError(
                 "preset %s: gap_best = %.12g at n=%d is below -(certified_gap = "
-                "%.12g), so the reference's certificate is false (an edited _refcache "
-                "entry?); delete the entry and rerun"
+                "%.12g), so the reference's certificate is false"
                 % (schedule.name, row.gap_best, row.n, reference.certified_gap))
     return rows
 

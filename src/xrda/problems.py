@@ -41,17 +41,20 @@ once.  ``synthetic_sparse_data`` fills its F-ordered A directly.
 
 Stochastic oracles draw a minibatch of rows uniformly without
 replacement and return the subgradient of the minibatch-average loss,
-which is an unbiased estimate of a full subgradient.  ``_draw`` is the
-only code that draws from a run's generator: it returns the indices of
-``count`` successive minibatches and their rows from one gather, and a
-stochastic ``run`` calls it once per block of at most ``_draw_width()``
-steps.  A block draw leaves the generator where ``count`` single draws
-leave it.  ``sample_subgradient`` takes one ``_draw(rng, 1)`` and
-returns the subgradient array of its rows, and ``step`` called on its
-own draws through it, so both replay a run's stream; a caller that
+which is an unbiased estimate of a full subgradient.  The problem holds
+the whole sampling policy.  ``_draw`` is the only code that draws from
+a run's generator: it returns the indices of ``count`` successive
+minibatches and their rows from one gather, and leaves the generator
+where ``count`` single draws leave it.  A stochastic ``run`` reads one
+draw stream, ``_draws(rng, n_iters)``, which makes one ``_draw`` per
+``_draw_width()`` steps, never past ``n_iters``, and yields each step's
+(rows, targets) views.  ``_sampled_subgradient`` is the one sampled
+kernel: it takes the rows it is given, or makes one fresh ``_draw(rng,
+1)``.  A batch of one takes its residual as the 1-d dot product a_i'x
+and its subgradient a_i w_i elementwise, bitwise the (1, d) products'.
+``sample_subgradient`` checks x and calls the kernel, as ``step``
+called on its own does, so both replay a run's stream; a caller that
 wants to replay one draw saves ``rng.bit_generator.state`` before it.
-A batch of one takes its residual as the 1-d dot product a_i'x and its
-subgradient a_i w_i elementwise, bitwise the (1, d) products'.
 """
 
 import os
@@ -78,7 +81,7 @@ _RESIDUAL_BLOCK = 1 << 19  # bytes of A's columns gathered per product
 # was 0.5 MB at 8 points, 1.4 at 16, 2.6 at 32 and 3.0 at 65, and 32 or 65
 # points were no faster than 16 (medians of 30 interleaved runs)
 _EVALUATION_BLOCK = 1 << 20
-# bytes of rows per ``_draw`` call in a stochastic run (``_draw_width``): 65
+# bytes of rows per ``_draw`` call of ``_draws`` (``_draw_width``): 65
 # one-row draws at d=200.  The width changes no output, only how many steps
 # share one gather.  Xeon, 1 BLAS thread, logistic d=200, m=8000, batch 1:
 # ``run`` took medians of 43-62 us per iteration with 4 to 1024 draws per
@@ -234,15 +237,28 @@ class CompositeProblem:
         uniformly drawn batches.  x is checked before the draw, so a bad x
         leaves rng as it was.  To replay a draw, save
         ``rng.bit_generator.state`` before it."""
-        x = as_vector(x, dim=self.d)
-        _, A, b = self._draw(rng, 1)
-        return self._batch_subgradient(x, A[0], b[0])
+        return self._sampled_subgradient(as_vector(x, dim=self.d), rng)
 
-    def _batch_subgradient(self, x, A, b):
-        """The minibatch subgradient at x of the drawn rows A and targets b."""
+    def _sampled_subgradient(self, x, rng, rows=None):
+        """The minibatch subgradient at x, unchecked, of ``rows``, a (rows,
+        targets) pair that ``_draws`` yielded, or else of one fresh
+        ``_draw(rng, 1)``."""
+        if rows is None:
+            _, A, b = self._draw(rng, 1)
+            rows = A[0], b[0]
+        A, b = rows
         if self.batch_size == 1:
             return self._row_subgradient(x, A, b)
         return self._rows_subgradient(x, A, b)
+
+    def _draws(self, rng, count):
+        """The (rows, targets) views of ``count`` successive draws, one step
+        each, gathered by one ``_draw`` per ``_draw_width()`` of them and
+        never past ``count``."""
+        width = self._draw_width()
+        for start in range(0, count, width):
+            _, A, b = self._draw(rng, min(width, count - start))
+            yield from zip(A, b)
 
     def _draw(self, rng, count):
         """The indices of ``count`` successive minibatch draws, a (count,
@@ -272,8 +288,8 @@ class CompositeProblem:
         return max(1, _EVALUATION_BLOCK // (8 * max(self.m, self.d)))
 
     def _draw_width(self):
-        """How many draws a stochastic ``run`` takes at once: as many as
-        fit their rows in ``_DRAW_BLOCK`` bytes, and at least one."""
+        """How many draws ``_draws`` gathers at once: as many as fit their
+        rows in ``_DRAW_BLOCK`` bytes, and at least one."""
         return max(1, _DRAW_BLOCK // (8 * self.batch_size * self.d))
 
 
@@ -326,7 +342,8 @@ def read_dense_matrix(path, ndmin=2):
         out = np.loadtxt(path, dtype=float, ndmin=ndmin)
     except Exception as exc:
         raise ValueError("failed to read matrix file %s: %s" % (path, exc)) from exc
-    if not np.all(np.isfinite(out)):
+    # max and min propagate nan and inf, and need no m x d temporary
+    if out.size and not (np.isfinite(out.max()) and np.isfinite(out.min())):
         raise ValueError("matrix file %s has non-finite entries" % (path,))
     return out
 

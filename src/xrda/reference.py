@@ -23,6 +23,11 @@ Lower bounds in use:
   nullspace of A'; validity is up to the residual of that projection
   (reported via the converged flag, not hidden).
 
+``recertify`` is the bound a stored reference point is checked against
+when the harness loads it from its cache.  The lad LP's bound comes from
+its dual solution, which the cache does not keep, so for lad it also
+rebuilds that dual point at x* (``_lad_dual_bound``).
+
 No loss formula is written here: values, row weights, curvatures and
 gradients come from the problem's residual oracle
 (``CompositeProblem.residual`` and the methods that take its result).
@@ -112,8 +117,16 @@ def lower_bound_certificate(problem, x):
         if reg.kind == "l1":
             return 0.0 if dual_norm(problem.A[0], "linf") <= reg.lam else float("-inf")
         return 0.0 if np.all(problem.A[0] == 0.0) else float("-inf")
-    A, b, m = problem.A, problem.b, problem.m
-    u = problem.row_weights(problem.residual(x), b) / m
+    return _dual_bound(problem, problem.row_weights(problem.residual(x), problem.b)
+                       / problem.m)
+
+
+def _dual_bound(problem, u):
+    """The Fenchel bound of a data loss at the dual point u, for the l1
+    and zero regularizers: u is scaled into ||A'u||_inf <= lam, or
+    projected onto the nullspace of A' (and, for lad, scaled into
+    |u_i| <= 1/m)."""
+    A, b, m, reg = problem.A, problem.b, problem.m, problem.reg
     if reg.kind == "zero":
         u = _nullspace_project(A, u)
         if problem.loss == "lad":
@@ -133,6 +146,54 @@ def lower_bound_certificate(problem, x):
         return -pairing(u, b)
     v = -u * b * m
     return -_logistic_conjugate(v) / m
+
+
+def _lad_dual_bound(problem, x):
+    """The lad bound -b'u - G*(-A'u) of a dual point u built at x.  A row
+    whose residual r = A x - b is not within 1e-9 of 0 takes u_i =
+    sign(r_i) / m.  The other rows take the least-squares solution of the
+    optimality conditions of x, 0 in A'u + dG(x), on the coordinates
+    where they are equations, clipped to |u_i| <= 1/m.  Every u with
+    |u_i| <= 1/m bounds f*, through ``_dual_bound`` for l1 and zero, so
+    the bound is honest at any x.  At the vertex that ``_solve_lad_lp``
+    reads x* from, it meets the LP's own bound to rounding, where that
+    certificate's u = sign(r) / m leaves the zero-residual rows at 0."""
+    A, b, m, d, reg = problem.A, problem.b, problem.m, problem.d, problem.reg
+    r = problem.residual(x) - b
+    rows = np.flatnonzero(np.abs(r) <= 1e-9 * max(1.0, float(np.max(np.abs(b)))))
+    u = np.sign(r) / m
+    u[rows] = 0.0
+    cols, extra = np.arange(d), None
+    if reg.kind in ("l1", "simplex"):
+        cols = np.flatnonzero(x)
+    elif reg.kind == "box":
+        lo, hi = reg.bounds(d)
+        cols = np.flatnonzero((lo + 1e-9 < x) & (x < hi - 1e-9))
+    target = -reg.lam * np.sign(x[cols]) if reg.kind == "l1" else np.zeros(cols.size)
+    if reg.kind == "simplex":  # (A'u)_j = tau on the support
+        extra = -np.ones(cols.size)
+    elif reg.kind == "l2ball" and pairing(x, x) >= reg.radius ** 2 * (1.0 - 1e-9):
+        extra = x  # A'u = -nu x on the sphere
+    if rows.size:
+        system = A[np.ix_(rows, cols)].T
+        if extra is not None:
+            system = np.column_stack([system, extra])
+        rhs = target - A[:, cols].T @ u
+        u[rows] = np.clip(np.linalg.lstsq(system, rhs, rcond=None)[0][:rows.size],
+                          -1.0 / m, 1.0 / m)
+    if reg.kind in ("l1", "zero"):
+        return _dual_bound(problem, u)
+    return -pairing(u, b) + _support_min(reg, A.T @ u, d)
+
+
+def recertify(problem, x):
+    """The lower bound on f* that a stored reference point x is checked
+    against: ``lower_bound_certificate``, and for lad the larger of it and
+    ``_lad_dual_bound``, which meets the LP reference's own bound."""
+    lower = lower_bound_certificate(problem, x)
+    if problem.loss == "lad":
+        lower = max(lower, _lad_dual_bound(problem, x))
+    return lower
 
 
 def _finish(problem, x_star, lower, method, tol):

@@ -70,7 +70,14 @@ def forward_backward(steps):
 
 
 def rda(c=1.0):
-    """Dual averaging with unit steps and alpha_n = c sqrt(n); t = 0."""
+    """Dual averaging with unit steps and alpha_n = c sqrt(n); t = 0.
+
+    With the l1 penalty (x1 = 0) this is Xiao's l1-RDA (JMLR 2010):
+    x_{n+1} = -sign(S_n) max(|S_n| - n lam, 0) / (c sqrt(n+1)), with S_n
+    the sum of the first n subgradients.  The divisor is alpha_{n+1}, so
+    the index is shifted by one against Xiao's beta_n = gamma sqrt(n):
+    here beta_n = c sqrt(n+1).
+    """
     c = float(c)
     if not c > 0:
         raise ValueError("rda scaling c must be positive, got %r" % (c,))

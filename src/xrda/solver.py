@@ -94,23 +94,24 @@ once it has been evaluated, and None before: inside a stochastic
 ``run`` they are set only at a state whose block closes at its step.
 No output reads them there, so a callback changes no output.
 
-A stochastic ``run`` draws its minibatches a block at a time: one
-``CompositeProblem._draw`` call gives the indices and rows of up to
-``_draw_width()`` successive steps (65 at d = 200, batch 1, and never
-past ``n_iters``), and each step gets its rows, and leaves its
-evaluation to ``run``, through the private ``_rows`` argument.
-``_draw`` is the only code that draws from the run's generator, and a
-block draw consumes it exactly as that many single draws, so ``step``
-called on its own, which draws with one ``_draw(rng, 1)`` and evaluates
-its iterate, takes the same trajectory.
+The problem owns the sampling, and ``run`` only asks it for the next
+step's rows.  A stochastic ``run`` opens one draw stream,
+``CompositeProblem._draws(rng, n_iters)``, takes each step's rows and
+targets from it, and passes them to ``step`` as the private ``_rows``
+argument, which also leaves the step's evaluation to ``run``.  The
+stream gathers the rows of up to 65 steps at a time (d = 200, batch 1)
+and consumes the generator exactly as that many single draws, so
+``step`` called on its own takes the same trajectory: its one sampled
+kernel, ``CompositeProblem._sampled_subgradient``, then makes one fresh
+draw, and the step evaluates its iterate.
 
 Inputs are validated at the boundary: ``start_point`` checks the start
 point (``init`` calls it, and the harness before it solves the
 reference), ``build_problem`` the data and the mirror-regularizer pair,
 and the public mirror and regularizer functions their arguments.
 ``step`` calls the unchecked kernels (``_grad``, ``_grad_inverse``,
-``_prox``, ``_draw`` and ``_batch_subgradient``) on vectors it made
-itself, so no check runs per step.  An overflowing schedule still fails
+``_prox`` and ``_sampled_subgradient``) on vectors it made itself, so no
+check runs per step.  An overflowing schedule still fails
 loudly: a non-finite f raises ValueError in ``_objective``, and so does
 a non-finite dual point at the end of ``run``, which catches an overflow
 at any step.
@@ -269,9 +270,10 @@ def _schedule_values(schedule, n, gamma_n, s_n, alpha_n, unsafe):
 def step(state, problem, mode="exact", rng=None, unsafe=False, _rows=None):
     """Advance the state by one iteration; mutates and returns it.
 
-    A stochastic step draws its minibatch from ``rng`` with one ``_draw``
-    and the new iterate is evaluated at once, unless ``run`` passes the
-    rows and targets it drew for this step as ``_rows``: then
+    A stochastic step makes one ``CompositeProblem._sampled_subgradient``
+    call.  Called on its own, the kernel draws the minibatch from ``rng``
+    and the new iterate is evaluated at once.  ``run`` passes the rows
+    and targets that its draw stream gave this step as ``_rows``: then
     ``residual`` and ``f_x`` are set to None, and ``run`` keeps the
     iterate for a block evaluation only if it logs it or stops at it.  An
     exact step always evaluates at once, as the next one reads its
@@ -285,11 +287,7 @@ def step(state, problem, mode="exact", rng=None, unsafe=False, _rows=None):
     elif mode == "stochastic":
         if rng is None:
             raise ValueError("stochastic mode needs a numpy Generator")
-        rows = _rows
-        if rows is None:
-            _, A, b = problem._draw(rng, 1)
-            rows = A[0], b[0]
-        g = problem._batch_subgradient(state.x, rows[0], rows[1])
+        g = problem._sampled_subgradient(state.x, rng, _rows)
     else:
         raise ValueError("mode must be 'exact' or 'stochastic', got %r" % (mode,))
 
@@ -433,7 +431,9 @@ def trace_row(state, problem, reference=None, d_star=None, t0=None, unsafe=False
 def run(problem, schedule, n_iters, mode="exact", seed=None, stride=100,
         x1=None, reference=None, unsafe=False, callback=None, timing="deterministic"):
     """Run n_iters steps, logging a TraceRow whenever the iterate index n is a
-    multiple of stride.  Exact mode ignores the seed entirely.
+    multiple of stride.  Exact mode ignores the seed entirely; a
+    stochastic run takes every step's minibatch from one draw stream,
+    ``problem._draws``, on ``default_rng(seed)`` (module docstring).
 
     A stochastic run evaluates f exactly at x_1, at each logged iterate
     and its averaged iterate, and at the last iterate, and nowhere in
@@ -465,16 +465,11 @@ def run(problem, schedule, n_iters, mode="exact", seed=None, stride=100,
         d_star = problem.mirror.bregman(reference.x_star, state.x1)
     t0 = time.perf_counter() if timing == "wall" else None
     rows = []
-    draws = problem._draw_width() if mode == "stochastic" else 0
+    stream = problem._draws(rng, n_iters) if mode == "stochastic" else None
     width = problem._evaluation_width()
-    drawn = None
     kept = []  # (x, what, n, row): the points a stochastic run evaluates later
     for i in range(n_iters):
-        if draws:
-            j = i % draws
-            if j == 0:
-                _, A, b = problem._draw(rng, min(draws, n_iters - i))
-            drawn = (A[j], b[j])
+        drawn = None if stream is None else next(stream)
         state = step(state, problem, mode=mode, rng=rng, unsafe=unsafe, _rows=drawn)
         logged = state.n % stride == 0
         last = i == n_iters - 1

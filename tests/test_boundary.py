@@ -125,7 +125,7 @@ def test_step_draws_the_rows_sample_subgradient_draws(loss, batch):
     ours, public = np.random.default_rng(11), np.random.default_rng(11)
     for _ in range(20):
         idx, rows, targets = p._draw(ours, 1)
-        g = p._batch_subgradient(x, rows[0], targets[0])
+        g = p._sampled_subgradient(x, ours, (rows[0], targets[0]))
         saved = public.bit_generator.state
         sample = p.sample_subgradient(x, public)
         replay = np.random.default_rng()

@@ -11,11 +11,12 @@ import pytest
 
 import xrda.harness as harness
 from xrda.cli import main
-from xrda.config import build_problem_from_config, parse_config
+from xrda.config import (build_problem_from_config, build_schedule_from_config,
+                         parse_config)
 from xrda.harness import (check_bound, compare, read_trace_csv,
                           run_experiment, write_trace_csv)
 from xrda.problems import synthetic_sparse_data, write_dense_matrix
-from xrda.reference import reference_optimum
+from xrda.reference import ReferenceSolution, reference_optimum
 from xrda.schedules import Schedule
 from xrda.solver import TraceRow
 
@@ -645,11 +646,13 @@ stride = 25
 
 @pytest.mark.parametrize("command", [["run"],
                                      ["compare", "--presets", "rda,leap_frog"]])
-def test_a_false_certificate_stops_the_run(tmp_path, capsys, command):
-    """A cache entry that passes ``_load_reference`` (f_star = f(x_star),
+def test_a_false_cached_certificate_is_replaced(tmp_path, command):
+    """A cache entry that passes the value checks (f_star = f(x_star),
     certified_gap >= 0) but claims x_star = 0 optimal with certified_gap
-    = 0: the iterates reach gap_best = -1.08, which proves the
-    certificate false, so the command exits 2 and writes no trace."""
+    = 0, where f(0) - f* = 1.08.  Its x_star does not certify that gap
+    again, so the entry is a miss: the reference is solved again and
+    overwrites it, the command exits 0, and the trace passes the strict
+    bound check against the true optimum."""
     path = write_cfg(tmp_path, SWEEP_LAD_L1, name="sweep.ini")
     cfg = parse_config(SWEEP_LAD_L1, name="sweep")
     problem = build_problem_from_config(cfg)
@@ -660,9 +663,30 @@ def test_a_false_certificate_stops_the_run(tmp_path, capsys, command):
                                  "f_star": problem.objective(np.zeros(8)),
                                  "certified_gap": 0.0, "converged": True,
                                  "method": "lad_lp"}))
-    assert main(["--config", path, "--out", str(out)] + command) == 2
-    assert "certificate is false" in capsys.readouterr().err
-    assert list(out.glob("*.csv")) == []
+    assert main(["--config", path, "--out", str(out)] + command) == 0
+    fresh = reference_optimum(problem, tol=cfg.reference_tol)
+    entry = json.loads(cache.read_text())
+    assert (entry["f_star"], entry["certified_gap"]) == (fresh.f_star, fresh.certified_gap)
+    assert fresh.f_star < problem.objective(np.zeros(8)) - 1.0
+    if command == ["run"]:
+        trace = next(out.glob("*_seed*.csv"))
+        assert main(["check-bound", str(trace), "--strict"]) == 0
+    else:
+        lines = (out / "sweep_compare.csv").read_text().splitlines()[1:]
+        assert all(float(line.split(",")[1]) >= 0.0 for line in lines)
+
+
+def test_trace_refuses_rows_that_prove_the_certificate_false():
+    """The check past the cache: against a reference at x = 0 that claims
+    certified_gap = 0, the iterates reach gap_best = -1.08, which proves
+    the certificate false, so ``_trace`` refuses the run."""
+    cfg = parse_config(SWEEP_LAD_L1, name="sweep")
+    problem = build_problem_from_config(cfg)
+    false = ReferenceSolution(np.zeros(8), problem.objective(np.zeros(8)), 0.0,
+                              True, "lad_lp")
+    with pytest.raises(RuntimeError, match="certificate is false"):
+        harness._trace(cfg, problem, build_schedule_from_config(cfg), 0, false,
+                       unsafe=False)
 
 
 def test_data_file_cache_key_hashes_row_major_bytes(tmp_path):

@@ -233,6 +233,10 @@ def test_matrix_file_errors(tmp_path):
     nonfinite.write_text("1.0 inf\n")
     with pytest.raises(ValueError, match="non-finite"):
         read_dense_matrix(nonfinite)
+    nan = tmp_path / "nan.txt"
+    nan.write_text("1.0 2.0\nnan 3.0\n")
+    with pytest.raises(ValueError, match="nan.txt has non-finite"):
+        read_dense_matrix(nan)
 
 
 def test_problem_validation():
@@ -480,7 +484,7 @@ def test_sample_of_a_batch_of_one_replays_choice():
     ours, choosing = np.random.default_rng(9), np.random.default_rng(9)
     for _ in range(200):
         idx, rows, targets = p._draw(ours, 1)
-        g = p._batch_subgradient(x, rows[0], targets[0])
+        g = p._sampled_subgradient(x, ours, (rows[0], targets[0]))
         want = choosing.choice(40, size=1, replace=False)
         assert np.array_equal(idx[0], want)
         assert bitwise(g, p._rows_subgradient(x, A[want], b[want]))

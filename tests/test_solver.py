@@ -1184,7 +1184,7 @@ def transcribed_run(p, sched, n_iters, mode, seed, stride, ref):
             g = p.subgradient(st.x)
         else:
             _, A, b = p._draw(rng, 1)
-            g = p._batch_subgradient(st.x, A[0], b[0])
+            g = p._sampled_subgradient(st.x, rng, (A[0], b[0]))
         xt_prime = (1.0 - mu) * st.x_tilde_half + mu * st.x_tilde
         ratio = a_n / a_next
         xt_half = ratio * xt_prime + (1.0 - ratio) * st.x_tilde_1 - (s_n / a_next) * g
