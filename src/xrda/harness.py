@@ -27,7 +27,7 @@ import numpy as np
 from .config import ConfigError, build_problem_from_config, build_schedule_from_config
 from .geometry import MirrorDomainError
 from .problems import _write_atomic
-from .reference import ReferenceSolution, recertify, reference_optimum
+from .reference import ReferenceSolution, lower_bound_certificate, reference_optimum
 from .schedules import PRESET_KINDS, schedule_preset
 from .solver import TraceRow, run, start_point
 
@@ -89,8 +89,11 @@ def _load_reference(cache, problem):
     unreadable or invalid: x_star not a finite d-vector, a negative or NaN
     certified_gap, f_star off f(x_star) by over 1e-12 * max(1, |f|), or a
     certified_gap that the entry's x_star does not certify again: below
-    f(x_star) - ``recertify(problem, x_star)`` by over the same tolerance,
-    where a nan bound is no bound, as in ``reference._finish``."""
+    f(x_star) - ``lower_bound_certificate(problem, x_star)`` by over the
+    same tolerance, where a nan bound is no bound, as in
+    ``reference._finish``.  A lad entry is checked with the certificate
+    that certified it; a logistic entry whose gap came from a point other
+    than x_star may fail the check and is then solved again."""
     try:
         data = json.loads(cache.read_text())
         ref = ReferenceSolution(np.asarray(data["x_star"], dtype=float),
@@ -99,7 +102,7 @@ def _load_reference(cache, problem):
         f = problem.objective(ref.x_star)  # ValueError unless a finite d-vector
     except (OSError, ValueError, KeyError, TypeError):
         return None
-    lower = recertify(problem, ref.x_star)
+    lower = lower_bound_certificate(problem, ref.x_star)
     gap = math.inf if math.isnan(lower) else f - lower
     tol = 1e-12 * max(1.0, abs(f))
     if ref.certified_gap >= max(0.0, gap - tol) and abs(ref.f_star - f) <= tol:

@@ -11,22 +11,26 @@ Lower bounds in use:
 
 * l1 penalty with a data loss f = h(Ax) + lam ||x||_1: for any u with
   ||A'u||_inf <= lam, f* >= -h*(u).  Candidate u comes from the loss
-  gradient/subgradient and is scaled into feasibility.  For lad,
+  gradient (logistic) or is rebuilt at x (lad, below) and is scaled
+  into feasibility.  For lad,
   h*(u) = <u, b> on ||u||_inf <= 1/m; for logistic, h* is a sum of
   binary entropies.
 * indicator constraint set C: linearization at any x with subgradient g,
   f* >= F(x) + min_{z in C} <g, z - x>; the inner minimum is the
   support function of C, available in closed form for box, simplex,
-  and l2 ball.  For lad, any ||u||_inf <= 1/m also gives
-  f* >= -b'u + min_{z in C} <A'u, z>.
+  and l2 ball.  For lad, any ||u||_inf <= 1/m gives
+  f* >= -b'u + min_{z in C} <A'u, z> instead.
 * zero regularizer: same Fenchel bounds with u projected onto the
   nullspace of A'; validity is up to the residual of that projection
   (reported via the converged flag, not hidden).
 
-``recertify`` is the bound a stored reference point is checked against
-when the harness loads it from its cache.  The lad LP's bound comes from
-its dual solution, which the cache does not keep, so for lad it also
-rebuilds that dual point at x* (``_lad_dual_bound``).
+``lower_bound_certificate`` is the one lad certificate: a lad reference
+is certified with it at its x_star, whichever method found the point, and
+the harness checks a cached entry with it again.  For lad it rebuilds a
+dual point at x (``_lad_dual_bound``), which at the LP's x* meets the
+LP's own bound to rounding, so the LP's multipliers give only the point.
+Logistic references keep the largest bound of the points their method
+certified on the way.
 
 No loss formula is written here: values, row weights, curvatures and
 gradients come from the problem's residual oracle
@@ -106,9 +110,12 @@ def _nullspace_project(A, u):
 
 
 def lower_bound_certificate(problem, x):
-    """An honest lower bound on f* built from the point x; -inf if none."""
+    """An honest lower bound on f* built from the point x; -inf if none.
+    For lad it is the bound of the dual point rebuilt at x."""
     x = as_vector(x, dim=problem.d)
     reg = problem.reg
+    if problem.loss == "lad":
+        return _lad_dual_bound(problem, x)
     if reg.kind in ("box", "simplex", "l2ball"):
         r = problem.residual(x)
         g = problem.subgradient_at(r)
@@ -156,8 +163,8 @@ def _lad_dual_bound(problem, x):
     where they are equations, clipped to |u_i| <= 1/m.  Every u with
     |u_i| <= 1/m bounds f*, through ``_dual_bound`` for l1 and zero, so
     the bound is honest at any x.  At the vertex that ``_solve_lad_lp``
-    reads x* from, it meets the LP's own bound to rounding, where that
-    certificate's u = sign(r) / m leaves the zero-residual rows at 0."""
+    reads x* from, it meets the LP's own bound to rounding, where u =
+    sign(r) / m alone would leave the zero-residual rows at 0."""
     A, b, m, d, reg = problem.A, problem.b, problem.m, problem.d, problem.reg
     r = problem.residual(x) - b
     rows = np.flatnonzero(np.abs(r) <= 1e-9 * max(1.0, float(np.max(np.abs(b)))))
@@ -186,16 +193,6 @@ def _lad_dual_bound(problem, x):
     return -pairing(u, b) + _support_min(reg, A.T @ u, d)
 
 
-def recertify(problem, x):
-    """The lower bound on f* that a stored reference point x is checked
-    against: ``lower_bound_certificate``, and for lad the larger of it and
-    ``_lad_dual_bound``, which meets the LP reference's own bound."""
-    lower = lower_bound_certificate(problem, x)
-    if problem.loss == "lad":
-        lower = max(lower, _lad_dual_bound(problem, x))
-    return lower
-
-
 def _finish(problem, x_star, lower, method, tol):
     """The ReferenceSolution of x_star with the lower bound ``lower`` on
     f*; a nan bound is no bound, so its gap is inf."""
@@ -215,9 +212,10 @@ def _lad_dual(problem, cost, free=0, **constraints):
 
 
 def _solve_lad_lp(problem, tol):
-    """One dual LP for lad; x* is read from its multipliers, so a wrong one
-    can only widen the gap _finish certifies.  The l2 ball reuses the zero
-    regularizer's LP and goes on to _lad_ball if its point is outside."""
+    """One dual LP for lad; x* is read from its multipliers and certified
+    by ``lower_bound_certificate``, so a wrong one can only widen the gap
+    _finish reports.  The l2 ball reuses the zero regularizer's LP and
+    goes on to _lad_ball if its point is outside."""
     A, b, m, d = problem.A, problem.b, problem.m, problem.d
     reg = problem.reg
     # dual: maximize -b'u (- support corrections) over ||u||_inf <= 1/m
@@ -243,34 +241,27 @@ def _solve_lad_lp(problem, tol):
     else:  # zero, and the l2 ball's first try
         dual = _lad_dual(problem, b, A_eq=A.T, b_eq=np.zeros(d))
         x_star = dual.eqlin.marginals
-    u = np.clip(dual.x[:m], -1.0 / m, 1.0 / m)
-    if reg.kind == "l1":
-        atu = float(np.max(np.abs(A.T @ u)))
-        if atu > reg.lam:
-            u *= reg.lam / atu
-    lower = -pairing(u, b)
-    if reg.kind in ("box", "simplex", "l2ball"):
-        lower += _support_min(reg, A.T @ u, d)
     if reg.kind == "l2ball" and np.linalg.norm(x_star) > reg.radius:
-        x_star, lower = _lad_ball(problem, x_star, u, lower, tol)
-    return _finish(problem, x_star, lower, "lad_lp", tol)
+        x_star = _lad_ball(problem, x_star, dual.x[:m], tol)
+    return _finish(problem, x_star, lower_bound_certificate(problem, x_star), "lad_lp", tol)
 
 
-def _lad_ball(problem, x_lp, u, lower, tol):
-    """lad on the l2 ball of radius R when the zero regularizer's LP point
-    x_lp (dual point u, bound lower) is outside it.  First the least-norm
-    point of x_lp's zero-residual rows (|u_i| < 1/m).  Then L-BFGS-B on the
-    smooth dual phi(u) = -b'u - R ||A'u|| over |u_i| <= 1/m, from
-    sign(A x0 - b) / m at x0 = R x_lp / ||x_lp|| (phi has a kink at A'u = 0):
-    phi(u) bounds f*, and x = -A'u / nu, nu = ||A'u|| / R, takes one Newton
-    step in (x, u_Z, nu) on nu x + A'u = 0, A_Z x = b_Z, ||x|| = R, with Z
-    the rows where |u_i| < 1/m.  Only x moves: phi(u) was within 1e-13 of
-    f at the Newton point on every synthetic instance measured (d <= 200)."""
+def _lad_ball(problem, x_lp, u, tol):
+    """The point of lad on the l2 ball of radius R when the zero
+    regularizer's LP point x_lp (LP dual point u) is outside it.  First the
+    least-norm point of x_lp's zero-residual rows (|u_i| < 1/m), kept if it
+    is in the ball and certified to tol.  Then L-BFGS-B on the smooth dual
+    phi(u) = -b'u - R ||A'u|| over |u_i| <= 1/m, from sign(A x0 - b) / m
+    at x0 = R x_lp / ||x_lp|| (phi has a kink at A'u = 0): x = -A'u / nu,
+    nu = ||A'u|| / R, takes one Newton step in (x, u_Z, nu) on nu x + A'u
+    = 0, A_Z x = b_Z, ||x|| = R, with Z the rows where |u_i| < 1/m.  Only x
+    moves; ``lower_bound_certificate`` certifies the point it returns."""
     A, b, m, reg, R = problem.A, problem.b, problem.m, problem.reg, problem.reg.radius
     face = np.abs(u) < 1.0 / m
     x = np.linalg.lstsq(A[face], b[face], rcond=None)[0]
-    if np.linalg.norm(x) <= R and problem.objective(x) - lower <= tol:
-        return x, lower
+    if (np.linalg.norm(x) <= R
+            and problem.objective(x) - lower_bound_certificate(problem, x) <= tol):
+        return x
 
     def neg_phi(v):
         g = A.T @ v
@@ -282,13 +273,13 @@ def _lad_ball(problem, x_lp, u, lower, tol):
                  options=_LBFGS_OPTS).x
     g = A.T @ u
     nu = np.linalg.norm(g) / R
-    x, lower = -g / nu, max(lower, -pairing(u, b) + _support_min(reg, g, problem.d))
+    x = -g / nu
     # dx = -B'w / nu with B = [A_Z; x'] leaves B B' w = nu [A_Z x - b_Z; 0]
     face = np.abs(u) < 1.0 / m
     B = np.vstack([A[face], x])
     w = np.linalg.lstsq(B @ B.T, nu * np.append(B[:-1] @ x - b[face], 0.0), rcond=None)[0]
     z = _prox_euclid_l2ball(reg, x - (B.T @ w) / nu, 1.0)
-    return (z if problem.objective(z) < problem.objective(x) else x), lower
+    return z if problem.objective(z) < problem.objective(x) else x
 
 
 def _logistic_value_grad(problem, x):

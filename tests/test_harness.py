@@ -353,6 +353,20 @@ def test_cli_config_errors_exit_1(tmp_path, capsys):
     assert "lambda" in err
 
 
+@pytest.mark.parametrize("text,message", [
+    (BASE_CFG.replace("regularizer = l1\nlambda = 0.1", "regularizer = box\nbox_lo = 0"),
+     "[problem] box regularizer needs box_lo and box_hi"),
+    (BASE_CFG.replace("loss = lad", "loss = linear").replace(
+        "d = 6\nm = 12\nk = 2\nnoise = 0.1\ndata_seed = 3\n", ""),
+     "[problem] linear loss needs the cost vector (key 'cost')"),
+], ids=["box_hi", "cost"])
+def test_cli_missing_problem_keys_exit_1(tmp_path, capsys, text, message):
+    cfg = write_cfg(tmp_path, text)
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "run"]) == 1
+    assert capsys.readouterr().err == "config error:\n  %s\n" % message
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_runtime_errors_exit_2(tmp_path, capsys):
     broken = BASE_CFG.replace(
         "d = 6\nm = 12\nk = 2\nnoise = 0.1\ndata_seed = 3",

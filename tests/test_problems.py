@@ -267,6 +267,18 @@ def test_problem_validation():
         build_problem("lad", SimplexIndicator(), EU, A=np.eye(2), b=np.zeros(2))
 
 
+def test_a_data_matrix_without_columns_is_refused():
+    with pytest.raises(ValueError, match="data matrix must have at least one row and column"):
+        build_problem("lad", ZeroRegularizer(), EU, A=np.zeros((3, 0)), b=np.zeros(3))
+
+
+def test_a_3d_array_is_not_written_as_a_matrix(tmp_path):
+    path = tmp_path / "cube.txt"
+    with pytest.raises(ValueError, match=r"expected a 1-d or 2-d array, got shape \(2, 2, 2\)"):
+        write_dense_matrix(path, np.zeros((2, 2, 2)))
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("loss", ["lad", "logistic"])
 def test_a_data_loss_refuses_a_cost_vector(loss):
     """A cost vector belongs to the linear loss alone; given with a data

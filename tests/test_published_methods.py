@@ -8,14 +8,19 @@ written with its own arithmetic here rather than the solver's.
 * Scaling lad's A, b and lam by 4 and s_n by 1/4 scales f, the gaps and
   the bound by 4 and leaves the iterates where they were; a bound with
   the wrong power of M or of s breaks the relation.
+* Permuting the coordinates (the columns of A, x1 and a box's vector
+  bounds) permutes every iterate of every preset the same way; a
+  regularizer or mirror that mixes coordinates by position breaks it.
 """
 
 import numpy as np
+import pytest
 
-from xrda.geometry import EuclideanMirror
+from xrda.geometry import EuclideanMirror, NegativeEntropyMirror
 from xrda.problems import build_problem, synthetic_sparse_data
 from xrda.reference import reference_optimum
-from xrda.regularizers import L1Penalty
+from xrda.regularizers import (BoxIndicator, L1Penalty, L2BallIndicator,
+                               SimplexIndicator, ZeroRegularizer)
 from xrda.schedules import power_steps, schedule_preset
 from xrda.solver import init, run, step
 
@@ -56,3 +61,38 @@ def test_scaling_lad_scales_f_gaps_and_bound():
         for field in ("f_x", "f_avg", "gap_best", "gap_avg", "bound"):
             want = 4.0 * getattr(r, field)
             assert abs(getattr(s, field) - want) <= 1e-10 * abs(want), field
+
+
+BOX_LO, BOX_HI = np.linspace(-0.6, -0.1, 8), np.linspace(0.1, 0.9, 8)
+START = np.linspace(0.2, 1.0, 8)
+# (mirror, the regularizer for a coordinate order, x1 in the original order)
+PERMUTED_PAIRS = {
+    "euclidean+l1": (EuclideanMirror(), lambda order: L1Penalty(0.1), None),
+    "euclidean+box": (EuclideanMirror(),
+                      lambda order: BoxIndicator(BOX_LO[order], BOX_HI[order]),
+                      0.1 * START),
+    "entropy+simplex": (NegativeEntropyMirror(), lambda order: SimplexIndicator(),
+                        START / START.sum()),
+    "euclidean+l2ball": (EuclideanMirror(), lambda order: L2BallIndicator(1.0),
+                         0.1 * START),
+    "euclidean+zero": (EuclideanMirror(), lambda order: ZeroRegularizer(), 0.1 * START),
+    "entropy+zero": (NegativeEntropyMirror(), lambda order: ZeroRegularizer(), START),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(PERMUTED_PAIRS))
+@pytest.mark.parametrize("loss", ["lad", "logistic"])
+def test_permuting_coordinates_permutes_every_iterate(loss, pair):
+    A, b, _ = synthetic_sparse_data(loss, 8, 30, 2, 0.3, seed=5)
+    mirror, make_reg, x1 = PERMUTED_PAIRS[pair]
+    perm = np.random.default_rng(3).permutation(8)
+    orders = (np.arange(8), perm)
+    problems = [build_problem(loss, make_reg(q), mirror, A=A[:, q], b=b) for q in orders]
+    starts = [None if x1 is None else x1[q] for q in orders]
+    worst = 0.0
+    for kind in ("leap_frog", "rda", "forward_backward", "constant_backward"):
+        states = [init(p, schedule_preset(kind), x1=x) for p, x in zip(problems, starts)]
+        for _ in range(300):
+            states = [step(st, p) for st, p in zip(states, problems)]
+            worst = max(worst, float(np.max(np.abs(states[0].x[perm] - states[1].x))))
+    assert worst <= 1e-12

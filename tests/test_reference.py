@@ -9,7 +9,7 @@ import xrda.reference as reference
 from xrda.geometry import EuclideanMirror, NegativeEntropyMirror
 from xrda.problems import build_problem, synthetic_sparse_data
 from xrda.reference import (lower_bound_certificate, prox_subgradient_iterates,
-                            recertify, reference_optimum)
+                            reference_optimum)
 from xrda.regularizers import (BoxIndicator, L1Penalty, L2BallIndicator,
                                SimplexIndicator, ZeroRegularizer,
                                canonical_argmin, supported_pairs)
@@ -368,18 +368,31 @@ def test_every_supported_pair_certifies(pair, loss):
 @pytest.mark.parametrize("loss", ["lad", "logistic"])
 @pytest.mark.parametrize("pair", supported_pairs(), ids="+".join)
 def test_a_reference_point_certifies_its_gap_again(pair, loss):
-    """``recertify`` at x_star confirms the reference's certified_gap, so
-    an honest cache entry is a hit.  For lad that takes the dual point of
-    ``_lad_dual_bound``, as the LP's bound comes from its dual solution.
-    At other points it stays below f*."""
+    """``lower_bound_certificate`` at x_star confirms the reference's
+    certified_gap, so an honest cache entry is a hit.  At other points it
+    stays below f*."""
     mirror = EN if pair[0] == "entropy" else EU
     p = random_problem(loss, PAIR_REGS[pair[1]], seed=0, mirror=mirror)
     ref = reference_optimum(p)
     f = p.objective(ref.x_star)
-    assert f - recertify(p, ref.x_star) <= ref.certified_gap + 1e-12 * max(1.0, abs(f))
+    assert (f - lower_bound_certificate(p, ref.x_star)
+            <= ref.certified_gap + 1e-12 * max(1.0, abs(f)))
     rng = np.random.default_rng(1)
     for _ in range(20):
-        assert recertify(p, rng.standard_normal(p.d)) <= ref.f_star
+        assert lower_bound_certificate(p, rng.standard_normal(p.d)) <= ref.f_star
+
+
+@pytest.mark.parametrize("tol", [1e-8, math.inf], ids=["default_tol", "tol_inf"])
+@pytest.mark.parametrize("pair", supported_pairs(), ids="+".join)
+def test_a_lad_reference_is_certified_by_lower_bound_certificate(pair, tol):
+    """Whichever method finds a lad point, its gap is the one certificate
+    at x_star, exactly: the LP's own multipliers bound nothing."""
+    mirror = EN if pair[0] == "entropy" else EU
+    for p in (random_problem("lad", PAIR_REGS[pair[1]], seed=0, mirror=mirror),
+              set_instance("lad", PAIR_REGS[pair[1]], d=30, m=80, seed=1)):
+        ref = reference_optimum(p, tol=tol)
+        want = max(0.0, ref.f_star - lower_bound_certificate(p, ref.x_star))
+        assert ref.certified_gap == want
 
 
 def set_instance(loss, reg, d, m, seed, noise=0.2):

@@ -41,6 +41,18 @@ def test_an_unexpected_exit_code_fails_the_sweep(tmp_path, monkeypatch, capsys):
     assert "MISMATCH" not in capsys.readouterr().out
 
 
+def test_sweep_commands_turn_runtime_warnings_into_errors(tmp_path, monkeypatch, capsys):
+    """Each command runs with RuntimeWarning as an error, as tier-1 and
+    the demos do, so a warning cannot pass the sweep unseen."""
+    sweep = load_sweep()
+    envs = []
+    monkeypatch.setattr(sweep, "run_case", lambda *args: envs.append(args[-1]) or 0)
+    sweep.main([str(tmp_path / "out")])
+    capsys.readouterr()
+    assert len(envs) == 102
+    assert all(env["PYTHONWARNINGS"] == "error::RuntimeWarning" for env in envs)
+
+
 def test_the_large_case_spans_several_evaluation_blocks(monkeypatch):
     """The m = 9000 case logs 8 rows (200 iterations, stride 25), so a
     stochastic run keeps 17 points: each row's iterate and averaged

@@ -31,7 +31,11 @@ exit code.  OUT_DIR must not exist yet.
 
 Paths in the outputs are relative to the command's directory, so two
 sweeps, of one version or of two that must agree, compare with
-``diff -r``.  The commands run one at a time, with BLAS on one thread.
+``diff -r``.  The commands run one at a time, with BLAS on one thread
+and with ``PYTHONWARNINGS=error::RuntimeWarning``, as the tests and the
+demos do: a numeric warning (overflow, invalid value, division by zero)
+ends its command with a traceback and an unexpected exit code, so the
+sweep exits 1.
 """
 
 import os
@@ -134,7 +138,8 @@ def main(argv):
     if out.exists():
         sys.exit("%s exists; the sweep writes a new directory" % out)
     env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONWARNINGS="error::RuntimeWarning")
     codes, mismatches = {}, []
     for name, text, flags, args, expected in cases():
         codes[name] = run_case(out / name, text, flags, args, env)
