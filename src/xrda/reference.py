@@ -7,30 +7,25 @@ over-state the gap, never under-state it.  Gap columns computed against
 such a reference therefore never make the convergence bound look falsely
 satisfied.
 
-Lower bounds in use:
+One lower bound is in use, weak duality for f = h(A x) + G(x):
+f* >= -h*(u) - G*(-A'u) for any dual point u (``_dual_bound``).  It
+makes u feasible for G (l1: scaled into ||A'u||_inf <= lam; zero:
+projected onto the nullspace of A', valid up to the residual of that
+projection, which the converged flag reports; an indicator of C adds its
+support function min_{z in C} <A'u, z>, closed-form for box, simplex and
+l2 ball) and then for h* (lad: scaled into |u_i| <= 1/m, h*(u) = b'u;
+logistic: a sum of binary entropies; linear: finite only at u = 1).
 
-* l1 penalty with a data loss f = h(Ax) + lam ||x||_1: for any u with
-  ||A'u||_inf <= lam, f* >= -h*(u).  Candidate u comes from the loss
-  gradient (logistic) or is rebuilt at x (lad, below) and is scaled
-  into feasibility.  For lad,
-  h*(u) = <u, b> on ||u||_inf <= 1/m; for logistic, h* is a sum of
-  binary entropies.
-* indicator constraint set C: linearization at any x with subgradient g,
-  f* >= F(x) + min_{z in C} <g, z - x>; the inner minimum is the
-  support function of C, available in closed form for box, simplex,
-  and l2 ball.  For lad, any ||u||_inf <= 1/m gives
-  f* >= -b'u + min_{z in C} <A'u, z> instead.
-* zero regularizer: same Fenchel bounds with u projected onto the
-  nullspace of A'; validity is up to the residual of that projection
-  (reported via the converged flag, not hidden).
-
-``lower_bound_certificate`` is the one lad certificate: a lad reference
-is certified with it at its x_star, whichever method found the point, and
-the harness checks a cached entry with it again.  For lad it rebuilds a
-dual point at x (``_lad_dual_bound``), which at the LP's x* meets the
-LP's own bound to rounding, so the LP's multipliers give only the point.
-Logistic references keep the largest bound of the points their method
-certified on the way.
+``lower_bound_certificate`` picks the dual point of a point x and
+returns its bound: for logistic and linear the row weights h'(A x) / m,
+the gradient of h, where the bound equals the linearization
+F(x) + min_{z in C} <g, z - x> by Fenchel-Young; for lad a point rebuilt
+at x (``_lad_dual_point``), which at the LP's x* meets the LP's own bound
+to rounding, so the LP's multipliers give only the primal point.  A lad
+reference is certified at its x_star, whichever method found the point,
+and the harness checks a cached entry with it again.  Logistic
+references keep the largest bound of the points their method certified
+on the way.
 
 No loss formula is written here: values, row weights, curvatures and
 gradients come from the problem's residual oracle
@@ -43,7 +38,8 @@ maximizes the smooth dual with L-BFGS-B and takes a Newton step on the
 dual face.  Logistic uses L-BFGS-B (positive-part split for l1) and
 Newton on the identified face for l1 and box, and accelerated projected
 gradient on the simplex and the l2 ball.  Linear objectives are
-analytic.  A method that stops short reports the gap it reached.
+analytic, and unbounded below where the certificate at their point is
+-inf.  A method that stops short reports the gap it reached.
 """
 
 import math
@@ -52,7 +48,7 @@ import numpy as np
 from scipy.optimize import linprog, minimize
 from scipy.special import xlogy
 
-from .geometry import as_vector, dual_norm, pairing
+from .geometry import as_vector, pairing
 from .regularizers import _prox_euclid_l2ball, canonical_argmin, mirror_prox
 
 _LP_OPTS = {
@@ -111,60 +107,58 @@ def _nullspace_project(A, u):
 
 def lower_bound_certificate(problem, x):
     """An honest lower bound on f* built from the point x; -inf if none.
-    For lad it is the bound of the dual point rebuilt at x."""
+    It picks the dual point of x, ``_lad_dual_point`` for lad and the row
+    weights h'(A x) / m otherwise, and returns its ``_dual_bound``."""
     x = as_vector(x, dim=problem.d)
-    reg = problem.reg
     if problem.loss == "lad":
-        return _lad_dual_bound(problem, x)
-    if reg.kind in ("box", "simplex", "l2ball"):
-        r = problem.residual(x)
-        g = problem.subgradient_at(r)
-        return problem.loss_at(r) + _support_min(reg, g, problem.d) - pairing(g, x)
-    if problem.loss == "linear":  # the cost is A's one row
-        if reg.kind == "l1":
-            return 0.0 if dual_norm(problem.A[0], "linf") <= reg.lam else float("-inf")
-        return 0.0 if np.all(problem.A[0] == 0.0) else float("-inf")
-    return _dual_bound(problem, problem.row_weights(problem.residual(x), problem.b)
-                       / problem.m)
+        u = _lad_dual_point(problem, x)
+    else:
+        u = problem.row_weights(problem.residual(x), problem.b) / problem.m
+    return _dual_bound(problem, u)
 
 
 def _dual_bound(problem, u):
-    """The Fenchel bound of a data loss at the dual point u, for the l1
-    and zero regularizers: u is scaled into ||A'u||_inf <= lam, or
-    projected onto the nullspace of A' (and, for lad, scaled into
-    |u_i| <= 1/m)."""
+    """The weak-duality bound f* >= -F*(u) - G*(-A'u) of the dual point u,
+    F(x) = h(A x), honest at any u; -inf where h*(u) is +inf.  First u is
+    made feasible for G: l1 scales it into ||A'u||_inf <= lam and zero
+    projects it onto the nullspace of A'; an indicator of C adds
+    -G*(-A'u) = min_{z in C} <A'u, z>.  Then h*: lad scales u into
+    |u_i| <= 1/m, where h*(u) = b'u; logistic's h* is the sum of binary
+    entropies of v = -m b u, +inf outside [0, 1]; the linear loss
+    (m = 1, b = 0) has h* = 0 at u = 1 and +inf elsewhere."""
     A, b, m, reg = problem.A, problem.b, problem.m, problem.reg
     if reg.kind == "zero":
         u = _nullspace_project(A, u)
-        if problem.loss == "lad":
-            umax = float(np.max(np.abs(u)))
-            if umax > 1.0 / m:
-                u = u * (1.0 / (m * umax))
-            return -pairing(u, b)
+    elif reg.kind == "l1":
+        atu = float(np.max(np.abs(A.T @ u)))
+        if atu > reg.lam:
+            u = (reg.lam / atu) * u
+    if problem.loss == "lad":
+        umax = float(np.max(np.abs(u)))
+        if umax > 1.0 / m:
+            u = u * (1.0 / (m * umax))
+        value = -pairing(u, b)
+    elif problem.loss == "linear":
+        value = 0.0 if u[0] == 1.0 else -math.inf
+    else:
         v = -u * b * m
         if np.any(v < 0.0) or np.any(v > 1.0):
-            return float("-inf")
-        return -_logistic_conjugate(v) / m
-    # l1: scale u until ||A'u||_inf <= lam
-    atu = float(np.max(np.abs(A.T @ u)))
-    scale = min(1.0, reg.lam / atu) if atu > 0 else 1.0
-    u = scale * u
-    if problem.loss == "lad":
-        return -pairing(u, b)
-    v = -u * b * m
-    return -_logistic_conjugate(v) / m
+            return -math.inf
+        value = -_logistic_conjugate(v) / m
+    if reg.kind in ("l1", "zero"):
+        return value
+    return value + _support_min(reg, A.T @ u, problem.d)
 
 
-def _lad_dual_bound(problem, x):
-    """The lad bound -b'u - G*(-A'u) of a dual point u built at x.  A row
-    whose residual r = A x - b is not within 1e-9 of 0 takes u_i =
-    sign(r_i) / m.  The other rows take the least-squares solution of the
-    optimality conditions of x, 0 in A'u + dG(x), on the coordinates
-    where they are equations, clipped to |u_i| <= 1/m.  Every u with
-    |u_i| <= 1/m bounds f*, through ``_dual_bound`` for l1 and zero, so
-    the bound is honest at any x.  At the vertex that ``_solve_lad_lp``
-    reads x* from, it meets the LP's own bound to rounding, where u =
-    sign(r) / m alone would leave the zero-residual rows at 0."""
+def _lad_dual_point(problem, x):
+    """A lad dual point u built at x, |u_i| <= 1/m.  A row whose residual
+    r = A x - b is not within 1e-9 of 0 takes u_i = sign(r_i) / m.  The
+    other rows take the least-squares solution of the optimality
+    conditions of x, 0 in A'u + dG(x), on the coordinates where they are
+    equations, clipped to |u_i| <= 1/m.  ``_dual_bound`` of any such u
+    bounds f*; at the vertex that ``_solve_lad_lp`` reads x* from, it
+    meets the LP's own bound to rounding, where u = sign(r) / m alone
+    would leave the zero-residual rows at 0."""
     A, b, m, d, reg = problem.A, problem.b, problem.m, problem.d, problem.reg
     r = problem.residual(x) - b
     rows = np.flatnonzero(np.abs(r) <= 1e-9 * max(1.0, float(np.max(np.abs(b)))))
@@ -188,9 +182,7 @@ def _lad_dual_bound(problem, x):
         rhs = target - A[:, cols].T @ u
         u[rows] = np.clip(np.linalg.lstsq(system, rhs, rcond=None)[0][:rows.size],
                           -1.0 / m, 1.0 / m)
-    if reg.kind in ("l1", "zero"):
-        return _dual_bound(problem, u)
-    return -pairing(u, b) + _support_min(reg, A.T @ u, d)
+    return u
 
 
 def _finish(problem, x_star, lower, method, tol):
@@ -215,7 +207,8 @@ def _solve_lad_lp(problem, tol):
     """One dual LP for lad; x* is read from its multipliers and certified
     by ``lower_bound_certificate``, so a wrong one can only widen the gap
     _finish reports.  The l2 ball reuses the zero regularizer's LP and
-    goes on to _lad_ball if its point is outside."""
+    goes on to _lad_ball if its point is outside.  A box with an open
+    side has no finite LP here, and raises ValueError."""
     A, b, m, d = problem.A, problem.b, problem.m, problem.d
     reg = problem.reg
     # dual: maximize -b'u (- support corrections) over ||u||_inf <= 1/m
@@ -227,6 +220,8 @@ def _solve_lad_lp(problem, tol):
     elif reg.kind == "box":
         # maximize -b'u - sum_j max((-A'u)_j lo_j, (-A'u)_j hi_j)
         lo, hi = reg.bounds(d)
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise ValueError("the lad reference needs finite box bounds")
         dual = _lad_dual(problem, np.concatenate([b, np.ones(d)]), free=d,
                          A_ub=np.block([[-(lo[:, None] * A.T), -np.eye(d)],
                                         [-(hi[:, None] * A.T), -np.eye(d)]]),
@@ -431,15 +426,11 @@ def _solve_linear(problem, tol):
     elif reg.kind == "l2ball":
         nrm = float(np.sqrt(np.dot(c, c)))
         x = -(reg.radius / nrm) * c if nrm > 0 else np.zeros(d)
-    elif reg.kind == "l1":
-        if dual_norm(c, "linf") > reg.lam:
-            raise ValueError("linear objective with this l1 weight is unbounded below")
-        x = np.zeros(d)
-    else:
-        if np.any(c != 0.0):
-            raise ValueError("linear objective without a regularizer is unbounded below")
+    else:  # l1 and zero: f(0) = 0 is f* wherever f is bounded below
         x = np.zeros(d)
     lower = lower_bound_certificate(problem, x)
+    if lower == -math.inf:
+        raise ValueError("linear objective with this regularizer is unbounded below")
     return _finish(problem, x, lower, "linear_analytic", tol)
 
 

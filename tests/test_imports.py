@@ -4,7 +4,9 @@ module-level constant is read somewhere in the package, only
 only ``solver._objective`` calls ``residual``, ``loss_at``, ``_value`` or
 ``objective`` in the solver, only ``solver._evaluate`` assigns ``best_f``,
 ``best_x``, ``f_avg``, ``gap_best`` or ``gap_avg``, only ``problems._draw``
-draws from a run's random generator, no module starts threads or processes or pins a CPU, and
+draws from a run's random generator, only ``reference._dual_bound`` calls
+``_support_min``, ``_logistic_conjugate`` or ``_nullspace_project``, no
+module starts threads or processes or pins a CPU, and
 ``residual``, ``loss_at`` and ``_value`` take one point, not a stack.
 
 No linter ships with the test environment, so this walks each module's
@@ -108,7 +110,8 @@ OBJECTIVE_EVALUATOR = ("solver.py", "_objective")
 
 def calls_outside(sources, attrs, owner):
     """"module line N: .name()" for each call of an attribute named in
-    ``attrs`` in ``sources`` (a {module name: source} dict) outside the
+    ``attrs``, and "module line N: name()" for each call of such a plain
+    name, in ``sources`` (a {module name: source} dict) outside the
     function ``owner``, a (module, function name) pair."""
     found = []
     for module, source in sorted(sources.items()):
@@ -116,10 +119,13 @@ def calls_outside(sources, attrs, owner):
         allowed = {id(node) for fn in ast.walk(tree)
                    if isinstance(fn, ast.FunctionDef) and (module, fn.name) == owner
                    for node in ast.walk(fn)}
-        found += ["%s line %d: .%s()" % (module, node.lineno, node.func.attr)
-                  for node in ast.walk(tree)
-                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                  and node.func.attr in attrs and id(node) not in allowed]
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in allowed:
+                continue
+            if isinstance(node.func, ast.Attribute) and node.func.attr in attrs:
+                found.append("%s line %d: .%s()" % (module, node.lineno, node.func.attr))
+            elif isinstance(node.func, ast.Name) and node.func.id in attrs:
+                found.append("%s line %d: %s()" % (module, node.lineno, node.func.id))
     return found
 
 
@@ -346,3 +352,33 @@ def test_the_walk_finds_a_stacked_form():
 def test_the_objective_kernels_take_one_point():
     sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
     assert stacked_forms(sources) == []
+
+
+DUAL_BOUND_PARTS = ("_support_min", "_logistic_conjugate", "_nullspace_project")
+DUAL_BOUND = ("reference.py", "_dual_bound")
+
+
+def dual_bound_parts(sources):
+    """Each call of ``_support_min``, ``_logistic_conjugate`` or
+    ``_nullspace_project`` outside ``reference._dual_bound``, so that every
+    lower bound on f* is the one Fenchel formula -F*(u) - G*(-A'u)."""
+    return calls_outside(sources, DUAL_BOUND_PARTS, DUAL_BOUND)
+
+
+def test_the_walk_finds_a_dual_bound_part():
+    sources = {"reference.py": "def _dual_bound(problem, u):\n"
+                               "    u = _nullspace_project(problem.A, u)\n"
+                               "    return -_logistic_conjugate(u) + _support_min(r, u, 2)\n\n"
+                               "def lower_bound_certificate(problem, x):\n"
+                               "    g = problem.subgradient(x)\n"
+                               "    return f(x) + _support_min(problem.reg, g, 2)\n",
+               "harness.py": "def check(ref):\n"
+                             "    return reference._support_min(ref), _nullspace_project(1)\n"}
+    assert dual_bound_parts(sources) == ["harness.py line 2: ._support_min()",
+                                         "harness.py line 2: _nullspace_project()",
+                                         "reference.py line 7: _support_min()"]
+
+
+def test_only_the_dual_bound_builds_a_lower_bound():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert dual_bound_parts(sources) == []

@@ -5,6 +5,11 @@ written with its own arithmetic here rather than the solver's.
   methods for regularized stochastic learning and online optimization*,
   JMLR 2010): after n subgradients with sum S_n,
   x_{n+1} = -sign(S_n) max(|S_n| - n lam, 0) / (c sqrt(n+1)).
+* ``leap_frog`` and ``rda`` on the simplex with the entropy mirror are
+  entropic dual averaging (Nesterov, Math. Program. 2009; exponentiated
+  gradient, Kivinen & Warmuth 1997): with t = 0 the recursion keeps
+  xt_{n+1/2} = xt_1 - sum_{i<=n} s_i g_i / alpha_{n+1}, so
+  x_{n+1} = softmax(log x_1 - sum_{i<=n} s_i g_i / alpha_{n+1}).
 * Scaling lad's A, b and lam by 4 and s_n by 1/4 scales f, the gaps and
   the bound by 4 and leaves the iterates where they were; a bound with
   the wrong power of M or of s breaks the relation.
@@ -95,4 +100,40 @@ def test_permuting_coordinates_permutes_every_iterate(loss, pair):
         for _ in range(300):
             states = [step(st, p) for st, p in zip(states, problems)]
             worst = max(worst, float(np.max(np.abs(states[0].x[perm] - states[1].x))))
+    assert worst <= 1e-12
+
+
+# (preset, s_n, alpha_n), each written out here
+ENTROPIC_SCHEDULES = {
+    "leap_frog": (schedule_preset("leap_frog"), lambda n: 1.0 / np.sqrt(n), lambda n: 1.0),
+    "rda": (schedule_preset("rda", c=2.0), lambda n: 1.0, lambda n: 2.0 * np.sqrt(n)),
+}
+
+
+def softmax(z):
+    e = np.exp(z - np.max(z))
+    return e / np.sum(e)
+
+
+@pytest.mark.parametrize("kind", sorted(ENTROPIC_SCHEDULES))
+@pytest.mark.parametrize("loss", ["lad", "logistic", "linear"])
+def test_entropic_dual_averaging_is_a_softmax_of_the_summed_subgradients(loss, kind):
+    """From a start that is not uniform, so that xt_1 is no constant that
+    normalization removes: a step that drops the (1 - ratio) xt_1 term of
+    rda, or divides by alpha_n for alpha_{n+1}, fails here."""
+    if loss == "linear":
+        p = build_problem(loss, SimplexIndicator(), NegativeEntropyMirror(),
+                          c=np.random.default_rng(3).standard_normal(20))
+    else:
+        A, b, _ = synthetic_sparse_data(loss, 20, 40, 3, 0.3, seed=2)
+        p = build_problem(loss, SimplexIndicator(), NegativeEntropyMirror(), A=A, b=b)
+    x1 = np.random.default_rng(7).dirichlet(np.ones(20))
+    schedule, s, alpha = ENTROPIC_SCHEDULES[kind]
+    st = init(p, schedule, x1=x1)
+    S = np.zeros(p.d)
+    worst = 0.0
+    for n in range(1, 401):
+        S += s(n) * p.subgradient(st.x)
+        st = step(st, p)
+        worst = max(worst, float(np.max(np.abs(st.x - softmax(np.log(x1) - S / alpha(n + 1))))))
     assert worst <= 1e-12

@@ -474,3 +474,62 @@ def test_a_zero_subgradient_on_an_open_box_side_is_no_certificate():
         warnings.simplefilter("error")
         assert reference._support_min(box, np.array([0.0, 2.0, -1.0]), 3) == -1.0
         assert reference._support_min(box, np.array([0.0, -2.0, -1.0]), 3) == -math.inf
+
+
+def support_min(reg, g):
+    """min_{z in C} <g, z>, written out for each indicator of the pin below."""
+    if reg.kind == "box":
+        return float(np.sum(np.minimum(g * reg.lo, g * reg.hi)))
+    if reg.kind == "simplex":
+        return float(np.min(g))
+    return -reg.radius * float(np.linalg.norm(g))
+
+
+LINEARIZED_REGS = [BoxIndicator(-1.0, 1.0), BoxIndicator(0.1, 0.9), SimplexIndicator(),
+                   L2BallIndicator(1.0), L2BallIndicator(3.0)]
+
+
+@pytest.mark.parametrize("reg", LINEARIZED_REGS,
+                         ids=["box-1-1", "box0.1-0.9", "simplex", "ball1", "ball3"])
+@pytest.mark.parametrize("loss", ["logistic", "linear"])
+def test_the_dual_bound_of_a_smooth_loss_is_its_linearization(loss, reg):
+    """At the dual point u = h'(A x) / m, Fenchel-Young makes the one
+    formula -h*(u) - G*(-A'u) the linearization F(x) + min_C <g, z> -
+    <g, x> with g the gradient of F at x, for logistic and linear alike."""
+    mirror = EN if reg.kind == "simplex" else EU
+    if loss == "linear":
+        p = build_problem(loss, reg, mirror, c=np.random.default_rng(3).standard_normal(20))
+    else:
+        A, b, _ = synthetic_sparse_data(loss, d=20, m=50, k=5, noise=0.2, seed=2)
+        p = build_problem(loss, reg, mirror, A=A, b=b)
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        x = rng.standard_normal(p.d) * rng.uniform(0.1, 3.0)
+        r = p.residual(x)
+        g = p.subgradient_at(r)
+        f = p.loss_at(r)
+        want = f + support_min(reg, g) - float(np.dot(g, x))
+        assert abs(lower_bound_certificate(p, x) - want) <= 1e-12 * max(1.0, abs(f))
+
+
+@pytest.mark.parametrize("c", [[0.5, -1.5, 0.0], [0.5, -1.6, 0.0], [0.0, 0.0, 0.0],
+                               [0.0, 1e-3, 0.0]])
+def test_a_linear_objective_on_l1_or_zero_is_bounded_by_0_or_by_nothing(c):
+    """f = <c, x> + G(x) is bounded below, by f(0) = 0, exactly where
+    ||c||_inf <= lam (l1 weight 1.5) or c = 0 (no regularizer)."""
+    rng = np.random.default_rng(5)
+    for reg, bounded in ((L1Penalty(1.5), max(map(abs, c)) <= 1.5),
+                         (ZeroRegularizer(), not any(c))):
+        p = build_problem("linear", reg, EU, c=c)
+        for x in (np.zeros(3), rng.standard_normal(3)):
+            assert lower_bound_certificate(p, x) == (0.0 if bounded else -math.inf)
+
+
+@pytest.mark.parametrize("box", [BoxIndicator(0.0, np.inf), BoxIndicator(-np.inf, 0.5)],
+                         ids=["lower", "upper"])
+def test_a_lad_reference_on_an_open_box_side_refuses_it(box):
+    """The lad box LP needs finite bounds; an open side is refused before
+    the LP is built, with its own message, not HiGHS's."""
+    p = set_instance("lad", box, d=8, m=30, seed=1)
+    with pytest.raises(ValueError, match="lad reference needs finite box bounds"):
+        reference_optimum(p)
