@@ -27,7 +27,7 @@ import numpy as np
 from .config import ConfigError, build_problem_from_config, build_schedule_from_config
 from .geometry import MirrorDomainError
 from .problems import _write_atomic
-from .reference import ReferenceSolution, lower_bound_certificate, reference_optimum
+from .reference import certify, reference_optimum
 from .schedules import PRESET_KINDS, schedule_preset
 from .solver import TraceRow, run, start_point
 
@@ -84,44 +84,36 @@ def _reference_cache_key(cfg, problem):
     return "%s_%s" % (cfg.problem_key, digest.hexdigest()[:16])
 
 
-def _load_reference(cache, problem):
+def _load_reference(cache, problem, tol):
     """The cached ReferenceSolution, or None if the entry is missing,
-    unreadable or invalid: x_star not a finite d-vector, a negative or NaN
-    certified_gap, f_star off f(x_star) by over 1e-12 * max(1, |f|), or a
-    certified_gap that the entry's x_star does not certify again: below
-    f(x_star) - ``lower_bound_certificate(problem, x_star)`` by over the
-    same tolerance, where a nan bound is no bound, as in
-    ``reference._finish``.  A lad entry is checked with the certificate
-    that certified it; a logistic entry whose gap came from a point other
-    than x_star may fail the check and is then solved again."""
+    unreadable or invalid: a hit is what ``reference.certify`` makes of the
+    entry's x_star and x_cert again at tol, with exactly its f_star,
+    certified_gap and converged.  An entry without x_cert, or whose
+    points are not finite d-vectors, is a miss."""
     try:
         data = json.loads(cache.read_text())
-        ref = ReferenceSolution(np.asarray(data["x_star"], dtype=float),
-                                float(data["f_star"]), float(data["certified_gap"]),
-                                data["converged"], data["method"])
-        f = problem.objective(ref.x_star)  # ValueError unless a finite d-vector
+        ref = certify(problem, np.asarray(data["x_star"], dtype=float), data["method"],
+                      tol, np.asarray(data["x_cert"], dtype=float))
+        stored = (data["f_star"], data["certified_gap"], data["converged"])
     except (OSError, ValueError, KeyError, TypeError):
         return None
-    lower = lower_bound_certificate(problem, ref.x_star)
-    gap = math.inf if math.isnan(lower) else f - lower
-    tol = 1e-12 * max(1.0, abs(f))
-    if ref.certified_gap >= max(0.0, gap - tol) and abs(ref.f_star - f) <= tol:
-        return ref
-    return None
+    return ref if (ref.f_star, ref.certified_gap, ref.converged) == stored else None
 
 
 def cached_reference(cfg, problem, out_dir):
     """Reference optimum, cached on disk keyed by the problem definition
-    and, for data files, by their contents; an invalid entry is replaced."""
+    and, for data files, by their contents; an invalid entry is replaced.
+    An entry holds x_star, f_star, certified_gap, converged, method and
+    x_cert."""
     cache = _reference_cache_path(out_dir, _reference_cache_key(cfg, problem))
-    ref = _load_reference(cache, problem)
+    ref = _load_reference(cache, problem, cfg.reference_tol)
     if ref is not None:
         return ref
     ref = reference_optimum(problem, tol=cfg.reference_tol)
     cache.parent.mkdir(parents=True, exist_ok=True)
     payload = {"x_star": [float(v) for v in ref.x_star], "f_star": ref.f_star,
                "certified_gap": ref.certified_gap, "converged": ref.converged,
-               "method": ref.method}
+               "method": ref.method, "x_cert": [float(v) for v in ref.x_cert]}
     _write_atomic(cache, json.dumps(payload))
     return ref
 

@@ -21,11 +21,14 @@ returns its bound: for logistic and linear the row weights h'(A x) / m,
 the gradient of h, where the bound equals the linearization
 F(x) + min_{z in C} <g, z - x> by Fenchel-Young; for lad a point rebuilt
 at x (``_lad_dual_point``), which at the LP's x* meets the LP's own bound
-to rounding, so the LP's multipliers give only the primal point.  A lad
-reference is certified at its x_star, whichever method found the point,
-and the harness checks a cached entry with it again.  Logistic
-references keep the largest bound of the points their method certified
-on the way.
+to rounding, so the LP's multipliers give only the primal point.
+
+``certify`` turns a point into a ReferenceSolution, for every solve path
+and for every cache entry the harness loads: f(x_star) and the
+certificate at x_cert, the point whose bound is reported.  Lad, linear
+and ``initial_point`` references are certified at x_star itself.  A
+logistic reference's x_cert is the point of the largest bound its method
+certified on the way, which may differ from x_star, the best-f point.
 
 No loss formula is written here: values, row weights, curvatures and
 gradients come from the problem's residual oracle
@@ -65,14 +68,16 @@ _NEWTON_STEPS = 3
 
 
 class ReferenceSolution:
-    """A solved instance: point, value, and a certified optimality gap."""
+    """A solved instance: point, value, a certified optimality gap, and
+    x_cert, the point whose certificate bounds f*."""
 
-    def __init__(self, x_star, f_star, certified_gap, converged, method):
+    def __init__(self, x_star, f_star, certified_gap, converged, method, x_cert=None):
         self.x_star = x_star
         self.f_star = f_star
         self.certified_gap = certified_gap
         self.converged = converged
         self.method = method
+        self.x_cert = x_cert
 
     def __repr__(self):
         return ("ReferenceSolution(f_star=%.12g, certified_gap=%.3g, converged=%s, "
@@ -185,12 +190,14 @@ def _lad_dual_point(problem, x):
     return u
 
 
-def _finish(problem, x_star, lower, method, tol):
-    """The ReferenceSolution of x_star with the lower bound ``lower`` on
-    f*; a nan bound is no bound, so its gap is inf."""
+def certify(problem, x_star, method, tol, x_cert):
+    """The ReferenceSolution of x_star, bounded by the certificate at
+    x_cert: certified_gap = f(x_star) - ``lower_bound_certificate(problem,
+    x_cert)``, at least 0; a nan bound is no bound, so its gap is inf."""
     f_star = problem.objective(x_star)
+    lower = lower_bound_certificate(problem, x_cert)
     gap = math.inf if math.isnan(lower) else max(0.0, f_star - lower)
-    return ReferenceSolution(x_star, f_star, gap, gap <= tol, method)
+    return ReferenceSolution(x_star, f_star, gap, gap <= tol, method, x_cert)
 
 
 def _lad_dual(problem, cost, free=0, **constraints):
@@ -205,10 +212,10 @@ def _lad_dual(problem, cost, free=0, **constraints):
 
 def _solve_lad_lp(problem, tol):
     """One dual LP for lad; x* is read from its multipliers and certified
-    by ``lower_bound_certificate``, so a wrong one can only widen the gap
-    _finish reports.  The l2 ball reuses the zero regularizer's LP and
-    goes on to _lad_ball if its point is outside.  A box with an open
-    side has no finite LP here, and raises ValueError."""
+    at itself, so a wrong one can only widen the gap ``certify`` reports.
+    The l2 ball reuses the zero regularizer's LP and goes on to _lad_ball
+    if its point is outside.  A box with an open side has no finite LP
+    here, and raises ValueError."""
     A, b, m, d = problem.A, problem.b, problem.m, problem.d
     reg = problem.reg
     # dual: maximize -b'u (- support corrections) over ||u||_inf <= 1/m
@@ -238,7 +245,7 @@ def _solve_lad_lp(problem, tol):
         x_star = dual.eqlin.marginals
     if reg.kind == "l2ball" and np.linalg.norm(x_star) > reg.radius:
         x_star = _lad_ball(problem, x_star, dual.x[:m], tol)
-    return _finish(problem, x_star, lower_bound_certificate(problem, x_star), "lad_lp", tol)
+    return certify(problem, x_star, "lad_lp", tol, x_star)
 
 
 def _lad_ball(problem, x_lp, u, tol):
@@ -250,7 +257,7 @@ def _lad_ball(problem, x_lp, u, tol):
     at x0 = R x_lp / ||x_lp|| (phi has a kink at A'u = 0): x = -A'u / nu,
     nu = ||A'u|| / R, takes one Newton step in (x, u_Z, nu) on nu x + A'u
     = 0, A_Z x = b_Z, ||x|| = R, with Z the rows where |u_i| < 1/m.  Only x
-    moves; ``lower_bound_certificate`` certifies the point it returns."""
+    moves; the point it returns is certified at itself."""
     A, b, m, reg, R = problem.A, problem.b, problem.m, problem.reg, problem.reg.radius
     face = np.abs(u) < 1.0 / m
     x = np.linalg.lstsq(A[face], b[face], rcond=None)[0]
@@ -285,8 +292,7 @@ def _logistic_value_grad(problem, x):
 
 
 def _solve_logistic(problem, tol):
-    d = problem.d
-    reg = problem.reg
+    d, reg = problem.d, problem.reg
     if reg.kind == "l1":
         lam = reg.lam
 
@@ -301,8 +307,8 @@ def _solve_logistic(problem, tol):
                        bounds=[(0, None)] * 2 * d, options=_LBFGS_OPTS)
         x = res.x[:d] - res.x[d:]
     elif reg.kind in ("simplex", "l2ball"):
-        return _finish(problem, *_accelerated_projected_gradient(problem, tol),
-                       "logistic_smooth", tol)
+        x, x_cert = _accelerated_projected_gradient(problem, tol)
+        return certify(problem, x, "logistic_smooth", tol, x_cert)
     else:
         x0, bounds = np.zeros(d), None
         if reg.kind == "box":
@@ -311,13 +317,14 @@ def _solve_logistic(problem, tol):
         x = minimize(lambda z: _logistic_value_grad(problem, z), x0, jac=True,
                      method="L-BFGS-B", bounds=bounds, options=_LBFGS_OPTS).x
 
-    lower = lower_bound_certificate(problem, x)
-    if problem.objective(x) - lower > tol and reg.kind in ("l1", "box"):
-        x, lower = _newton_on_face(problem, x, lower, tol)
-    return _finish(problem, x, lower, "logistic_smooth", tol)
+    ref = certify(problem, x, "logistic_smooth", tol, x)
+    if ref.converged or reg.kind not in ("l1", "box"):
+        return ref
+    x, x_cert = _newton_on_face(problem, x, tol)
+    return certify(problem, x, "logistic_smooth", tol, x_cert)
 
 
-def _newton_on_face(problem, x, lower, tol):
+def _newton_on_face(problem, x, tol):
     """Newton steps for logistic loss on the face L-BFGS-B identified.
 
     For l1 the face fixes the support of x and its signs, and G adds the
@@ -326,9 +333,9 @@ def _newton_on_face(problem, x, lower, tol):
     A step is kept only if it stays on the face and lowers f; every
     point's certificate counts, so the gap to the largest lower bound
     falls with every step kept.  Steps stop once the gap reaches tol or
-    a step is not kept.  Returns the best point and the lower bound; a
-    face with more free coordinates than rows has a singular Hessian and
-    returns x and lower unchanged.
+    a step is not kept.  Returns the best point and the point of the
+    largest bound; a face with more free coordinates than rows has a
+    singular Hessian and returns x as both.
     """
     reg, m = problem.reg, problem.m
     if reg.kind == "l1":
@@ -341,9 +348,10 @@ def _newton_on_face(problem, x, lower, tol):
         free = free[problem.A[:, free].any(axis=0)]
         c, lo, hi = 0.0, lo[free], hi[free]
     if free.size > m:
-        return x, lower
+        return x, x
     A_F = problem.A[:, free]
     f_x = problem.objective(x)
+    x_cert, lower = x, lower_bound_certificate(problem, x)
     for _ in range(_NEWTON_STEPS):
         r = problem.residual(x)
         grad = A_F.T @ (problem.row_weights(r, problem.b) / m) + c
@@ -354,14 +362,16 @@ def _newton_on_face(problem, x, lower, tol):
             break
         z = x.copy()
         z[free] -= step
-        lower = max(lower, lower_bound_certificate(problem, z))
+        lower_z = lower_bound_certificate(problem, z)
+        if lower_z > lower:
+            x_cert, lower = z, lower_z
         f_z = problem.objective(z)
         if not (f_z < f_x and np.all((lo < z[free]) & (z[free] < hi))):
             break
         x, f_x = z, f_z
         if f_x - lower <= tol:
             break
-    return x, lower
+    return x, x_cert
 
 
 def _project_simplex(reg, y, s):
@@ -381,7 +391,7 @@ def _accelerated_projected_gradient(problem, tol):
     s = z - y, which implies the quadratic upper bound for convex f without
     cancelling f values; momentum resets when g'(z - x) > 0.  Returns the
     best point of those certified every 20 steps, for at most
-    _LBFGS_OPTS["maxiter"] steps, and the largest bound."""
+    _LBFGS_OPTS["maxiter"] steps, and the point of the largest bound."""
     reg, steps = problem.reg, _LBFGS_OPTS["maxiter"]
     project = _project_simplex if reg.kind == "simplex" else _prox_euclid_l2ball
     grad = lambda v: problem.subgradient_at(problem.residual(v))
@@ -389,7 +399,7 @@ def _accelerated_projected_gradient(problem, tol):
     g = grad(y)
     hgg = np.dot(problem.curvature(problem.residual(y)), (problem.A @ g) ** 2) / problem.m
     L = hgg / np.dot(g, g) if hgg > 0 else 1.0
-    t, best_f, lower = 1.0, np.inf, -np.inf
+    t, best_f, lower, x_cert = 1.0, np.inf, -np.inf, x
     for k in range(1, steps + 1):
         while True:
             z = project(reg, y - g / L, 1.0)
@@ -406,32 +416,33 @@ def _accelerated_projected_gradient(problem, tol):
             f_x = problem.objective(x)
             if f_x < best_f:
                 best_x, best_f = x, f_x
-            lower = max(lower, lower_bound_certificate(problem, x))
+            lower_x = lower_bound_certificate(problem, x)
+            if lower_x > lower:
+                x_cert, lower = x, lower_x
             if best_f - lower <= tol:
                 break
         g = g_z if y is z else grad(y)
-    return best_x, lower
+    return best_x, x_cert
 
 
 def _solve_linear(problem, tol):
-    c = problem.A[0]
-    reg = problem.reg
-    d = problem.d
+    c, reg, d = problem.A[0], problem.reg, problem.d
     if reg.kind == "simplex":
         x = np.zeros(d)
         x[int(np.argmin(c))] = 1.0
-    elif reg.kind == "box":
+    elif reg.kind == "box":  # an open side the cost points to: a finite x, a -inf bound
         lo, hi = reg.bounds(d)
-        x = np.where(c > 0, lo, np.where(c < 0, hi, np.clip(0.0, lo, hi)))
+        side = np.where(c > 0, lo, np.where(c < 0, hi, 0.0))
+        x = np.clip(np.where(np.isfinite(side), side, 0.0), lo, hi)
     elif reg.kind == "l2ball":
         nrm = float(np.sqrt(np.dot(c, c)))
         x = -(reg.radius / nrm) * c if nrm > 0 else np.zeros(d)
     else:  # l1 and zero: f(0) = 0 is f* wherever f is bounded below
         x = np.zeros(d)
-    lower = lower_bound_certificate(problem, x)
-    if lower == -math.inf:
+    ref = certify(problem, x, "linear_analytic", tol, x)
+    if ref.certified_gap == math.inf:
         raise ValueError("linear objective with this regularizer is unbounded below")
-    return _finish(problem, x, lower, "linear_analytic", tol)
+    return ref
 
 
 def reference_optimum(problem, tol=1e-8):
@@ -445,8 +456,7 @@ def reference_optimum(problem, tol=1e-8):
         raise ValueError("reference tolerance must be positive, got %r" % (tol,))
     if np.isinf(tol):
         x = canonical_argmin(problem.reg, problem.d)
-        return _finish(problem, x, lower_bound_certificate(problem, x),
-                       "initial_point", tol)
+        return certify(problem, x, "initial_point", tol, x)
     if problem.loss == "linear":
         return _solve_linear(problem, tol)
     if problem.loss == "lad":

@@ -663,10 +663,11 @@ stride = 25
 def test_a_false_cached_certificate_is_replaced(tmp_path, command):
     """A cache entry that passes the value checks (f_star = f(x_star),
     certified_gap >= 0) but claims x_star = 0 optimal with certified_gap
-    = 0, where f(0) - f* = 1.08.  Its x_star does not certify that gap
-    again, so the entry is a miss: the reference is solved again and
-    overwrites it, the command exits 0, and the trace passes the strict
-    bound check against the true optimum."""
+    = 0, where f(0) - f* = 1.08.  It has no x_cert, the point that
+    ``reference.certify`` needs to certify its gap again, so the entry is
+    a miss: the reference is solved again and overwrites it, the command
+    exits 0, and the trace passes the strict bound check against the true
+    optimum."""
     path = write_cfg(tmp_path, SWEEP_LAD_L1, name="sweep.ini")
     cfg = parse_config(SWEEP_LAD_L1, name="sweep")
     problem = build_problem_from_config(cfg)

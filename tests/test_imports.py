@@ -5,8 +5,10 @@ only ``solver._objective`` calls ``residual``, ``loss_at``, ``_value`` or
 ``objective`` in the solver, only ``solver._evaluate`` assigns ``best_f``,
 ``best_x``, ``f_avg``, ``gap_best`` or ``gap_avg``, only ``problems._draw``
 draws from a run's random generator, only ``reference._dual_bound`` calls
-``_support_min``, ``_logistic_conjugate`` or ``_nullspace_project``, no
-module starts threads or processes or pins a CPU, and
+``_support_min``, ``_logistic_conjugate`` or ``_nullspace_project``, only
+``reference.certify`` builds a ``ReferenceSolution`` and the harness calls
+no ``lower_bound_certificate``, no module starts threads or processes or
+pins a CPU, and
 ``residual``, ``loss_at`` and ``_value`` take one point, not a stack.
 
 No linter ships with the test environment, so this walks each module's
@@ -382,3 +384,33 @@ def test_the_walk_finds_a_dual_bound_part():
 def test_only_the_dual_bound_builds_a_lower_bound():
     sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
     assert dual_bound_parts(sources) == []
+
+
+CERTIFIER = ("reference.py", "certify")
+
+
+def certification_sites(sources):
+    """Each ``ReferenceSolution`` built outside ``reference.certify``, and
+    each call of ``lower_bound_certificate`` in the harness, so that every
+    solve and every cache hit is certified by one function."""
+    harness = {name: text for name, text in sources.items() if name == "harness.py"}
+    return (calls_outside(sources, ("ReferenceSolution",), CERTIFIER)
+            + calls_outside(harness, ("lower_bound_certificate",), CERTIFIER))
+
+
+def test_the_walk_finds_a_certification_site():
+    sources = {"reference.py": "def certify(problem, x):\n"
+                               "    return ReferenceSolution(x, lower_bound_certificate(x))\n\n"
+                               "def _solve(problem):\n"
+                               "    return ReferenceSolution(x, lower_bound_certificate(x))\n",
+               "harness.py": "def _load(cache, problem):\n"
+                             "    lower = reference.lower_bound_certificate(problem, x)\n"
+                             "    return reference.ReferenceSolution(x, f, lower)\n"}
+    assert certification_sites(sources) == ["harness.py line 3: .ReferenceSolution()",
+                                            "reference.py line 5: ReferenceSolution()",
+                                            "harness.py line 2: .lower_bound_certificate()"]
+
+
+def test_only_certify_builds_a_reference():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert certification_sites(sources) == []

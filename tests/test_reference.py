@@ -295,9 +295,8 @@ def test_newton_on_a_singular_face_keeps_the_point():
     # 50 rows give a singular face Hessian
     p = random_problem("logistic", BoxIndicator(-0.5, 0.5), seed=42, m=50, d=100)
     x = np.zeros(100)
-    lower = lower_bound_certificate(p, x)
-    x_out, lower_out = reference._newton_on_face(p, x, lower, 1e-12)
-    assert x_out is x and lower_out == lower
+    x_out, x_cert = reference._newton_on_face(p, x, 1e-12)
+    assert x_out is x and x_cert is x
 
 
 def test_logistic_box_with_a_zero_column_keeps_an_honest_gap(rng):
@@ -331,10 +330,9 @@ def test_newton_never_returns_a_worse_point(x0):
     p = build_problem("logistic", BoxIndicator(-1e3, 1e3), EU, A=np.ones((3, 1)),
                       b=np.array([1.0, 1.0, -1.0]))
     x = np.array([x0])
-    lower = lower_bound_certificate(p, x)
-    x_out, lower_out = reference._newton_on_face(p, x, lower, 1e-12)
+    x_out, x_cert = reference._newton_on_face(p, x, 1e-12)
     assert p.objective(x_out) <= p.objective(x)
-    assert lower_out >= lower
+    assert lower_bound_certificate(p, x_cert) >= lower_bound_certificate(p, x)
 
 
 @pytest.mark.parametrize("x0", [0.5, 1.0, 2.0])
@@ -344,7 +342,7 @@ def test_newton_stays_on_the_face(x0):
     p = build_problem("logistic", L1Penalty(0.01), EU, A=np.ones((3, 1)),
                       b=np.array([-1.0, -1.0, 1.0]))
     x = np.array([x0])
-    x_out, _ = reference._newton_on_face(p, x, lower_bound_certificate(p, x), 1e-12)
+    x_out, _ = reference._newton_on_face(p, x, 1e-12)
     assert x_out[0] > 0.0
 
 
@@ -450,7 +448,7 @@ def test_logistic_simplex_certifies_on_scaled_data(scale):
     assert ref.converged and ref.certified_gap <= 1e-8
 
 
-def test_a_zero_subgradient_on_an_open_box_side_is_no_certificate():
+def test_a_zero_subgradient_on_an_open_box_side_is_no_certificate(monkeypatch):
     """On BoxIndicator(-inf, 1) with data column 2 zeroed, g_2 = 0 meets
     the infinite bound: it adds 0 to the box's support, with no warning,
     while the g_j > 0 of the other columns reach the open side, so the
@@ -463,10 +461,11 @@ def test_a_zero_subgradient_on_an_open_box_side_is_no_certificate():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         lower = lower_bound_certificate(p, x)
-        ref = reference._finish(p, x, lower, "test", 1e-8)
+        ref = reference.certify(p, x, "test", 1e-8, x)
     assert lower == -math.inf
     assert (ref.certified_gap, ref.converged) == (math.inf, False)
-    ref = reference._finish(p, x, math.nan, "test", 1e-8)
+    monkeypatch.setattr(reference, "lower_bound_certificate", lambda problem, x: math.nan)
+    ref = reference.certify(p, x, "test", 1e-8, x)
     assert (ref.certified_gap, ref.converged) == (math.inf, False)
 
     box = BoxIndicator([-np.inf, 1.0, 0.0], [1.0, np.inf, 3.0])
@@ -533,3 +532,27 @@ def test_a_lad_reference_on_an_open_box_side_refuses_it(box):
     p = set_instance("lad", box, d=8, m=30, seed=1)
     with pytest.raises(ValueError, match="lad reference needs finite box bounds"):
         reference_optimum(p)
+
+
+@pytest.mark.parametrize("box, c", [(BoxIndicator(-np.inf, 1.0), [1.0, -1.0]),
+                                    (BoxIndicator(-1.0, np.inf), [1.0, -1.0])],
+                         ids=["lower", "upper"])
+def test_a_linear_cost_toward_an_open_box_side_is_unbounded(box, c):
+    """c_1 > 0 on an open lower side (c_2 < 0 on an open upper side) sends
+    f = <c, x> to -inf; the reference raises its unbounded-below error,
+    not an error about a non-finite point."""
+    p = build_problem("linear", box, EU, c=np.array(c))
+    with pytest.raises(ValueError, match="unbounded below"):
+        reference_optimum(p)
+
+
+@pytest.mark.parametrize("box, c, x", [(BoxIndicator(-np.inf, 1.0), [0.0, -1.0], [0.0, 1.0]),
+                                       (BoxIndicator(-1.0, np.inf), [0.0, 1.0], [0.0, -1.0])],
+                         ids=["lower", "upper"])
+def test_a_zero_cost_on_an_open_box_side_still_solves(box, c, x):
+    """A coordinate with cost 0 adds nothing however far its open side
+    reaches: it stays at 0, and the other coordinate takes its bound."""
+    p = build_problem("linear", box, EU, c=np.array(c))
+    ref = reference_optimum(p)
+    assert ref.x_star.tolist() == x
+    assert (ref.f_star, ref.certified_gap, ref.converged) == (-1.0, 0.0, True)

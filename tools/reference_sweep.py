@@ -17,7 +17,8 @@ mirror, zero) on 20 costs of dimension 10 (seed 3, about 30% zero
 entries), each at tolerance 1e-8 and inf.
 
 OUT.json maps each instance's key to the first 16 hex digits of the
-sha256 of its ``x_star`` bytes, ``repr`` of ``f_star`` and of
+sha256 of its ``x_star`` bytes and of its ``x_cert`` bytes (the point
+whose certificate is the reported bound), ``repr`` of ``f_star`` and of
 ``certified_gap``, ``converged`` and ``method``; an instance whose solve
 raises ValueError or RuntimeError, the errors the reference raises,
 records the exception's type and message instead.  Any other exception
@@ -73,7 +74,7 @@ LINEAR_REGS = {
 COSTS, COST_DIM, COST_SEED = 20, 10, 3
 LINEAR_TOLS = (1e-8, math.inf)
 FIELDS = ("x_star", "f_star", "certified_gap", "converged", "method", "raises",
-          "message")
+          "message", "x_cert")
 
 
 def costs():
@@ -98,6 +99,11 @@ def instances():
                 yield "linear-%s-cost%d-tol%r" % (name, i, tol), "linear", mirror, reg, c, tol
 
 
+def digest(x):
+    """The first 16 hex digits of the sha256 of x's bytes."""
+    return hashlib.sha256(np.ascontiguousarray(x).tobytes()).hexdigest()[:16]
+
+
 def solve(loss, mirror, reg, data, tol, cache):
     if loss == "linear":
         problem = build_problem(loss, reg, mirror, c=data)
@@ -112,10 +118,9 @@ def solve(loss, mirror, reg, data, tol, cache):
         ref = reference_optimum(problem, tol=tol)
     except (ValueError, RuntimeError) as exc:  # the errors the reference raises
         return {"raises": type(exc).__name__, "message": str(exc)}
-    return {"x_star": hashlib.sha256(np.ascontiguousarray(ref.x_star).tobytes())
-            .hexdigest()[:16],
-            "f_star": repr(ref.f_star), "certified_gap": repr(ref.certified_gap),
-            "converged": bool(ref.converged), "method": ref.method}
+    return {"x_star": digest(ref.x_star), "f_star": repr(ref.f_star),
+            "certified_gap": repr(ref.certified_gap), "converged": bool(ref.converged),
+            "method": ref.method, "x_cert": digest(ref.x_cert)}
 
 
 def compare(results, baseline):
